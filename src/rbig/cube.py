@@ -240,11 +240,12 @@ def load_cube(path) -> DataCube:
     with open(_sidecar_path(path)) as fh:
         sidecar = json.load(fh)
     np_dtype = "<f4" if sidecar["dtype"] == "float32" else "<f8"
-    values = np.fromfile(path, dtype=np_dtype).astype(float)
-    values = values.reshape(sidecar["shape"])
+    stored = np.fromfile(path, dtype=np_dtype).reshape(sidecar["shape"])
+    values = stored.astype(float)
     fill = sidecar.get("fill_value")
     if fill is not None:
-        values = np.where(values == fill, np.nan, values)
+        # Mask in the stored dtype: save_cube rounded the fill value to it.
+        values[stored == np.array(fill, dtype=np_dtype)] = np.nan
     meta = sidecar.get("grid_meta")
     return DataCube(values=values, grid_meta=GridMeta(**meta) if meta else None)
 

@@ -105,16 +105,22 @@ def entropy(data, config: FitConfig | None = None) -> ITReport:
     return _report(QUANTITY_ENTROPY, raw, model, x.shape[0], x.shape[1])
 
 
+def _as_columns(data) -> np.ndarray:
+    a = np.asarray(data, dtype=float)
+    return a[:, None] if a.ndim == 1 else np.atleast_2d(a)
+
+
 def mutual_information(x, y, config: FitConfig | None = None) -> ITReport:
     """Mutual information between two paired datasets, in bits.
 
     Each dataset is Gaussianized independently (removing its internal total
     correlation); the total correlation remaining in the concatenated
     transformed rows is the mutual information between the originals.
-    Row i of ``x`` must correspond to row i of ``y``.
+    Row i of ``x`` must correspond to row i of ``y``; a 1-D array is one
+    variable, an N x 1 column.
     """
-    xa = np.atleast_2d(np.asarray(x, dtype=float))
-    ya = np.atleast_2d(np.asarray(y, dtype=float))
+    xa = _as_columns(x)
+    ya = _as_columns(y)
     if xa.shape[0] != ya.shape[0]:
         raise PairedLengthMismatch(
             f"paired datasets need equal row counts, got {xa.shape[0]} and {ya.shape[0]}"

@@ -165,6 +165,19 @@ class TestCubeIO:
         assert np.allclose(back.values[finite], values[finite], atol=1e-6)
         assert back.grid_meta.lat_origin == 40.0
 
+    @pytest.mark.parametrize("fill", [0.1, 1e20])
+    def test_roundtrip_float32_fill_not_representable(self, tmp_path, fill):
+        # float32(fill) != fill: the missing-value mask must be built in the
+        # stored dtype, not after up-casting.
+        values = np.random.default_rng(9).standard_normal((4, 3, 3))
+        values[1, 2, 2] = values[3, 0, 1] = np.nan
+        path = tmp_path / "cube32.bin"
+        save_cube(path, DataCube(values), dtype="float32", fill_value=fill)
+        back = load_cube(path)
+        assert np.array_equal(np.isnan(back.values), np.isnan(values))
+        finite = ~np.isnan(values)
+        assert np.array_equal(back.values[finite], values[finite].astype(np.float32))
+
     def test_csv_roundtrip(self, tmp_path):
         data = np.random.default_rng(8).standard_normal((50, 3))
         path = tmp_path / "data.csv"

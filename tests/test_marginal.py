@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from rbig import (
@@ -18,6 +20,7 @@ from rbig import (
     normal_cdf,
     probit,
 )
+from rbig.marginal import _segment
 
 
 def erf_cdf(z):
@@ -95,6 +98,101 @@ class TestUniformizeForward:
         grid = np.linspace(u.support_lo + 1e-9, u.support_hi - 1e-9, 500)
         _, logdpdx = u.forward(grid)
         assert np.all(np.isfinite(logdpdx))
+
+
+def reference_segment(kx, x):
+    return np.clip(np.searchsorted(kx, x, side="right") - 1, 0, kx.size - 2)
+
+
+def reference_forward(u, x):
+    # The two-binary-search formula: np.interp for the CDF value and a
+    # separate searchsorted for the slope.
+    kx, kp = u.knots_x, u.knots_p
+    p = np.clip(np.interp(x, kx, kp), u.clamp_eps, 1.0 - u.clamp_eps)
+    seg = reference_segment(kx, x)
+    logdpdx = np.log((kp[seg + 1] - kp[seg]) / (kx[seg + 1] - kx[seg]))
+    return p, logdpdx
+
+
+def probe_points(kx, draws):
+    """Every knot, its float neighbours, +-1e300 and draws spread past the ends."""
+    span = kx[-1] - kx[0]
+    spread = kx[0] - span + np.asarray(draws) * 3.0 * span
+    return np.concatenate(
+        [kx, np.nextafter(kx, -np.inf), np.nextafter(kx, np.inf), [-1e300, 1e300], spread]
+    )
+
+
+def check_segment(kx, x):
+    seg, lo, hi = _segment(kx, x)
+    ref = reference_segment(kx, x)
+    assert np.array_equal(seg, ref)
+    assert np.array_equal(lo, kx[ref])
+    assert np.array_equal(hi, kx[ref + 1])
+
+
+fitted_tables = st.builds(
+    lambda seed, n, bins, scale, tail: fit_uniformizer(
+        scale * np.random.default_rng(seed).standard_normal(n), bins, tail
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 400),
+    bins=st.integers(2, 60),
+    scale=st.sampled_from([1e-6, 1.0, 3e5]),
+    tail=st.sampled_from([0.0, 0.1]),
+)
+draws = st.lists(st.floats(0.0, 1.0), max_size=50)
+
+
+class TestSegmentLookup:
+    @settings(deadline=None)
+    @given(u=fitted_tables, draws=draws)
+    def test_fitted_tables(self, u, draws):
+        check_segment(u.knots_x, probe_points(u.knots_x, draws))
+
+    @settings(deadline=None)
+    @given(
+        knots=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=40, unique=True
+        ),
+        draws=draws,
+    )
+    def test_hand_built_tables(self, knots, draws):
+        kx = np.sort(np.array(knots))
+        check_segment(kx, probe_points(kx, draws))
+
+    @settings(deadline=None)
+    @given(u=fitted_tables, draws=draws)
+    def test_forward_bit_identical_to_interp(self, u, draws):
+        x = probe_points(u.knots_x, draws)
+        p, logdpdx = u.forward(x)
+        p_ref, logdpdx_ref = reference_forward(u, x)
+        assert np.array_equal(p, p_ref)
+        assert np.array_equal(logdpdx, logdpdx_ref)
+        for i in range(0, x.size, max(1, x.size // 8)):
+            assert u.forward(float(x[i])) == (p_ref[i], logdpdx_ref[i])
+
+    @pytest.mark.filterwarnings("error")
+    def test_flat_segment_has_log_slope_minus_inf(self):
+        u = MarginalUniformizer(
+            support_lo=0.0,
+            support_hi=3.0,
+            knots_x=np.array([0.0, 1.0, 2.0, 3.0]),
+            knots_p=np.array([0.0, 0.5, 0.5, 1.0]),
+            clamp_eps=1e-6,
+        )
+        p, logdpdx = u.forward(np.array([0.5, 1.5, 2.5]))
+        assert np.array_equal(p, [0.25, 0.5, 0.75])
+        assert np.array_equal(logdpdx, [math.log(0.5), -np.inf, math.log(0.5)])
+
+    def test_shape_preserved(self):
+        u = fit_uniformizer(np.random.default_rng(21).standard_normal(500), bins=20)
+        x = np.random.default_rng(22).standard_normal((3, 4, 5))
+        p, logdpdx = u.forward(x)
+        p_ref, logdpdx_ref = reference_forward(u, x.ravel())
+        assert p.shape == logdpdx.shape == x.shape
+        assert np.array_equal(p.ravel(), p_ref)
+        assert np.array_equal(logdpdx.ravel(), logdpdx_ref)
 
 
 class TestUniformizeInverse:

@@ -113,6 +113,15 @@ class TestMutualInformation:
         report = mutual_information(data[:, :1], data[:, 1:])
         assert report.value_bits == pytest.approx(-0.5 * math.log2(1 - 0.81), abs=0.1)
 
+    def test_one_dimensional_inputs_are_columns(self):
+        data = correlated_gaussian(20000, rho=0.5, seed=21)
+        x, y = data[:, 0], data[:, 1]
+        report = mutual_information(x, y)
+        assert report.dim == 2
+        assert report.value_bits == pytest.approx(-0.5 * math.log2(1 - 0.25), abs=0.05)
+        columns = mutual_information(x[:, None], y[:, None])
+        assert report.raw_value_bits == columns.raw_value_bits
+
     def test_identical_data_large_and_growing(self):
         values = []
         for n in (2000, 20000):

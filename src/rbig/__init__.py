@@ -41,7 +41,6 @@ from .flow import FitConfig, GaussLayer, GaussModel, fit, load_model
 from .measures import (
     ITReport,
     entropy,
-    information_map,
     mutual_information,
     total_correlation,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "fit_gaussianizer",
     "fit_pca_rotation",
     "fit_uniformizer",
-    "information_map",
     "lag_embed",
     "load_csv",
     "load_cube",

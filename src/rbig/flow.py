@@ -75,8 +75,17 @@ class FitConfig:
             raise ValueError(f"unknown rotation kind: {self.rotation_kind!r}")
         if self.patience < 1 or self.max_layers < self.patience:
             raise ValueError("need max_layers >= patience >= 1")
-        if self.tol_delta_t <= 0:
-            raise ValueError("tol_delta_t must be > 0")
+        # Written so that NaN fails each check.
+        if not 0 < self.tol_delta_t < math.inf:
+            raise ValueError(
+                f"tol_delta_t must be finite and > 0, got {self.tol_delta_t}"
+            )
+        if not 0 <= self.tail_fraction < math.inf:
+            raise ValueError(
+                f"tail_fraction must be finite and >= 0, got {self.tail_fraction}"
+            )
+        if self.clamp_eps is not None and not 0 < self.clamp_eps < 0.5:
+            raise ValueError(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
         if self.bins is not None and self.bins < 2:
             raise ValueError("bins must be >= 2")
 
@@ -166,7 +175,7 @@ class GaussModel:
         -------
         z : ndarray, shape (N, D)
             Transformed rows, approximately N(0, I) for data resembling the
-            training sample.
+            training sample, in column-contiguous (Fortran) order.
         logjac : ndarray, shape (N,)
             Natural-log Jacobian determinant of the full map at each row
             (rotations contribute zero).
@@ -182,12 +191,18 @@ class GaussModel:
         return x, logjac
 
     def inverse(self, z):
-        """Map Gaussian-domain points back to data space."""
+        """Map Gaussian-domain points back to data space.
+
+        Returns a new N x D array in column-contiguous (Fortran) order;
+        ``z`` is left unchanged.
+        """
         x = self._check(z)
         for layer in reversed(self.layers):
+            # rotate_inverse returns a fresh column-contiguous array, so each
+            # marginal inverse reads a contiguous column and writes it back.
             x = rotate_inverse(layer.rotation, x)
-            cols = [g.inverse(x[:, j]) for j, g in enumerate(layer.gaussianizers)]
-            x = np.column_stack(cols)
+            for j, g in enumerate(layer.gaussianizers):
+                x[:, j] = g.inverse(x[:, j])
         return x
 
     def log_density(self, data):
@@ -204,7 +219,11 @@ class GaussModel:
         return -self.log_density(data)
 
     def sample(self, n: int, seed: int):
-        """Draw n synthetic rows by inverting seeded N(0, I) samples."""
+        """Draw n synthetic rows by inverting seeded N(0, I) samples.
+
+        The rows come back as :meth:`inverse` returns them, in
+        column-contiguous (Fortran) order.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = np.random.default_rng(seed)

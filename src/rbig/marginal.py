@@ -52,16 +52,34 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteInput(f"{what} contains NaN or infinite values")
 
 
-def _segment(kx: np.ndarray, x: np.ndarray):
-    """Knot segment of each value of 1-D ``x``, and its two knots.
+def _checked_segment(knots: np.ndarray, v: np.ndarray, seg: np.ndarray):
+    """Check guessed segments of 1-D ``v`` and binary-search the misses.
 
-    Returns ``(seg, kx[seg], kx[seg + 1])`` with ``seg`` equal to
-    ``clip(searchsorted(kx, x, "right") - 1, 0, K - 2)`` for any strictly
-    increasing ``kx``.  Fitted knots are equal-width from ``kx[1]`` to
-    ``kx[-2]``, so a floor division guesses each segment and a comparison
-    with its two knots checks it; only misses (values at a knot or outside
-    the knots, hand-built non-uniform tables) are binary-searched.  A
-    table's shape changes the speed, never the answer.
+    Returns ``(seg, knots[seg], knots[seg + 1])`` with ``seg`` equal to
+    ``clip(searchsorted(knots, v, "right") - 1, 0, K - 2)`` for any strictly
+    increasing ``knots`` and any guess in ``[0, K - 2]``.  A guess holds when
+    its two knots bracket the value; only the misses are searched, so a bad
+    guess changes the speed, never the answer.
+    """
+    lo = knots[seg]
+    hi = knots[1:][seg]
+    miss = np.flatnonzero((v < lo) | (v >= hi))
+    if miss.size:
+        last = knots.size - 2
+        found = np.clip(np.searchsorted(knots, v[miss], side="right") - 1, 0, last)
+        seg[miss] = found
+        lo[miss] = knots[found]
+        hi[miss] = knots[found + 1]
+    return seg, lo, hi
+
+
+def _segment(kx: np.ndarray, x: np.ndarray):
+    """Knot segment of each data value of 1-D ``x``, and its two knots.
+
+    Fitted knots are equal-width from ``kx[1]`` to ``kx[-2]``, so a floor
+    division guesses each segment; :func:`_checked_segment` checks it.
+    Misses are values at a knot or outside the knots, and hand-built
+    non-uniform tables.
     """
     last = kx.size - 2
     inv_width = (kx.size - 3) / float(kx[-2] - kx[1]) if kx.size > 3 else 0.0
@@ -73,16 +91,31 @@ def _segment(kx: np.ndarray, x: np.ndarray):
     guess += 1.0
     np.fmax(guess, 0.0, out=guess)
     np.fmin(guess, last, out=guess)
-    seg = guess.astype(np.intp)
-    lo = kx[seg]
-    hi = kx[1:][seg]
-    miss = np.flatnonzero((x < lo) | (x >= hi))
-    if miss.size:
-        found = np.clip(np.searchsorted(kx, x[miss], side="right") - 1, 0, last)
-        seg[miss] = found
-        lo[miss] = kx[found]
-        hi[miss] = kx[found + 1]
-    return seg, lo, hi
+    return _checked_segment(kx, x, guess.astype(np.intp))
+
+
+# Cells per knot segment in the probability-side guess table.
+_CELLS_PER_SEGMENT = 8
+
+
+def _p_segment(kp: np.ndarray, p: np.ndarray):
+    """Knot segment of each probability of 1-D ``p``, and its two knots.
+
+    CDF knots are not equal-width, so the guess comes from a table built
+    per call: the segment of the left edge of each of ``8 (K - 1)`` equal
+    cells over [0, 1], plus one entry for 1 itself.  A value's guess is its
+    cell's entry, which is right unless a knot lies between the cell's left
+    edge and the value (about 4% of values on a fitted table);
+    :func:`_checked_segment` checks it.
+    """
+    last = kp.size - 2
+    cells = _CELLS_PER_SEGMENT * (kp.size - 1)
+    table = np.searchsorted(kp, np.arange(cells + 1) / cells, side="right") - 1
+    np.clip(table, 0, last, out=table)
+    guess = np.multiply(p, cells)
+    np.fmax(guess, 0.0, out=guess)
+    np.fmin(guess, cells, out=guess)
+    return _checked_segment(kp, p, table[guess.astype(np.intp)])
 
 
 @dataclass(frozen=True)
@@ -155,7 +188,9 @@ class MarginalUniformizer:
         """
         xq = _as_float_array(x)
         _require_finite(xq, "x")
-        # ravel copies a strided column once; contiguous passes run faster.
+        # Columns of every layer after the first are contiguous and ravel is
+        # a view; a strided column is copied once, since contiguous passes
+        # run faster.
         xs = xq.ravel()
         kx, kp = self.knots_x, self.knots_p
         seg, lo, hi = _segment(kx, xs)
@@ -182,17 +217,35 @@ class MarginalUniformizer:
     def inverse(self, p):
         """Map probabilities in (0, 1) back to data values.
 
+        Each value's CDF-knot segment ``s`` is found once
+        (:func:`_p_segment`: a guess from a per-call table of equal cells
+        over [0, 1], checked against the segment's two knots, with a binary
+        search only for misses).  The value is then
+        ``kx[s] + slope * (p - kp[s])`` in ``np.interp``'s order of
+        operations, so the result is bit-identical to ``np.interp``.
         Flat CDF segments (possible only for hand-built knot tables) are
         resolved to the midpoint of the flat x-interval.
         """
         pq = _as_float_array(p)
-        if np.any(~np.isfinite(pq)) or np.any(pq <= 0.0) or np.any(pq >= 1.0):
+        # NaN fails both comparisons, so this also rejects non-finite input.
+        if not np.all((pq > 0.0) & (pq < 1.0)):
             raise ProbabilityOutOfRange("p must lie strictly inside (0, 1)")
         kp, kx = self._inverse_knots()
-        x = np.interp(pq, kp, kx)
+        ps = pq.ravel()
+        with np.errstate(over="ignore"):
+            slopes = np.diff(kx) / np.diff(kp)
+        if np.all(np.isfinite(slopes)):
+            seg, lo, _ = _p_segment(kp, ps)
+            x = ps - lo
+            x *= slopes[seg]
+            x += kx[seg]
+        else:
+            # An overflowed slope times a zero offset is NaN where np.interp
+            # returns the knot; such hand-built tables go to np.interp itself.
+            x = np.interp(ps, kp, kx)
         if pq.ndim == 0:
-            return float(x)
-        return x
+            return float(x[0])
+        return x.reshape(pq.shape)
 
     def _inverse_knots(self):
         # Collapse runs of equal CDF values to the midpoint of their
@@ -228,7 +281,8 @@ class MarginalGaussianizer:
         zq = _as_float_array(z)
         _require_finite(zq, "z")
         eps = self.uniformizer.clamp_eps
-        p = np.clip(normal_cdf(zq), eps, 1.0 - eps)
+        p = np.asarray(normal_cdf(zq))
+        np.clip(p, eps, 1.0 - eps, out=p)
         return self.uniformizer.inverse(p)
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "total_correlation",
     "entropy",
     "mutual_information",
-    "information_map",
 ]
 
 QUANTITY_ENTROPY = "entropy"
@@ -134,8 +133,3 @@ def mutual_information(x, y, config: FitConfig | None = None) -> ITReport:
     return _report(
         QUANTITY_MI, model.total_correlation, model, joint.shape[0], joint.shape[1]
     )
-
-
-def information_map(model: GaussModel, data) -> np.ndarray:
-    """Per-sample information content in bits (alias of model.information)."""
-    return model.information(data)

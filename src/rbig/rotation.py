@@ -117,12 +117,21 @@ def _check_columns(rotation: RotationMatrix, data: np.ndarray) -> np.ndarray:
 
 
 def rotate(rotation: RotationMatrix, data) -> np.ndarray:
-    """Apply x -> R x to every row; Jacobian log-determinant is zero."""
+    """Apply x -> R x to every row; Jacobian log-determinant is zero.
+
+    Returns a new N x D array in column-contiguous (Fortran) order, so each
+    column the next marginal layer reads is contiguous.  It equals
+    ``data @ R.T`` up to rounding.
+    """
     x = _check_columns(rotation, data)
-    return x @ rotation.entries.T
+    return (rotation.entries @ x.T).T
 
 
 def rotate_inverse(rotation: RotationMatrix, data) -> np.ndarray:
-    """Apply the exact inverse x -> R^T x to every row."""
+    """Apply the exact inverse x -> R^T x to every row.
+
+    Returns a new N x D array in column-contiguous (Fortran) order, equal
+    to ``data @ R`` up to rounding.
+    """
     x = _check_columns(rotation, data)
-    return x @ rotation.entries
+    return (rotation.entries.T @ x.T).T

@@ -7,7 +7,6 @@ import numpy as np
 from .cube import DataCube
 
 __all__ = [
-    "correlated_gaussian",
     "equicorrelated_gaussian",
     "gaussian_from_correlation",
     "noisy_sine",
@@ -16,12 +15,8 @@ __all__ = [
 ]
 
 
-def correlated_gaussian(n: int, rho: float, seed: int, dim: int = 2) -> np.ndarray:
-    """Zero-mean unit-variance Gaussian sample with equicorrelation rho."""
-    return equicorrelated_gaussian(n, dim, rho, seed)
-
-
 def equicorrelated_gaussian(n: int, dim: int, rho: float, seed: int) -> np.ndarray:
+    """Zero-mean unit-variance Gaussian sample with equicorrelation rho."""
     if not -1.0 / max(dim - 1, 1) < rho < 1.0:
         raise ValueError(f"rho={rho} is not a valid equicorrelation for dim={dim}")
     corr = np.full((dim, dim), rho)

@@ -23,7 +23,7 @@ from rbig import (
     total_correlation,
 )
 from rbig.cli import main as cli_main
-from rbig.synth import ar1_cube, correlated_gaussian, gaussian_mixture, noisy_sine
+from rbig.synth import ar1_cube, equicorrelated_gaussian, gaussian_mixture, noisy_sine
 
 # Fitted (model, training data) pairs collected across criteria so the
 # invertibility criterion can sweep every model this suite produced.
@@ -49,7 +49,7 @@ def test_01_gaussian_mi_oracle():
         slowest = 0.0
         for seed in range(10):
             started = time.monotonic()
-            data = correlated_gaussian(20000, rho=rho, seed=seed)
+            data = equicorrelated_gaussian(20000, 2, rho, seed)
             report = mutual_information(data[:, :1], data[:, 1:], FitConfig(seed=seed))
             slowest = max(slowest, time.monotonic() - started)
             estimates.append(report.value_bits)
@@ -67,7 +67,7 @@ def test_02_gaussian_total_correlation_oracle():
     corr = np.full((4, 4), 0.4)
     np.fill_diagonal(corr, 1.0)
     oracle = -0.5 * math.log2(np.linalg.det(corr))
-    data = correlated_gaussian(50000, rho=0.4, seed=2, dim=4)
+    data = equicorrelated_gaussian(50000, 4, 0.4, 2)
     model = _fit_registered(data, FitConfig(seed=2))
     est = max(0.0, model.total_correlation)
     ok = abs(est - oracle) <= 0.15
@@ -139,7 +139,7 @@ def test_06_density_normalization():
 
 
 def test_07_synthesis_moment_match():
-    data = correlated_gaussian(100000, rho=0.8, seed=8)
+    data = equicorrelated_gaussian(100000, 2, 0.8, 8)
     model = _fit_registered(data, FitConfig(seed=8))
     synth = model.sample(100000, seed=9)
     corr = float(np.corrcoef(synth.T)[0, 1])
@@ -173,7 +173,7 @@ def test_08_invertibility_all_models():
 
 
 def test_09_mi_reparameterization_invariance():
-    data = correlated_gaussian(100000, rho=0.8, seed=10)
+    data = equicorrelated_gaussian(100000, 2, 0.8, 10)
     x, y = data[:, :1], data[:, 1:]
     base = mutual_information(x, y, FitConfig(seed=10)).value_bits
     cubed = mutual_information(x**3, y, FitConfig(seed=10)).value_bits

@@ -15,12 +15,12 @@ from rbig import (
     NotConvergedWarning,
     fit,
 )
-from rbig.synth import correlated_gaussian, gaussian_mixture, noisy_sine
+from rbig.synth import equicorrelated_gaussian, gaussian_mixture, noisy_sine
 
 
 @pytest.fixture(scope="module")
 def rho09_data():
-    return correlated_gaussian(100000, rho=0.9, seed=101)
+    return equicorrelated_gaussian(100000, 2, 0.9, 101)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,25 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(bins=1)
 
+    # A NaN tol_delta_t never stops a fit and a NaN tail_fraction writes NaN
+    # support bounds into the model, so both are rejected at construction.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol_delta_t", math.nan),
+            ("tol_delta_t", math.inf),
+            ("tail_fraction", math.nan),
+            ("tail_fraction", math.inf),
+            ("tail_fraction", -0.1),
+            ("clamp_eps", 0.0),
+            ("clamp_eps", 0.5),
+            ("clamp_eps", math.nan),
+        ],
+    )
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+
 
 class TestFit:
     def test_independent_normal_has_tiny_total_correlation(self):
@@ -85,7 +104,7 @@ class TestFit:
             fit(data)
 
     def test_not_converged_warns(self):
-        data = correlated_gaussian(5000, rho=0.8, seed=3)
+        data = equicorrelated_gaussian(5000, 2, 0.8, 3)
         # layer 1 removes ~0.74 bits, far above tol, so patience=2 cannot be met
         with pytest.warns(NotConvergedWarning):
             model = fit(data, FitConfig(max_layers=2, patience=2, tol_delta_t=1e-9))
@@ -97,7 +116,7 @@ class TestFit:
         assert abs(rho09_model.total_correlation - total) <= 1e-9
 
     def test_random_rotation_fit_converges(self):
-        data = correlated_gaussian(20000, rho=0.5, seed=4)
+        data = equicorrelated_gaussian(20000, 2, 0.5, 4)
         model = fit(data, FitConfig(rotation_kind="random", seed=5, max_layers=200))
         true_t = -0.5 * math.log2(1 - 0.25)
         assert model.total_correlation == pytest.approx(true_t, abs=0.1)
@@ -151,8 +170,16 @@ class TestInverse:
         err = np.percentile(np.abs(back - rho09_data), 99, axis=0)
         assert np.all(err <= 1e-4 * spans)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_input_unchanged(self, sine_model, order):
+        rows = np.random.default_rng(11).standard_normal((1000, 2))
+        z = np.asarray(rows, order=order)
+        back = sine_model.inverse(z)
+        assert np.array_equal(z, rows)
+        assert back.flags.f_contiguous
+
     def test_zero_vector_maps_near_median(self):
-        data = correlated_gaussian(50000, rho=0.8, seed=9)
+        data = equicorrelated_gaussian(50000, 2, 0.8, 9)
         model = fit(data)
         x0 = model.inverse(np.zeros((1, 2)))[0]
         med = np.median(data, axis=0)
@@ -226,7 +253,7 @@ class TestSample:
         assert not np.array_equal(a, c)
 
     def test_moment_match_rho08(self):
-        data = correlated_gaussian(100000, rho=0.8, seed=16)
+        data = equicorrelated_gaussian(100000, 2, 0.8, 16)
         model = fit(data, FitConfig(seed=16))
         synth = model.sample(100000, seed=17)
         assert np.corrcoef(synth.T)[0, 1] == pytest.approx(0.8, abs=0.03)
@@ -287,12 +314,12 @@ class TestSerialization:
 
 class TestDeterminism:
     def test_fit_bit_reproducible(self):
-        data = correlated_gaussian(20000, rho=0.5, seed=20)
+        data = equicorrelated_gaussian(20000, 2, 0.5, 20)
         m1 = fit(data, FitConfig(seed=21))
         m2 = fit(data, FitConfig(seed=21))
         assert m1.to_dict() == m2.to_dict()
 
     def test_random_rotation_fit_reproducible(self):
-        data = correlated_gaussian(5000, rho=0.5, seed=22)
+        data = equicorrelated_gaussian(5000, 2, 0.5, 22)
         cfg = FitConfig(rotation_kind="random", seed=23)
         assert fit(data, cfg).to_dict() == fit(data, cfg).to_dict()

@@ -20,7 +20,7 @@ from rbig import (
     normal_cdf,
     probit,
 )
-from rbig.marginal import _segment
+from rbig.marginal import _p_segment, _segment
 
 
 def erf_cdf(z):
@@ -195,6 +195,127 @@ class TestSegmentLookup:
         assert np.array_equal(logdpdx.ravel(), logdpdx_ref)
 
 
+def reference_inverse(u, p):
+    # np.interp over the table with each flat CDF run collapsed to the
+    # midpoint of its x-interval.
+    kp, first = np.unique(u.knots_p, return_index=True)
+    last = np.r_[first[1:] - 1, u.knots_p.size - 1]
+    kx = 0.5 * (u.knots_x[first] + u.knots_x[last])
+    return np.interp(p, kp, kx)
+
+
+def p_probe_points(u, draws):
+    """Every CDF knot inside (0, 1), its float neighbours, the clamp bounds
+    and draws over (0, 1)."""
+    kp = u.knots_p
+    pts = np.concatenate(
+        [
+            kp,
+            np.nextafter(kp, -np.inf),
+            np.nextafter(kp, np.inf),
+            [u.clamp_eps, 1.0 - u.clamp_eps],
+            np.asarray(draws, dtype=float),
+        ]
+    )
+    return pts[(pts > 0.0) & (pts < 1.0)]
+
+
+def check_p_segment(kp, p):
+    seg, lo, hi = _p_segment(kp, p)
+    ref = reference_segment(kp, p)
+    assert np.array_equal(seg, ref)
+    assert np.array_equal(lo, kp[ref])
+    assert np.array_equal(hi, kp[ref + 1])
+
+
+def tiny_mass_table(weights):
+    """Hand-built table from segment masses; tiny masses put many CDF knots
+    in one guess cell."""
+    kp = np.concatenate([[0.0], np.cumsum(weights)])
+    kp /= kp[-1]
+    kp[-1] = 1.0
+    kp = np.unique(kp)
+    return MarginalUniformizer(
+        support_lo=0.0,
+        support_hi=float(kp.size - 1),
+        knots_x=np.arange(kp.size, dtype=float),
+        knots_p=kp,
+        clamp_eps=1e-9,
+    )
+
+
+tiny_mass_tables = st.builds(
+    tiny_mass_table,
+    st.lists(
+        st.one_of(st.floats(1e-12, 1e-6), st.floats(1e-3, 1.0)), min_size=1, max_size=60
+    ),
+)
+p_draws = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=50)
+
+
+class TestProbabilitySegmentLookup:
+    @settings(deadline=None)
+    @given(u=fitted_tables, draws=p_draws)
+    def test_fitted_tables(self, u, draws):
+        kp = u.knots_p
+        check_p_segment(kp, p_probe_points(u, draws))
+        # Outside (0, 1) too: the lookup is the clipped searchsorted anywhere.
+        check_p_segment(kp, np.array([-1.0, -0.0, np.nextafter(0.0, -1.0), 1.0, 2.0]))
+
+    @settings(deadline=None)
+    @given(u=tiny_mass_tables, draws=p_draws)
+    def test_tiny_mass_tables(self, u, draws):
+        check_p_segment(u.knots_p, p_probe_points(u, draws))
+
+    @settings(deadline=None)
+    @given(u=fitted_tables, draws=p_draws)
+    def test_inverse_bit_identical_to_interp(self, u, draws):
+        p = p_probe_points(u, draws)
+        ref = reference_inverse(u, p)
+        assert np.array_equal(u.inverse(p), ref)
+        for i in range(0, p.size, max(1, p.size // 8)):
+            assert u.inverse(float(p[i])) == ref[i]
+
+    @settings(deadline=None)
+    @given(u=tiny_mass_tables, draws=p_draws)
+    def test_tiny_mass_inverse_bit_identical_to_interp(self, u, draws):
+        p = p_probe_points(u, draws)
+        assert np.array_equal(u.inverse(p), reference_inverse(u, p))
+
+    def test_shape_preserved(self):
+        u = fit_uniformizer(np.random.default_rng(23).standard_normal(500), bins=20)
+        p = np.random.default_rng(24).uniform(0.01, 0.99, (3, 4, 5))
+        x = u.inverse(p)
+        assert x.shape == p.shape
+        assert np.array_equal(x.ravel(), reference_inverse(u, p.ravel()))
+
+    def test_flat_segments_match_reference(self):
+        u = MarginalUniformizer(
+            support_lo=0.0,
+            support_hi=5.0,
+            knots_x=np.arange(6.0),
+            knots_p=np.array([0.0, 0.25, 0.25, 0.25, 0.5, 1.0]),
+            clamp_eps=1e-6,
+        )
+        p = np.array([0.1, 0.25, np.nextafter(0.25, 1.0), 0.4, 0.5, 0.9])
+        assert np.array_equal(u.inverse(p), reference_inverse(u, p))
+
+    def test_overflowing_slope_matches_interp(self):
+        # A one-ulp CDF step under a 1e300-wide segment overflows the slope;
+        # at the segment's left knot np.interp returns the knot, not inf * 0.
+        u = MarginalUniformizer(
+            support_lo=0.0,
+            support_hi=2e300,
+            knots_x=np.array([0.0, 1.0, 1e300, 2e300]),
+            knots_p=np.array([0.0, 0.5, np.nextafter(0.5, 1.0), 1.0]),
+            clamp_eps=1e-6,
+        )
+        p = np.array([0.25, 0.5, 0.75])
+        x = u.inverse(p)
+        assert np.array_equal(x, reference_inverse(u, p))
+        assert x[1] == 1.0
+
+
 class TestUniformizeInverse:
     def test_identity_inverse(self):
         u = identity_uniformizer()
@@ -224,7 +345,7 @@ class TestUniformizeInverse:
 
     def test_out_of_range_raises(self):
         u = identity_uniformizer()
-        for bad in (0.0, 1.0, -0.1, 1.1):
+        for bad in (0.0, 1.0, -0.1, 1.1, np.nan):
             with pytest.raises(ProbabilityOutOfRange):
                 u.inverse(bad)
 
@@ -297,6 +418,12 @@ class TestMarginalGaussianize:
         inside = (p > u.clamp_eps) & (p < 1 - u.clamp_eps)  # clamp flattens the tails
         z, _ = g.forward(grid[inside])
         assert np.all(np.diff(z) > 0)
+
+    def test_inverse_nonfinite_raises(self):
+        g = MarginalGaussianizer(identity_uniformizer())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteInput):
+                g.inverse(np.array([0.0, bad]))
 
     def test_roundtrip_central_support(self):
         x = np.random.default_rng(12).lognormal(size=20000)

@@ -12,11 +12,10 @@ from rbig import (
     RankDeficientWarning,
     entropy,
     fit,
-    information_map,
     mutual_information,
     total_correlation,
 )
-from rbig.synth import correlated_gaussian, equicorrelated_gaussian
+from rbig.synth import equicorrelated_gaussian
 
 
 def gaussian_tc_bits(corr: np.ndarray) -> float:
@@ -32,7 +31,7 @@ class TestTotalCorrelation:
         assert report.value_bits == pytest.approx(0.0, abs=0.1)
 
     def test_bivariate_gaussian_rho05(self):
-        data = correlated_gaussian(50000, rho=0.5, seed=1)
+        data = equicorrelated_gaussian(50000, 2, 0.5, 1)
         report = total_correlation(data)
         oracle = gaussian_tc_bits(np.array([[1.0, 0.5], [0.5, 1.0]]))
         assert report.value_bits == pytest.approx(oracle, abs=0.05)
@@ -57,7 +56,7 @@ class TestTotalCorrelation:
                 assert report.value_bits == report.raw_value_bits
 
     def test_per_layer_trace_sums_to_raw(self):
-        data = correlated_gaussian(20000, rho=0.7, seed=3)
+        data = equicorrelated_gaussian(20000, 2, 0.7, 3)
         report = total_correlation(data)
         assert sum(report.per_layer_delta_t) == pytest.approx(
             report.raw_value_bits, abs=1e-9
@@ -76,7 +75,7 @@ class TestEntropy:
         assert report.value_bits == pytest.approx(0.0, abs=0.1)
 
     def test_correlated_gaussian_rho09(self):
-        data = correlated_gaussian(100000, rho=0.9, seed=6)
+        data = equicorrelated_gaussian(100000, 2, 0.9, 6)
         report = entropy(data)
         oracle = 2 * GAUSS_ENTROPY_BITS - (-0.5 * math.log2(1 - 0.81))
         assert report.value_bits == pytest.approx(oracle, abs=0.15)
@@ -89,7 +88,7 @@ class TestEntropy:
         assert report.value_bits == report.raw_value_bits
 
     def test_rotation_invariance(self):
-        data = correlated_gaussian(100000, rho=0.6, seed=8)
+        data = equicorrelated_gaussian(100000, 2, 0.6, 8)
         theta = 0.7
         rot = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
@@ -109,12 +108,12 @@ class TestMutualInformation:
         assert report.dim == 5
 
     def test_gaussian_pair_rho09(self):
-        data = correlated_gaussian(100000, rho=0.9, seed=10)
+        data = equicorrelated_gaussian(100000, 2, 0.9, 10)
         report = mutual_information(data[:, :1], data[:, 1:])
         assert report.value_bits == pytest.approx(-0.5 * math.log2(1 - 0.81), abs=0.1)
 
     def test_one_dimensional_inputs_are_columns(self):
-        data = correlated_gaussian(20000, rho=0.5, seed=21)
+        data = equicorrelated_gaussian(20000, 2, 0.5, 21)
         x, y = data[:, 0], data[:, 1]
         report = mutual_information(x, y)
         assert report.dim == 2
@@ -136,7 +135,7 @@ class TestMutualInformation:
             mutual_information(np.zeros((100, 1)), np.zeros((99, 1)))
 
     def test_symmetry(self):
-        data = correlated_gaussian(50000, rho=0.7, seed=12)
+        data = equicorrelated_gaussian(50000, 2, 0.7, 12)
         x, y = data[:, :1], data[:, 1:]
         a = mutual_information(x, y).value_bits
         b = mutual_information(y, x).value_bits
@@ -145,12 +144,12 @@ class TestMutualInformation:
     def test_monotone_in_coupling(self):
         values = []
         for rho in (0.1, 0.5, 0.9):
-            data = correlated_gaussian(50000, rho=rho, seed=13)
+            data = equicorrelated_gaussian(50000, 2, rho, 13)
             values.append(mutual_information(data[:, :1], data[:, 1:]).value_bits)
         assert values[0] < values[1] < values[2]
 
     def test_reparameterization_invariance(self):
-        data = correlated_gaussian(100000, rho=0.8, seed=14)
+        data = equicorrelated_gaussian(100000, 2, 0.8, 14)
         x, y = data[:, :1], data[:, 1:]
         base = mutual_information(x, y).value_bits
         cubed = mutual_information(x**3, y).value_bits
@@ -159,7 +158,7 @@ class TestMutualInformation:
         assert abs(base - warped) <= 0.1
 
     def test_venn_consistency(self):
-        data = correlated_gaussian(100000, rho=0.8, seed=15)
+        data = equicorrelated_gaussian(100000, 2, 0.8, 15)
         x, y = data[:, :1], data[:, 1:]
         mi = mutual_information(x, y).value_bits
         hx = entropy(x).value_bits
@@ -170,14 +169,14 @@ class TestMutualInformation:
 
 class TestITReport:
     def test_json_roundtrip(self):
-        data = correlated_gaussian(20000, rho=0.5, seed=16)
+        data = equicorrelated_gaussian(20000, 2, 0.5, 16)
         report = total_correlation(data, FitConfig(seed=16))
         doc = json.loads(report.to_json())
         back = ITReport.from_dict(doc)
         assert back == report
 
     def test_value_not_rounded_in_storage(self):
-        data = correlated_gaussian(20000, rho=0.5, seed=17)
+        data = equicorrelated_gaussian(20000, 2, 0.5, 17)
         report = total_correlation(data)
         doc = json.loads(report.to_json())
         assert doc["value_bits"] == report.value_bits
@@ -185,7 +184,7 @@ class TestITReport:
 
 class TestInformationMap:
     def test_matches_model_information(self):
-        data = correlated_gaussian(20000, rho=0.5, seed=18)
+        data = equicorrelated_gaussian(20000, 2, 0.5, 18)
         model = fit(data)
         pts = data[:100]
-        assert np.array_equal(information_map(model, pts), model.information(pts))
+        assert np.array_equal(model.information(pts), -model.log_density(pts))

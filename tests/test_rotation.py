@@ -135,6 +135,20 @@ class TestRotate:
         with pytest.raises(DimensionMismatch):
             rotate_inverse(r, np.zeros((10, 2)))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_output_is_column_contiguous(self, order):
+        r = random_haar_rotation(7, 12)
+        rows = np.random.default_rng(10).standard_normal((300, 7))
+        data = np.asarray(rows, order=order)
+        pairs = (
+            (rotate(r, data), data @ r.entries.T),
+            (rotate_inverse(r, data), data @ r.entries),
+        )
+        for out, ref in pairs:
+            assert out.shape == data.shape
+            assert out.flags.f_contiguous
+            assert np.max(np.abs(out - ref)) <= 1e-12
+
     def test_construction_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
             RotationMatrix(entries=np.array([[1.0, 0.5], [0.0, 1.0]]), kind="pca")

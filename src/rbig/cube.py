@@ -215,15 +215,19 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
     """Write a cube as flat little-endian floats plus a JSON sidecar.
 
     ``fill_value``, when given, replaces NaN in the binary payload and is
-    recorded in the sidecar so loading restores the NaNs.
+    recorded in the sidecar so loading restores the NaNs.  A fill value equal
+    to a data value in the stored dtype raises ``ValueError``.
     """
     if dtype not in ("float32", "float64"):
         raise ValueError("dtype must be 'float32' or 'float64'")
-    values = cube.values
-    if fill_value is not None:
-        values = np.where(np.isnan(values), fill_value, values)
     np_dtype = "<f4" if dtype == "float32" else "<f8"
-    values.astype(np_dtype).tofile(path)
+    stored = cube.values.astype(np_dtype)
+    if fill_value is not None:
+        fill = np.array(fill_value, dtype=np_dtype)
+        if np.any(stored == fill):
+            raise ValueError(f"fill_value {fill_value!r} equals a data value in {dtype}")
+        stored[np.isnan(stored)] = fill
+    stored.tofile(path)
     sidecar = {
         "shape": list(cube.shape),
         "dtype": dtype,

@@ -274,46 +274,49 @@ class GaussModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GaussModel":
-        if doc.get("format") != MODEL_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ValueError("not a serialized model document")
         if doc.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version: {doc.get('version')!r}")
-        layers = []
-        for rec in doc["layers"]:
-            gaussianizers = tuple(
-                MarginalGaussianizer(
-                    MarginalUniformizer(
-                        support_lo=m["support_lo"],
-                        support_hi=m["support_hi"],
-                        knots_x=np.array(m["knots_x"]),
-                        knots_p=np.array(m["knots_p"]),
-                        clamp_eps=m["clamp_eps"],
+        try:
+            layers = []
+            for rec in doc["layers"]:
+                gaussianizers = tuple(
+                    MarginalGaussianizer(
+                        MarginalUniformizer(
+                            support_lo=m["support_lo"],
+                            support_hi=m["support_hi"],
+                            knots_x=np.array(m["knots_x"]),
+                            knots_p=np.array(m["knots_p"]),
+                            clamp_eps=m["clamp_eps"],
+                        )
+                    )
+                    for m in rec["marginals"]
+                )
+                rot = rec["rotation"]
+                rotation = RotationMatrix(
+                    entries=np.array(rot["entries"]),
+                    kind=rot["kind"],
+                    rank_deficient=rot["rank_deficient"],
+                )
+                layers.append(
+                    GaussLayer(
+                        gaussianizers=gaussianizers,
+                        rotation=rotation,
+                        delta_t=rec["delta_t"],
                     )
                 )
-                for m in rec["marginals"]
+            return cls(
+                layers=tuple(layers),
+                marginal_entropies_input=np.array(doc["marginal_entropies_input"]),
+                non_gaussianity=np.array(doc["non_gaussianity"]),
+                config=FitConfig.from_dict(doc["config"]),
+                converged=doc["converged"],
+                resolved_bins=doc["resolved_bins"],
+                resolved_clamp_eps=doc["resolved_clamp_eps"],
             )
-            rot = rec["rotation"]
-            rotation = RotationMatrix(
-                entries=np.array(rot["entries"]),
-                kind=rot["kind"],
-                rank_deficient=rot["rank_deficient"],
-            )
-            layers.append(
-                GaussLayer(
-                    gaussianizers=gaussianizers,
-                    rotation=rotation,
-                    delta_t=rec["delta_t"],
-                )
-            )
-        return cls(
-            layers=tuple(layers),
-            marginal_entropies_input=np.array(doc["marginal_entropies_input"]),
-            non_gaussianity=np.array(doc["non_gaussianity"]),
-            config=FitConfig.from_dict(doc["config"]),
-            converged=doc["converged"],
-            resolved_bins=doc["resolved_bins"],
-            resolved_clamp_eps=doc["resolved_clamp_eps"],
-        )
+        except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong type
+            raise ValueError(f"malformed model document: {type(exc).__name__}: {exc}") from None
 
     def save(self, path) -> None:
         """Write the model as a self-describing JSON document.

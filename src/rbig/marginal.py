@@ -10,7 +10,7 @@ assembled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -127,14 +127,26 @@ class MarginalUniformizer:
     the cumulative normalized histogram of the training sample plus two
     support-extension endpoints.
 
+    The knot table is checked once, at construction, so both kernels use it
+    as it is.  A table that breaks one of these invariants raises
+    ``ValueError`` naming its first bad segment:
+
+    - ``knots_x`` is finite and strictly increasing;
+    - ``knots_p`` is strictly increasing from 0 to 1 (no flat segment);
+    - every segment's slope is finite and positive both as dp/dx, which
+      :meth:`forward` uses, and as dx/dp, which :meth:`inverse` uses.
+
+    Fitted tables pass unless N nears 4e12 or the data range exceeds about
+    1.8e306 / N (an extension segment's dx/dp is about 100 * range * N).
+
     Attributes
     ----------
     support_lo, support_hi : float
         Extended support bounds, in data units.
     knots_x : ndarray
-        Strictly increasing abscissae of the piecewise-linear CDF.
+        Finite, strictly increasing abscissae of the piecewise-linear CDF.
     knots_p : ndarray
-        Non-decreasing CDF values at ``knots_x``; first element 0, last 1.
+        Strictly increasing CDF values at ``knots_x``; first element 0, last 1.
     clamp_eps : float
         Probability clamp in (0, 0.5) keeping forward outputs away from
         exactly 0 and 1.
@@ -153,12 +165,22 @@ class MarginalUniformizer:
         object.__setattr__(self, "knots_p", kp)
         if kx.ndim != 1 or kx.shape != kp.shape or kx.size < 2:
             raise ValueError("knots_x and knots_p must be 1-D arrays of equal length >= 2")
-        if np.any(np.diff(kx) <= 0):
-            raise ValueError("knots_x must be strictly increasing")
-        if np.any(np.diff(kp) < 0):
-            raise ValueError("knots_p must be non-decreasing")
-        if kp[0] != 0.0 or kp[-1] != 1.0:
+        if not (kp[0] == 0.0 and kp[-1] == 1.0):
             raise ValueError("knots_p must start at 0 and end at 1")
+        # NaN fails every test; an infinite knot gives a zero dp/dx.  dx > 0
+        # is needed on its own: a segment falling on both axes has positive
+        # slopes.
+        dx = np.diff(kx)
+        with np.errstate(all="ignore"):
+            dpdx = np.diff(kp) / dx
+            dxdp = dx / np.diff(kp)
+        good = (dx > 0) & (dpdx > 0) & (dpdx < np.inf) & (dxdp > 0) & (dxdp < np.inf)
+        if not good.all():
+            i = int(np.argmin(good))
+            raise ValueError(
+                f"knot segment {i} (x {kx[i:i + 2].tolist()}, p {kp[i:i + 2].tolist()})"
+                " must rise on both axes with finite, positive slopes"
+            )
         if not 0.0 < self.clamp_eps < 0.5:
             raise ValueError("clamp_eps must lie in (0, 0.5)")
         kx.setflags(write=False)
@@ -199,16 +221,16 @@ class MarginalUniformizer:
         # per value: per-segment tables, small arrays freed between large
         # ones, got reused by long-lived knot tables and pinned freed heap
         # memory (peak RSS +12 MB on PW).
-        with np.errstate(over="ignore", divide="ignore"):
-            base = kp[seg]
-            slope = kp[1:][seg]
-            slope -= base
-            hi -= lo
-            slope /= hi
+        base = kp[seg]
+        slope = kp[1:][seg]
+        slope -= base
+        hi -= lo
+        slope /= hi
+        with np.errstate(over="ignore"):
             p = xs - lo
             p *= slope
-            p += base
-            logdpdx = np.log(slope)
+        p += base
+        logdpdx = np.log(slope)
         np.clip(p, self.clamp_eps, 1.0 - self.clamp_eps, out=p)
         if xq.ndim == 0:
             return float(p[0]), float(logdpdx[0])
@@ -223,37 +245,20 @@ class MarginalUniformizer:
         search only for misses).  The value is then
         ``kx[s] + slope * (p - kp[s])`` in ``np.interp``'s order of
         operations, so the result is bit-identical to ``np.interp``.
-        Flat CDF segments (possible only for hand-built knot tables) are
-        resolved to the midpoint of the flat x-interval.
         """
         pq = _as_float_array(p)
         # NaN fails both comparisons, so this also rejects non-finite input.
         if not np.all((pq > 0.0) & (pq < 1.0)):
             raise ProbabilityOutOfRange("p must lie strictly inside (0, 1)")
-        kp, kx = self._inverse_knots()
+        kx, kp = self.knots_x, self.knots_p
         ps = pq.ravel()
-        with np.errstate(over="ignore"):
-            slopes = np.diff(kx) / np.diff(kp)
-        if np.all(np.isfinite(slopes)):
-            seg, lo, _ = _p_segment(kp, ps)
-            x = ps - lo
-            x *= slopes[seg]
-            x += kx[seg]
-        else:
-            # An overflowed slope times a zero offset is NaN where np.interp
-            # returns the knot; such hand-built tables go to np.interp itself.
-            x = np.interp(ps, kp, kx)
+        seg, lo, _ = _p_segment(kp, ps)
+        x = ps - lo
+        x *= (np.diff(kx) / np.diff(kp))[seg]
+        x += kx[seg]
         if pq.ndim == 0:
             return float(x[0])
         return x.reshape(pq.shape)
-
-    def _inverse_knots(self):
-        # Collapse runs of equal CDF values to the midpoint of their
-        # x-interval so the inverse interpolation table is strictly monotone.
-        kp, first = np.unique(self.knots_p, return_index=True)
-        last = np.r_[first[1:] - 1, self.knots_p.size - 1]
-        kx = 0.5 * (self.knots_x[first] + self.knots_x[last])
-        return kp, kx
 
 
 @dataclass(frozen=True)
@@ -392,34 +397,16 @@ def probit(p):
     return z
 
 
-@dataclass(frozen=True)
-class _HistStats:
-    probs: np.ndarray
-    widths: np.ndarray
-    centers: np.ndarray
-    n: int
-    n_nonempty: int
-    entropy_bits: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        nz = self.probs > 0
-        h = -np.sum(self.probs[nz] * np.log2(self.probs[nz] / self.widths[nz]))
-        h += (self.n_nonempty - 1) / (2.0 * self.n * LN2)
-        object.__setattr__(self, "entropy_bits", float(h))
-
-
-def _hist_stats(x: np.ndarray, bins: int) -> _HistStats:
+def _hist_entropy(x: np.ndarray, bins: int):
+    """Histogram entropy of ``x`` in bits, with the bin probabilities and
+    centers (see :func:`marginal_entropy`)."""
     counts, edges = np.histogram(x, bins=bins)
     probs = counts / x.size
     widths = np.diff(edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return _HistStats(
-        probs=probs,
-        widths=widths,
-        centers=centers,
-        n=x.size,
-        n_nonempty=int(np.count_nonzero(counts)),
-    )
+    nz = probs > 0
+    h = -np.sum(probs[nz] * np.log2(probs[nz] / widths[nz]))
+    h += (int(np.count_nonzero(counts)) - 1) / (2.0 * x.size * LN2)
+    return float(h), probs, 0.5 * (edges[:-1] + edges[1:])
 
 
 def _validate_entropy_input(x) -> np.ndarray:
@@ -446,7 +433,7 @@ def marginal_entropy(x, bins: int | None = None) -> float:
     xs = _validate_entropy_input(x)
     if bins is None:
         bins = default_bins(xs.size)
-    return _hist_stats(xs, bins).entropy_bits
+    return _hist_entropy(xs, bins)[0]
 
 
 def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
@@ -459,7 +446,7 @@ def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
     xs = _validate_entropy_input(x)
     if bins is None:
         bins = default_bins(xs.size)
-    stats = _hist_stats(xs, bins)
-    log2_phi = (-0.5 * stats.centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
-    cross = -float(np.sum(stats.probs * log2_phi))
-    return cross - stats.entropy_bits
+    h, probs, centers = _hist_entropy(xs, bins)
+    log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
+    cross = -float(np.sum(probs * log2_phi))
+    return cross - h

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rbig import DataCube, load_csv, load_cube, save_cube
+from rbig import DataCube, fit, load_csv, load_cube, load_model, save_csv, save_cube
 from rbig.cli import main
 
 
@@ -171,6 +171,17 @@ class TestFit:
         assert "--spatial" in err
 
 
+def null_clamp_eps(doc):
+    doc["layers"][0]["marginals"][0]["clamp_eps"] = None
+    return doc
+
+
+def flat_cdf_segment(doc):
+    knots_p = doc["layers"][0]["marginals"][0]["knots_p"]
+    knots_p[2] = knots_p[1]
+    return doc
+
+
 class TestTransformSample:
     def test_transform_output_shape(self, tmp_path, capsys, gauss_csv):
         model = tmp_path / "m.json"
@@ -196,6 +207,33 @@ class TestTransformSample:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {"format": "rbig-model", "version": 1},
+             "malformed model document: KeyError: 'layers'"),
+            (lambda doc: [doc], "not a serialized model document"),
+            (null_clamp_eps, "malformed model document: TypeError: "),
+            (flat_cdf_segment, "knot segment 1 "),
+        ],
+        ids=["no-layers", "json-array", "null-clamp-eps", "flat-cdf-segment"],
+    )
+    def test_malformed_model_exit_1(self, tmp_path, capsys, edit, message):
+        data = np.random.default_rng(3).standard_normal((500, 2))
+        csv = tmp_path / "x.csv"
+        save_csv(csv, data)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(edit(fit(data).to_dict())))
+        with pytest.raises(ValueError, match=message):
+            load_model(model)
+        code, _, err = run(
+            capsys, "transform", "--model", str(model), "--input", str(csv),
+            "--out", str(tmp_path / "z.csv"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 class TestMeasures:

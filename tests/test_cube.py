@@ -178,6 +178,19 @@ class TestCubeIO:
         finite = ~np.isnan(values)
         assert np.array_equal(back.values[finite], values[finite].astype(np.float32))
 
+    @pytest.mark.parametrize(
+        "dtype, value, fill", [("float64", 5.0, 5.0), ("float32", 0.1000000001, 0.1)]
+    )
+    def test_fill_value_equal_to_data_raises(self, tmp_path, dtype, value, fill):
+        # Loading would turn the data value into NaN along with the fill.
+        values = np.random.default_rng(10).standard_normal((4, 3, 3))
+        values[0, 0, 0] = np.nan
+        values[1, 1, 1] = value
+        path = tmp_path / "cube.bin"
+        with pytest.raises(ValueError, match="fill_value"):
+            save_cube(path, DataCube(values), dtype=dtype, fill_value=fill)
+        assert not path.exists()
+
     def test_csv_roundtrip(self, tmp_path):
         data = np.random.default_rng(8).standard_normal((50, 3))
         path = tmp_path / "data.csv"

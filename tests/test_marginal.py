@@ -75,6 +75,7 @@ class TestFitUniformizer:
         "knots_x, knots_p, segment",
         [
             ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 1.0], 1),
+            (np.arange(6.0), [0.0, 0.25, 0.25, 0.25, 0.5, 1.0], 1),
             ([0.0, 1.0, np.inf], [0.0, 0.5, 1.0], 1),
             ([0.0, np.nan, 2.0], [0.0, 0.5, 1.0], 0),
             ([0.0, 1e-320, 1.0], [0.0, 0.5, 1.0], 0),
@@ -85,6 +86,7 @@ class TestFitUniformizer:
         ],
         ids=[
             "flat-cdf-segment",
+            "flat-cdf-run",
             "infinite-knot",
             "nan-knot",
             "dpdx-overflows",

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +30,7 @@ from .marginal import (
     LN2,
     MarginalGaussianizer,
     MarginalUniformizer,
+    _knot_grid,
     default_bins,
     fit_gaussianizer,
     marginal_entropy,
@@ -46,7 +49,7 @@ from .rotation import (
 __all__ = ["FitConfig", "GaussLayer", "GaussModel", "fit", "load_model", "MODEL_FORMAT"]
 
 MODEL_FORMAT = "rbig-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -235,20 +238,30 @@ class GaussModel:
         return self.non_gaussianity.copy()
 
     def to_dict(self) -> dict:
+        """Model format 2 (see the README): per-layer arrays, one clamp.
+
+        A table that is not ``_knot_grid`` of its end knots, or whose clamp
+        is not ``resolved_clamp_eps``, raises ``ValueError``: the file would
+        reload as a different model.
+        """
+        bins, tail = self.resolved_bins, self.config.tail_fraction
+        end = 1 if tail > 0 else 0
         layers = []
-        for layer in self.layers:
-            marginals = []
-            for g in layer.gaussianizers:
-                u = g.uniformizer
-                marginals.append(
-                    {
-                        "support_lo": u.support_lo,
-                        "support_hi": u.support_hi,
-                        "knots_x": u.knots_x.tolist(),
-                        "knots_p": u.knots_p.tolist(),
-                        "clamp_eps": u.clamp_eps,
-                    }
-                )
+        for i, layer in enumerate(self.layers):
+            tables = [g.uniformizer for g in layer.gaussianizers]
+            x_min = [float(u.knots_x[end]) for u in tables]
+            x_max = [float(u.knots_x[-1 - end]) for u in tables]
+            for j, u in enumerate(tables):
+                if not np.array_equal(u.knots_x, _knot_grid(x_min[j], x_max[j], bins, tail)):
+                    raise ValueError(
+                        f"layer {i} column {j}: knots_x is not the knot grid of"
+                        f" {bins} bins and tail_fraction {tail}"
+                    )
+                if u.clamp_eps != self.resolved_clamp_eps:
+                    raise ValueError(
+                        f"layer {i} column {j}: clamp_eps {u.clamp_eps} differs from"
+                        f" resolved_clamp_eps {self.resolved_clamp_eps}"
+                    )
             layers.append(
                 {
                     "delta_t": layer.delta_t,
@@ -257,7 +270,9 @@ class GaussModel:
                         "rank_deficient": layer.rotation.rank_deficient,
                         "entries": layer.rotation.entries.tolist(),
                     },
-                    "marginals": marginals,
+                    "x_min": x_min,
+                    "x_max": x_max,
+                    "knots_p": [u.knots_p.tolist() for u in tables],
                 }
             )
         return {
@@ -274,49 +289,75 @@ class GaussModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GaussModel":
+        """Rebuild a model from a format-2 document, checking every field.
+
+        A missing, unknown or ill-typed field, or an array of the wrong
+        shape, raises a one-line ``ValueError`` naming the field.  Version-1
+        documents are not read; such models must be refit.
+        """
         if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ValueError("not a serialized model document")
-        if doc.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version: {doc.get('version')!r}")
-        try:
-            layers = []
-            for rec in doc["layers"]:
-                gaussianizers = tuple(
-                    MarginalGaussianizer(
-                        MarginalUniformizer(
-                            support_lo=m["support_lo"],
-                            support_hi=m["support_hi"],
-                            knots_x=np.array(m["knots_x"]),
-                            knots_p=np.array(m["knots_p"]),
-                            clamp_eps=m["clamp_eps"],
-                        )
+        version = doc.get("version")
+        if type(version) is not int or version != MODEL_VERSION:
+            raise ValueError(f"unsupported model version: {version!r}")
+        _fields(doc, _DOC_FIELDS, "")
+        config = _config(doc["config"])
+        bins = doc["resolved_bins"]
+        if type(bins) is not int or bins < 2:
+            raise _malformed("resolved_bins", "an integer >= 2", bins)
+        clamp_eps = doc["resolved_clamp_eps"]
+        if not (type(clamp_eps) in (int, float) and 0 < clamp_eps < 0.5):
+            raise _malformed("resolved_clamp_eps", "a number in (0, 0.5)", clamp_eps)
+        records = doc["layers"]
+        if not isinstance(records, list) or not records:
+            raise _malformed("layers", "a non-empty list", records)
+        width = bins + 1 + 2 * (config.tail_fraction > 0)
+        dim = None
+        layers = []
+        for i, rec in enumerate(records):
+            where = f"layers[{i}]"
+            _fields(rec, _LAYER_FIELDS, where)
+            rotation = _rotation(rec["rotation"], dim, f"{where}.rotation")
+            dim = rotation.dim
+            x_min = _vector(rec["x_min"], dim, f"{where}.x_min")
+            x_max = _vector(rec["x_max"], dim, f"{where}.x_max")
+            bad = np.flatnonzero(x_min >= x_max)
+            if bad.size:
+                j = bad[0]
+                above = f"above x_min[{j}] = {rec['x_min'][j]!r}"
+                raise _malformed(f"{where}.x_max[{j}]", above, rec["x_max"][j])
+            # A range near the float limit overflows to non-finite knots,
+            # which the table check rejects.
+            with np.errstate(over="ignore", invalid="ignore"):
+                knots_x = _knot_grid(x_min, x_max, bins, config.tail_fraction)
+            knots_p = _matrix(rec["knots_p"], dim, width, f"{where}.knots_p")
+            gaussianizers = tuple(
+                MarginalGaussianizer(
+                    _build(
+                        f"{where}.knots_p[{j}]",
+                        MarginalUniformizer, knots_x[j], knots_p[j], clamp_eps,
                     )
-                    for m in rec["marginals"]
                 )
-                rot = rec["rotation"]
-                rotation = RotationMatrix(
-                    entries=np.array(rot["entries"]),
-                    kind=rot["kind"],
-                    rank_deficient=rot["rank_deficient"],
-                )
-                layers.append(
-                    GaussLayer(
-                        gaussianizers=gaussianizers,
-                        rotation=rotation,
-                        delta_t=rec["delta_t"],
-                    )
-                )
-            return cls(
-                layers=tuple(layers),
-                marginal_entropies_input=np.array(doc["marginal_entropies_input"]),
-                non_gaussianity=np.array(doc["non_gaussianity"]),
-                config=FitConfig.from_dict(doc["config"]),
-                converged=doc["converged"],
-                resolved_bins=doc["resolved_bins"],
-                resolved_clamp_eps=doc["resolved_clamp_eps"],
+                for j in range(dim)
             )
-        except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong type
-            raise ValueError(f"malformed model document: {type(exc).__name__}: {exc}") from None
+            layers.append(
+                GaussLayer(
+                    gaussianizers=gaussianizers,
+                    rotation=rotation,
+                    delta_t=_number(rec["delta_t"], f"{where}.delta_t"),
+                )
+            )
+        return cls(
+            layers=tuple(layers),
+            marginal_entropies_input=_vector(
+                doc["marginal_entropies_input"], dim, "marginal_entropies_input"
+            ),
+            non_gaussianity=_vector(doc["non_gaussianity"], len(layers), "non_gaussianity"),
+            config=config,
+            converged=_boolean(doc["converged"], "converged"),
+            resolved_bins=bins,
+            resolved_clamp_eps=clamp_eps,
+        )
 
     def save(self, path) -> None:
         """Write the model as a self-describing JSON document.
@@ -324,13 +365,126 @@ class GaussModel:
         Serialized floats round-trip exactly, so a reloaded model
         reproduces transform outputs bit for bit.
         """
+        doc = self.to_dict()
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def load(cls, path) -> "GaussModel":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+# Model document schema, format 2.  Every check raises a one-line
+# ValueError naming the field.  JSON numbers load as int or float; bool, a
+# subclass of int, is neither.
+
+_DOC_FIELDS = (
+    "format", "version", "config", "converged", "resolved_bins", "resolved_clamp_eps",
+    "marginal_entropies_input", "non_gaussianity", "layers",
+)
+_LAYER_FIELDS = ("delta_t", "rotation", "x_min", "x_max", "knots_p")
+_ROTATION_FIELDS = ("kind", "rank_deficient", "entries")
+# FitConfig field -> (accepted JSON types, description); FitConfig checks values.
+_CONFIG_FIELDS = {
+    "rotation_kind": ((str,), "a string"),
+    "bins": ((int, type(None)), "an integer or null"),
+    "tail_fraction": ((int, float), "a number"),
+    "clamp_eps": ((int, float, type(None)), "a number or null"),
+    "max_layers": ((int,), "an integer"),
+    "tol_delta_t": ((int, float), "a number"),
+    "patience": ((int,), "an integer"),
+    "seed": ((int,), "an integer"),
+}
+
+
+def _malformed(field: str, expected: str, value) -> ValueError:
+    return ValueError(
+        f"malformed model document: {field} must be {expected}, got {reprlib.repr(value)}"
+    )
+
+
+def _build(field: str, make, *args):
+    """Call a validating constructor, naming ``field`` in its ValueError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"malformed model document: {field}: {exc}") from None
+
+
+def _fields(value, names, field: str) -> None:
+    """Require a JSON object holding exactly the keys ``names``."""
+    if not isinstance(value, dict):
+        raise _malformed(field, "an object", value)
+    prefix = f"{field}." if field else ""
+    for name in names:
+        if name not in value:
+            raise ValueError(f"malformed model document: {prefix}{name} is missing")
+    for name in value:
+        if name not in names:
+            raise ValueError(f"malformed model document: {prefix}{name} is not a model field")
+
+
+def _is_finite_number(value) -> bool:
+    if type(value) is float:
+        return math.isfinite(value)
+    return type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _number(value, field: str) -> float:
+    if not _is_finite_number(value):
+        raise _malformed(field, "a finite number", value)
+    return float(value)
+
+
+def _boolean(value, field: str) -> bool:
+    if type(value) is not bool:
+        raise _malformed(field, "true or false", value)
+    return value
+
+
+def _check_list(value, length: int, field: str) -> None:
+    if not isinstance(value, list) or len(value) != length:
+        raise _malformed(field, f"a list of {length} finite numbers", value)
+    # Shortcut for the all-float lists save writes; the loop is the rule.
+    if set(map(type, value)) <= {float} and np.isfinite(value).all():
+        return
+    for k, v in enumerate(value):
+        if not _is_finite_number(v):
+            raise _malformed(f"{field}[{k}]", "a finite number", v)
+
+
+def _vector(value, length: int, field: str) -> np.ndarray:
+    _check_list(value, length, field)
+    return np.array(value, dtype=float)
+
+
+def _matrix(value, rows: int, cols: int, field: str) -> np.ndarray:
+    """A ``rows x cols`` float array, one allocation."""
+    if not isinstance(value, list) or len(value) != rows:
+        raise _malformed(field, f"a list of {rows} rows of {cols} finite numbers", value)
+    for r, row in enumerate(value):
+        _check_list(row, cols, f"{field}[{r}]")
+    return np.array(value, dtype=float)
+
+
+def _config(value) -> FitConfig:
+    _fields(value, tuple(_CONFIG_FIELDS), "config")
+    for name, (types, expected) in _CONFIG_FIELDS.items():
+        if type(value[name]) not in types:
+            raise _malformed(f"config.{name}", expected, value[name])
+    return _build("config", FitConfig.from_dict, value)
+
+
+def _rotation(value, dim: int | None, field: str) -> RotationMatrix:
+    """Rotation record; the first layer's (``dim`` None) sets the dimension."""
+    _fields(value, _ROTATION_FIELDS, field)
+    entries = value["entries"]
+    if dim is None:
+        dim = len(entries) if isinstance(entries, list) and entries else 1
+    m = _matrix(entries, dim, dim, f"{field}.entries")
+    rank_deficient = _boolean(value["rank_deficient"], f"{field}.rank_deficient")
+    return _build(field, RotationMatrix, m, value["kind"], rank_deficient)
 
 
 def load_model(path) -> GaussModel:

@@ -123,9 +123,10 @@ class MarginalUniformizer:
     """Invertible piecewise-linear map from data space to (0, 1).
 
     The forward map is the linear interpolation of ``knots_p`` over
-    ``knots_x`` clamped into ``(clamp_eps, 1 - clamp_eps)``; the knots are
-    the cumulative normalized histogram of the training sample plus two
-    support-extension endpoints.
+    ``knots_x`` clamped into ``(clamp_eps, 1 - clamp_eps)``.  A fitted
+    table's ``knots_x`` is ``_knot_grid`` of the sample's range and
+    ``knots_p`` is the cumulative normalized histogram of the sample over
+    it.
 
     The knot table is checked once, at construction, so both kernels use it
     as it is.  A table that breaks one of these invariants raises
@@ -141,8 +142,6 @@ class MarginalUniformizer:
 
     Attributes
     ----------
-    support_lo, support_hi : float
-        Extended support bounds, in data units.
     knots_x : ndarray
         Finite, strictly increasing abscissae of the piecewise-linear CDF.
     knots_p : ndarray
@@ -152,8 +151,6 @@ class MarginalUniformizer:
         exactly 0 and 1.
     """
 
-    support_lo: float
-    support_hi: float
     knots_x: np.ndarray
     knots_p: np.ndarray
     clamp_eps: float
@@ -291,6 +288,24 @@ class MarginalGaussianizer:
         return self.uniformizer.inverse(p)
 
 
+def _knot_grid(x_min, x_max, bins: int, tail_fraction: float) -> np.ndarray:
+    """Knot abscissae of a fitted table: where the knots sit.
+
+    ``bins + 1`` equal-width knots from ``x_min`` to ``x_max`` (the edges
+    ``np.histogram`` uses over that range) and, when ``tail_fraction > 0``,
+    one support-extension knot ``tail_fraction`` of the range beyond each
+    end.  Array bounds give one grid per element, stacked on the last axis,
+    each bit-identical to the grid of its scalar bounds.
+    """
+    grid = np.linspace(x_min, x_max, bins + 1, axis=-1)
+    if tail_fraction > 0:
+        ext = tail_fraction * np.subtract(x_max, x_min)
+        lo = np.subtract(x_min, ext)[..., None]
+        hi = np.add(x_max, ext)[..., None]
+        grid = np.concatenate([lo, grid, hi], axis=-1)
+    return grid
+
+
 def fit_uniformizer(
     x,
     bins: int,
@@ -302,7 +317,9 @@ def fit_uniformizer(
     The CDF is the cumulative normalized histogram of ``x`` over the
     observed range, extended by ``tail_fraction`` of the range on each side;
     the extension segments carry the histogram pseudo-count so out-of-sample
-    points keep a finite density.
+    points keep a finite density.  Where rounding puts an extension knot on
+    the range's end (a range of a few ulps of the data's magnitude), the
+    table has a zero-width segment and is rejected with ``ValueError``.
 
     Parameters
     ----------
@@ -311,7 +328,8 @@ def fit_uniformizer(
     bins : int
         Number of histogram bins, at least 2.
     tail_fraction : float
-        Support extension on each side as a fraction of the observed range.
+        Finite support extension on each side as a fraction of the observed
+        range; 0 fits no extension.
     clamp_eps : float, optional
         Probability clamp; defaults to ``max(1/(2N), 1e-7)``.
     """
@@ -320,34 +338,25 @@ def fit_uniformizer(
         raise ValueError("need at least two samples to fit a uniformizer")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if tail_fraction < 0:
-        raise ValueError("tail_fraction must be >= 0")
+    # Written so that NaN fails the check.
+    if not 0 <= tail_fraction < math.inf:
+        raise ValueError(f"tail_fraction must be finite and >= 0, got {tail_fraction}")
     _require_finite(xs, "x")
-    lo0 = float(xs.min())
-    hi0 = float(xs.max())
-    if hi0 == lo0:
+    x_min = float(xs.min())
+    x_max = float(xs.max())
+    if x_max == x_min:
         raise DegenerateDimension("sample has zero range")
     if clamp_eps is None:
         clamp_eps = max(1.0 / (2.0 * xs.size), 1e-7)
-    span = hi0 - lo0
-    lo = lo0 - tail_fraction * span
-    hi = hi0 + tail_fraction * span
-    counts, edges = np.histogram(xs, bins=bins, range=(lo0, hi0))
-    knots_x = edges
+    counts, _ = np.histogram(xs, bins=bins, range=(x_min, x_max))
     weights = counts + HIST_SMOOTHING
-    if lo < lo0:
-        knots_x = np.concatenate([[lo], knots_x])
-        weights = np.concatenate([[HIST_SMOOTHING], weights])
-    if hi > hi0:
-        knots_x = np.concatenate([knots_x, [hi]])
-        weights = np.concatenate([weights, [HIST_SMOOTHING]])
+    if tail_fraction > 0:
+        weights = np.concatenate([[HIST_SMOOTHING], weights, [HIST_SMOOTHING]])
     knots_p = np.concatenate([[0.0], np.cumsum(weights)])
     knots_p /= knots_p[-1]
     knots_p[-1] = 1.0
     return MarginalUniformizer(
-        support_lo=lo,
-        support_hi=hi,
-        knots_x=knots_x,
+        knots_x=_knot_grid(x_min, x_max, bins, tail_fraction),
         knots_p=knots_p,
         clamp_eps=float(clamp_eps),
     )

@@ -28,9 +28,9 @@ _DET_TOL = 1e-8
 class RotationMatrix:
     """Validated D x D orthogonal matrix; rows map a sample x to R x.
 
-    Orthogonality (``max|R^T R - I| <= 1e-10``) and unit determinant
-    magnitude are checked at construction, so instances can be trusted to
-    contribute zero to any Jacobian log-determinant.
+    Finite entries, orthogonality (``max|R^T R - I| <= 1e-10``) and unit
+    determinant magnitude are checked at construction, so instances can be
+    trusted to contribute zero to any Jacobian log-determinant.
     """
 
     entries: np.ndarray
@@ -44,6 +44,8 @@ class RotationMatrix:
             raise ValueError("rotation entries must form a square matrix")
         if self.kind not in (KIND_PCA, KIND_RANDOM):
             raise ValueError(f"unknown rotation kind: {self.kind!r}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("rotation entries must be finite")
         gram = m.T @ m
         if np.max(np.abs(gram - np.eye(m.shape[0]))) > _ORTHO_TOL:
             raise ValueError("matrix is not orthogonal within tolerance")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,13 +172,26 @@ class TestFit:
         assert "--spatial" in err
 
 
-def null_clamp_eps(doc):
-    doc["layers"][0]["marginals"][0]["clamp_eps"] = None
+def edited(path, value):
+    """Model-document edit setting the field at ``path`` to ``value``."""
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value(target[path[-1]]) if callable(value) else value
+        return doc
+
+    return edit
+
+
+def without_layers(doc):
+    del doc["layers"]
     return doc
 
 
 def flat_cdf_segment(doc):
-    knots_p = doc["layers"][0]["marginals"][0]["knots_p"]
+    knots_p = doc["layers"][0]["knots_p"][0]
     knots_p[2] = knots_p[1]
     return doc
 
@@ -211,13 +225,47 @@ class TestTransformSample:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: {"format": "rbig-model", "version": 1},
-             "malformed model document: KeyError: 'layers'"),
+            (without_layers, "malformed model document: layers is missing"),
             (lambda doc: [doc], "not a serialized model document"),
-            (null_clamp_eps, "malformed model document: TypeError: "),
-            (flat_cdf_segment, "knot segment 1 "),
+            (edited(["resolved_clamp_eps"], None),
+             "malformed model document: resolved_clamp_eps must be a number in (0, 0.5), got None"),
+            (flat_cdf_segment, "malformed model document: layers[0].knots_p[0]: knot segment 1 "),
+            (edited(["version"], 1), "unsupported model version: 1"),
+            (edited(["layers", 0, "delta_t"], None),
+             "malformed model document: layers[0].delta_t must be a finite number, got None"),
+            (edited(["converged"], "yes"),
+             "malformed model document: converged must be true or false, got 'yes'"),
+            (edited(["resolved_bins"], None),
+             "malformed model document: resolved_bins must be an integer >= 2, got None"),
+            (edited(["resolved_bins"], float),
+             "malformed model document: resolved_bins must be an integer >= 2, got 22.0"),
+            (edited(["config", "seed"], True),
+             "malformed model document: config.seed must be an integer, got True"),
+            (edited(["marginal_entropies_input"], lambda h: h[:1]),
+             "malformed model document: marginal_entropies_input must be a list of 2 finite"),
+            (edited(["layers", 0, "clamp_eps"], 0.3),
+             "malformed model document: layers[0].clamp_eps is not a model field"),
+            (edited(["layers", 0, "rotation", "entries", 0, 0], math.nan),
+             "malformed model document: layers[0].rotation.entries[0][0] must be a finite"
+             " number, got nan"),
+            (edited(["layers", 0, "knots_p", 1], lambda row: row[:-1]),
+             "malformed model document: layers[0].knots_p[1] must be a list of 25 finite"),
+            (edited(["layers", 0, "x_max", 1], -1e300),
+             "malformed model document: layers[0].x_max[1] must be above x_min[1] = "),
+            (edited(["layers", 0, "x_max", 0], 1.7e308),
+             "malformed model document: layers[0].knots_p[0]: knot segment "),
+            (edited(["layers", 0, "x_min", 0], "0.5"),
+             "malformed model document: layers[0].x_min[0] must be a finite number, got '0.5'"),
+            (edited(["layers", 0, "knots_p", 0, 0], False),
+             "malformed model document: layers[0].knots_p[0][0] must be a finite number, got False"),
         ],
-        ids=["no-layers", "json-array", "null-clamp-eps", "flat-cdf-segment"],
+        ids=[
+            "no-layers", "json-array", "null-clamp-eps", "flat-cdf-segment", "version-1",
+            "null-delta-t", "string-converged", "null-resolved-bins", "float-resolved-bins",
+            "bool-seed", "short-entropies", "layer-clamp-eps", "nan-rotation-entry",
+            "short-knots-p-row", "x-max-below-x-min", "overflowing-range",
+            "string-x-min", "bool-knot",
+        ],
     )
     def test_malformed_model_exit_1(self, tmp_path, capsys, edit, message):
         data = np.random.default_rng(3).standard_normal((500, 2))
@@ -225,7 +273,7 @@ class TestTransformSample:
         save_csv(csv, data)
         model = tmp_path / "m.json"
         model.write_text(json.dumps(edit(fit(data).to_dict())))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_model(model)
         code, _, err = run(
             capsys, "transform", "--model", str(model), "--input", str(csv),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from rbig import (
     save_csv,
     save_cube,
 )
+from rbig.cli import main
 from rbig.synth import ar1_cube
 
 
@@ -190,6 +192,30 @@ class TestCubeIO:
         with pytest.raises(ValueError, match="fill_value"):
             save_cube(path, DataCube(values), dtype=dtype, fill_value=fill)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dtype", "int64", "dtype must be 'float32' or 'float64', got 'int64'"),
+            ("order", "F", "order must be 'C', got 'F'"),
+        ],
+        ids=["int64-dtype", "fortran-order"],
+    )
+    def test_foreign_sidecar_rejected(self, tmp_path, capsys, key, value, message):
+        # Read as float64 in C order, such a file would load as other values.
+        path = tmp_path / "cube.bin"
+        save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11))
+        sidecar = tmp_path / "cube.bin.json"
+        doc = json.loads(sidecar.read_text())
+        doc[key] = value
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_cube(path)
+        code = main(["fit", "--input", str(path), "--spatial", "1", "--temporal", "1",
+                     "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: cube sidecar {message}\n"
 
     def test_csv_roundtrip(self, tmp_path):
         data = np.random.default_rng(8).standard_normal((50, 3))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from rbig import (
     FitConfig,
     GAUSS_ENTROPY_BITS,
     GaussModel,
+    MarginalGaussianizer,
+    MarginalUniformizer,
     NotConvergedWarning,
     fit,
 )
@@ -281,22 +284,56 @@ class TestNonGaussianityTrace:
         assert sine_model.non_gaussianity_trace().size == sine_model.n_layers
 
 
+def move_third_knot(u):
+    kx = u.knots_x.copy()
+    kx[3] = 0.5 * (kx[3] + kx[4])
+    return MarginalUniformizer(kx, u.knots_p, u.clamp_eps)
+
+
 class TestSerialization:
     def test_roundtrip_reproduces_transform_bitwise(self, sine_model, sine_data, tmp_path):
-        path = tmp_path / "model.json"
-        sine_model.save(path)
-        loaded = GaussModel.load(path)
-        z0, lj0 = sine_model.transform(sine_data)
-        z1, lj1 = loaded.transform(sine_data)
-        assert np.array_equal(z0, z1)
-        assert np.array_equal(lj0, lj1)
+        # A PCA fit with extension knots, and a random-rotation fit without.
+        no_tail = fit(sine_data, FitConfig(rotation_kind="random", tail_fraction=0.0, seed=4))
+        for model in (sine_model, no_tail):
+            path = tmp_path / "model.json"
+            model.save(path)
+            loaded = GaussModel.load(path)
+            z0, lj0 = model.transform(sine_data)
+            z1, lj1 = loaded.transform(sine_data)
+            assert np.array_equal(z0, z1)
+            assert np.array_equal(lj0, lj1)
+            assert np.array_equal(model.inverse(z0), loaded.inverse(z0))
+            assert np.array_equal(model.sample(500, seed=5), loaded.sample(500, seed=5))
 
     def test_document_is_versioned(self, sine_model, tmp_path):
         path = tmp_path / "model.json"
         sine_model.save(path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "rbig-model"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
+        for layer in doc["layers"]:
+            assert set(layer) == {"delta_t", "rotation", "x_min", "x_max", "knots_p"}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (move_third_knot, "knots_x is not the knot grid"),
+            (lambda u: MarginalUniformizer(u.knots_x, u.knots_p, 0.25),
+             "clamp_eps 0.25 differs"),
+        ],
+        ids=["off-grid", "own-clamp"],
+    )
+    def test_save_rejects_table_the_file_cannot_hold(self, sine_model, tmp_path, edit, message):
+        # Saved as x_min/x_max and one clamp, it would reload as another model.
+        layer = sine_model.layers[1]
+        first = MarginalGaussianizer(edit(layer.gaussianizers[0].uniformizer))
+        layers = list(sine_model.layers)
+        layers[1] = replace(layer, gaussianizers=(first,) + layer.gaussianizers[1:])
+        model = replace(sine_model, layers=tuple(layers))
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=f"^layer 1 column 0: {message}"):
+            model.save(path)
+        assert not path.exists()
 
     def test_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "bogus.json"

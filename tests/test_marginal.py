@@ -20,7 +20,7 @@ from rbig import (
     normal_cdf,
     probit,
 )
-from rbig.marginal import _p_segment, _segment
+from rbig.marginal import _knot_grid, _p_segment, _segment, default_bins
 
 
 def erf_cdf(z):
@@ -30,8 +30,6 @@ def erf_cdf(z):
 
 def identity_uniformizer():
     return MarginalUniformizer(
-        support_lo=0.0,
-        support_hi=1.0,
         knots_x=np.array([0.0, 1.0]),
         knots_p=np.array([0.0, 1.0]),
         clamp_eps=1e-6,
@@ -97,12 +95,45 @@ class TestFitUniformizer:
     def test_bad_table_rejected(self, knots_x, knots_p, segment):
         with pytest.raises(ValueError, match=f"^knot segment {segment} "):
             MarginalUniformizer(
-                support_lo=0.0,
-                support_hi=1.0,
                 knots_x=np.array(knots_x),
                 knots_p=np.array(knots_p),
                 clamp_eps=1e-6,
             )
+
+    def test_extension_knot_rounding_onto_range_end_rejected(self):
+        # 2**53 + 4 + 0.8 rounds back to 2**53 + 4: a zero-width extension.
+        with pytest.raises(ValueError, match="^knot segment 3 "):
+            fit_uniformizer(np.array([2.0**53 - 4, 2.0**53, 2.0**53 + 4]), 2, 0.1)
+
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -0.1])
+    def test_bad_tail_fraction_raises(self, tail):
+        with pytest.raises(ValueError, match="^tail_fraction must be finite and >= 0"):
+            fit_uniformizer(np.arange(10.0), 4, tail)
+
+    @pytest.mark.parametrize("tail", [0.0, 1e-3, 0.1])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.standard_normal(3000),
+            lambda rng: rng.lognormal(size=500),
+            lambda rng: rng.standard_cauchy(2000),
+            lambda rng: 3e7 + 1e5 * rng.uniform(size=40),
+        ],
+        ids=["normal", "lognormal", "cauchy", "offset"],
+    )
+    def test_knots_x_are_histogram_edges_plus_extension(self, tail, draw):
+        x = draw(np.random.default_rng(23))
+        bins = default_bins(x.size)
+        u = fit_uniformizer(x, bins, tail)
+        lo, hi = x.min(), x.max()
+        _, ref = np.histogram(x, bins, range=(lo, hi))
+        if tail > 0:
+            ref = np.concatenate([[lo - tail * (hi - lo)], ref, [hi + tail * (hi - lo)]])
+        assert np.array_equal(u.knots_x, ref)
+        # Array bounds: one grid per element, each equal to its scalar grid.
+        grids = _knot_grid(np.array([lo, -1.0]), np.array([hi, 2.0]), bins, tail)
+        assert np.array_equal(grids[0], ref)
+        assert np.array_equal(grids[1], _knot_grid(-1.0, 2.0, bins, tail))
 
 
 class TestUniformizeForward:
@@ -115,7 +146,7 @@ class TestUniformizeForward:
     def test_clamp_beyond_support(self):
         x = np.random.default_rng(3).standard_normal(1000)
         u = fit_uniformizer(x, bins=30)
-        p, logdpdx = u.forward(u.support_hi + 10.0)
+        p, logdpdx = u.forward(u.knots_x[-1] + 10.0)
         assert p == 1.0 - u.clamp_eps
         assert np.isfinite(logdpdx)
 
@@ -128,7 +159,7 @@ class TestUniformizeForward:
     def test_finite_log_slope_inside_support(self):
         x = np.random.default_rng(5).standard_normal(2000)
         u = fit_uniformizer(x, bins=40)
-        grid = np.linspace(u.support_lo + 1e-9, u.support_hi - 1e-9, 500)
+        grid = np.linspace(u.knots_x[0] + 1e-9, u.knots_x[-1] - 1e-9, 500)
         _, logdpdx = u.forward(grid)
         assert np.all(np.isfinite(logdpdx))
 
@@ -258,8 +289,6 @@ def tiny_mass_table(weights):
     kp[-1] = 1.0
     kp = np.unique(kp)
     return MarginalUniformizer(
-        support_lo=0.0,
-        support_hi=float(kp.size - 1),
         knots_x=np.arange(kp.size, dtype=float),
         knots_p=kp,
         clamp_eps=1e-9,
@@ -399,7 +428,7 @@ class TestMarginalGaussianize:
         x = np.random.default_rng(11).standard_normal(5000)
         g = fit_gaussianizer(x, bins=70)
         u = g.uniformizer
-        grid = np.linspace(u.support_lo + 1e-9, u.support_hi - 1e-9, 2000)
+        grid = np.linspace(u.knots_x[0] + 1e-9, u.knots_x[-1] - 1e-9, 2000)
         p, _ = u.forward(grid)
         inside = (p > u.clamp_eps) & (p < 1 - u.clamp_eps)  # clamp flattens the tails
         z, _ = g.forward(grid[inside])
@@ -425,7 +454,7 @@ class TestMarginalGaussianize:
         x = np.random.default_rng(13).standard_normal(50000)
         g = fit_gaussianizer(x, bins=223)
         u = g.uniformizer
-        span = u.support_hi - u.support_lo
+        span = u.knots_x[-1] - u.knots_x[0]
         h = 1e-5 * span
         rng = np.random.default_rng(14)
         pts = rng.uniform(np.percentile(x, 1), np.percentile(x, 99), 400)

@@ -152,3 +152,9 @@ class TestRotate:
     def test_construction_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
             RotationMatrix(entries=np.array([[1.0, 0.5], [0.0, 1.0]]), kind="pca")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_construction_rejects_non_finite(self, bad):
+        # Checked before det, which warns on NaN (an error in this suite).
+        with pytest.raises(ValueError, match="^rotation entries must be finite$"):
+            RotationMatrix(entries=np.array([[bad, 0.0], [0.0, 1.0]]), kind="pca")

@@ -242,18 +242,24 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
 def load_cube(path) -> DataCube:
     """Load a cube written by :func:`save_cube` (binary + JSON sidecar).
 
-    A sidecar whose ``dtype`` is not ``float32``/``float64`` or whose
-    ``order`` is not ``"C"`` raises ``ValueError``.
+    A sidecar that is not a JSON object, whose ``shape`` is not a list of
+    sizes, whose ``dtype`` is not ``float32``/``float64`` or whose ``order``
+    is not ``"C"`` raises ``ValueError``.
     """
     with open(_sidecar_path(path)) as fh:
         sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise ValueError("cube sidecar must be a JSON object")
+    shape = sidecar.get("shape")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"cube sidecar shape must be a list of sizes, got {shape!r}")
     dtype, order = sidecar.get("dtype"), sidecar.get("order")
     if dtype not in ("float32", "float64"):
         raise ValueError(f"cube sidecar dtype must be 'float32' or 'float64', got {dtype!r}")
     if order != "C":
         raise ValueError(f"cube sidecar order must be 'C', got {order!r}")
     np_dtype = "<f4" if dtype == "float32" else "<f8"
-    stored = np.fromfile(path, dtype=np_dtype).reshape(sidecar["shape"])
+    stored = np.fromfile(path, dtype=np_dtype).reshape(shape)
     values = stored.astype(float)
     fill = sidecar.get("fill_value")
     if fill is not None:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import reprlib
-import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .marginal import (
     LN2,
     MarginalGaussianizer,
     MarginalUniformizer,
+    _is_finite_number,
     _knot_grid,
     default_bins,
     fit_gaussianizer,
@@ -50,6 +51,11 @@ __all__ = ["FitConfig", "GaussLayer", "GaussModel", "fit", "load_model", "MODEL_
 
 MODEL_FORMAT = "rbig-model"
 MODEL_VERSION = 2
+
+
+def _is_integer(value) -> bool:
+    """True for an int (numpy's too), never for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -76,21 +82,24 @@ class FitConfig:
     def __post_init__(self):
         if self.rotation_kind not in (KIND_PCA, KIND_RANDOM):
             raise ValueError(f"unknown rotation kind: {self.rotation_kind!r}")
+        for name in ("max_layers", "patience", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.patience < 1 or self.max_layers < self.patience:
             raise ValueError("need max_layers >= patience >= 1")
-        # Written so that NaN fails each check.
-        if not 0 < self.tol_delta_t < math.inf:
+        if not (_is_finite_number(self.tol_delta_t) and self.tol_delta_t > 0):
             raise ValueError(
-                f"tol_delta_t must be finite and > 0, got {self.tol_delta_t}"
+                f"tol_delta_t must be finite and > 0, got {self.tol_delta_t!r}"
             )
-        if not 0 <= self.tail_fraction < math.inf:
+        if not (_is_finite_number(self.tail_fraction) and self.tail_fraction >= 0):
             raise ValueError(
-                f"tail_fraction must be finite and >= 0, got {self.tail_fraction}"
+                f"tail_fraction must be finite and >= 0, got {self.tail_fraction!r}"
             )
-        if self.clamp_eps is not None and not 0 < self.clamp_eps < 0.5:
-            raise ValueError(f"clamp_eps must lie in (0, 0.5), got {self.clamp_eps}")
-        if self.bins is not None and self.bins < 2:
-            raise ValueError("bins must be >= 2")
+        clamp_eps = self.clamp_eps
+        if clamp_eps is not None and not (_is_finite_number(clamp_eps) and 0 < clamp_eps < 0.5):
+            raise ValueError(f"clamp_eps must lie in (0, 0.5), got {clamp_eps!r}")
+        if self.bins is not None and not (_is_integer(self.bins) and self.bins >= 2):
+            raise ValueError(f"bins must be an integer >= 2, got {self.bins!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -249,10 +258,11 @@ class GaussModel:
         layers = []
         for i, layer in enumerate(self.layers):
             tables = [g.uniformizer for g in layer.gaussianizers]
-            x_min = [float(u.knots_x[end]) for u in tables]
-            x_max = [float(u.knots_x[-1 - end]) for u in tables]
+            x_min = np.array([u.knots_x[end] for u in tables])
+            x_max = np.array([u.knots_x[-1 - end] for u in tables])
+            grid = _knot_grid(x_min, x_max, bins, tail)
             for j, u in enumerate(tables):
-                if not np.array_equal(u.knots_x, _knot_grid(x_min[j], x_max[j], bins, tail)):
+                if not np.array_equal(u.knots_x, grid[j]):
                     raise ValueError(
                         f"layer {i} column {j}: knots_x is not the knot grid of"
                         f" {bins} bins and tail_fraction {tail}"
@@ -270,8 +280,8 @@ class GaussModel:
                         "rank_deficient": layer.rotation.rank_deficient,
                         "entries": layer.rotation.entries.tolist(),
                     },
-                    "x_min": x_min,
-                    "x_max": x_max,
+                    "x_min": x_min.tolist(),
+                    "x_max": x_max.tolist(),
                     "knots_p": [u.knots_p.tolist() for u in tables],
                 }
             )
@@ -301,7 +311,8 @@ class GaussModel:
         if type(version) is not int or version != MODEL_VERSION:
             raise ValueError(f"unsupported model version: {version!r}")
         _fields(doc, _DOC_FIELDS, "")
-        config = _config(doc["config"])
+        _fields(doc["config"], [f.name for f in fields(FitConfig)], "config")
+        config = _build("config", FitConfig.from_dict, doc["config"])
         bins = doc["resolved_bins"]
         if type(bins) is not int or bins < 2:
             raise _malformed("resolved_bins", "an integer >= 2", bins)
@@ -326,11 +337,12 @@ class GaussModel:
                 j = bad[0]
                 above = f"above x_min[{j}] = {rec['x_min'][j]!r}"
                 raise _malformed(f"{where}.x_max[{j}]", above, rec["x_max"][j])
+            # Checked first, so the grid below is no larger than the file.
+            knots_p = _matrix(rec["knots_p"], dim, width, f"{where}.knots_p")
             # A range near the float limit overflows to non-finite knots,
             # which the table check rejects.
             with np.errstate(over="ignore", invalid="ignore"):
                 knots_x = _knot_grid(x_min, x_max, bins, config.tail_fraction)
-            knots_p = _matrix(rec["knots_p"], dim, width, f"{where}.knots_p")
             gaussianizers = tuple(
                 MarginalGaussianizer(
                     _build(
@@ -385,17 +397,6 @@ _DOC_FIELDS = (
 )
 _LAYER_FIELDS = ("delta_t", "rotation", "x_min", "x_max", "knots_p")
 _ROTATION_FIELDS = ("kind", "rank_deficient", "entries")
-# FitConfig field -> (accepted JSON types, description); FitConfig checks values.
-_CONFIG_FIELDS = {
-    "rotation_kind": ((str,), "a string"),
-    "bins": ((int, type(None)), "an integer or null"),
-    "tail_fraction": ((int, float), "a number"),
-    "clamp_eps": ((int, float, type(None)), "a number or null"),
-    "max_layers": ((int,), "an integer"),
-    "tol_delta_t": ((int, float), "a number"),
-    "patience": ((int,), "an integer"),
-    "seed": ((int,), "an integer"),
-}
 
 
 def _malformed(field: str, expected: str, value) -> ValueError:
@@ -425,12 +426,6 @@ def _fields(value, names, field: str) -> None:
             raise ValueError(f"malformed model document: {prefix}{name} is not a model field")
 
 
-def _is_finite_number(value) -> bool:
-    if type(value) is float:
-        return math.isfinite(value)
-    return type(value) is int and abs(value) <= sys.float_info.max
-
-
 def _number(value, field: str) -> float:
     if not _is_finite_number(value):
         raise _malformed(field, "a finite number", value)
@@ -443,20 +438,36 @@ def _boolean(value, field: str) -> bool:
     return value
 
 
-def _check_list(value, length: int, field: str) -> None:
-    if not isinstance(value, list) or len(value) != length:
-        raise _malformed(field, f"a list of {length} finite numbers", value)
-    # Shortcut for the all-float lists save writes; the loop is the rule.
-    if set(map(type, value)) <= {float} and np.isfinite(value).all():
-        return
+def _name_bad_item(value: list, field: str) -> None:
+    """Raise for the first item of ``value`` that is not a finite number."""
     for k, v in enumerate(value):
         if not _is_finite_number(v):
             raise _malformed(f"{field}[{k}]", "a finite number", v)
 
 
+def _check_list(value, length: int, field: str) -> None:
+    """Length and item types of one list; finiteness is checked on the array."""
+    if not isinstance(value, list) or len(value) != length:
+        raise _malformed(field, f"a list of {length} finite numbers", value)
+    if not set(map(type, value)) <= {int, float}:
+        _name_bad_item(value, field)
+
+
+def _finite_array(value) -> np.ndarray | None:
+    """Type-checked lists as one float array, or None if an item is not finite."""
+    try:
+        a = np.array(value, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return a if np.isfinite(a).all() else None
+
+
 def _vector(value, length: int, field: str) -> np.ndarray:
     _check_list(value, length, field)
-    return np.array(value, dtype=float)
+    a = _finite_array(value)
+    if a is None:
+        _name_bad_item(value, field)
+    return a
 
 
 def _matrix(value, rows: int, cols: int, field: str) -> np.ndarray:
@@ -465,15 +476,11 @@ def _matrix(value, rows: int, cols: int, field: str) -> np.ndarray:
         raise _malformed(field, f"a list of {rows} rows of {cols} finite numbers", value)
     for r, row in enumerate(value):
         _check_list(row, cols, f"{field}[{r}]")
-    return np.array(value, dtype=float)
-
-
-def _config(value) -> FitConfig:
-    _fields(value, tuple(_CONFIG_FIELDS), "config")
-    for name, (types, expected) in _CONFIG_FIELDS.items():
-        if type(value[name]) not in types:
-            raise _malformed(f"config.{name}", expected, value[name])
-    return _build("config", FitConfig.from_dict, value)
+    a = _finite_array(value)
+    if a is None:
+        for r, row in enumerate(value):
+            _name_bad_item(row, f"{field}[{r}]")
+    return a
 
 
 def _rotation(value, dim: int | None, field: str) -> RotationMatrix:

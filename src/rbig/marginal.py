@@ -10,6 +10,7 @@ assembled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,16 @@ HIST_SMOOTHING = 1e-3
 
 def _as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
+
+
+def _is_finite_number(value) -> bool:
+    """True for a finite int or float (numpy's too), never for a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -338,8 +349,7 @@ def fit_uniformizer(
         raise ValueError("need at least two samples to fit a uniformizer")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    # Written so that NaN fails the check.
-    if not 0 <= tail_fraction < math.inf:
+    if not (_is_finite_number(tail_fraction) and tail_fraction >= 0):
         raise ValueError(f"tail_fraction must be finite and >= 0, got {tail_fraction}")
     _require_finite(xs, "x")
     x_min = float(xs.min())

@@ -240,7 +240,16 @@ class TestTransformSample:
             (edited(["resolved_bins"], float),
              "malformed model document: resolved_bins must be an integer >= 2, got 22.0"),
             (edited(["config", "seed"], True),
-             "malformed model document: config.seed must be an integer, got True"),
+             "malformed model document: config: seed must be an integer, got True"),
+            (edited(["config", "tail_fraction"], 10**400),
+             "malformed model document: config: tail_fraction must be finite and >= 0, got 1000"),
+            (edited(["config", "tol_delta_t"], "0.01"),
+             "malformed model document: config: tol_delta_t must be finite and > 0, got '0.01'"),
+            (edited(["resolved_bins"], 10**9),
+             "malformed model document: layers[0].knots_p[0] must be a list of 1000000003 finite"),
+            (edited(["resolved_bins"], 10**30),
+             "malformed model document: layers[0].knots_p[0] must be a list of"
+             " 1000000000000000000000000000003 finite"),
             (edited(["marginal_entropies_input"], lambda h: h[:1]),
              "malformed model document: marginal_entropies_input must be a list of 2 finite"),
             (edited(["layers", 0, "clamp_eps"], 0.3),
@@ -258,13 +267,18 @@ class TestTransformSample:
              "malformed model document: layers[0].x_min[0] must be a finite number, got '0.5'"),
             (edited(["layers", 0, "knots_p", 0, 0], False),
              "malformed model document: layers[0].knots_p[0][0] must be a finite number, got False"),
+            (edited(["layers", 0, "knots_p", 1, 3], math.inf),
+             "malformed model document: layers[0].knots_p[1][3] must be a finite number, got inf"),
+            (edited(["layers", 0, "x_min", 1], 10**400),
+             "malformed model document: layers[0].x_min[1] must be a finite number, got 1000"),
         ],
         ids=[
             "no-layers", "json-array", "null-clamp-eps", "flat-cdf-segment", "version-1",
             "null-delta-t", "string-converged", "null-resolved-bins", "float-resolved-bins",
-            "bool-seed", "short-entropies", "layer-clamp-eps", "nan-rotation-entry",
+            "bool-seed", "huge-tail-fraction", "string-tol", "huge-resolved-bins",
+            "absurd-resolved-bins", "short-entropies", "layer-clamp-eps", "nan-rotation-entry",
             "short-knots-p-row", "x-max-below-x-min", "overflowing-range",
-            "string-x-min", "bool-knot",
+            "string-x-min", "bool-knot", "infinite-knot", "huge-int-x-min",
         ],
     )
     def test_malformed_model_exit_1(self, tmp_path, capsys, edit, message):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,8 +199,10 @@ class TestCubeIO:
         [
             ("dtype", "int64", "dtype must be 'float32' or 'float64', got 'int64'"),
             ("order", "F", "order must be 'C', got 'F'"),
+            ("shape", None, "shape must be a list of sizes, got None"),
+            ("shape", [4, 3, -1], "shape must be a list of sizes, got [4, 3, -1]"),
         ],
-        ids=["int64-dtype", "fortran-order"],
+        ids=["int64-dtype", "fortran-order", "no-shape", "negative-size"],
     )
     def test_foreign_sidecar_rejected(self, tmp_path, capsys, key, value, message):
         # Read as float64 in C order, such a file would load as other values.
@@ -209,13 +212,20 @@ class TestCubeIO:
         doc = json.loads(sidecar.read_text())
         doc[key] = value
         sidecar.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_cube(path)
         code = main(["fit", "--input", str(path), "--spatial", "1", "--temporal", "1",
                      "--out", str(tmp_path / "m.json")])
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: cube sidecar {message}\n"
+
+    def test_non_object_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "cube.bin"
+        save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11))
+        (tmp_path / "cube.bin.json").write_text("[]")
+        with pytest.raises(ValueError, match="cube sidecar must be a JSON object"):
+            load_cube(path)
 
     def test_csv_roundtrip(self, tmp_path):
         data = np.random.default_rng(8).standard_normal((50, 3))

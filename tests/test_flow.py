@@ -62,8 +62,9 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(bins=1)
 
-    # A NaN tol_delta_t never stops a fit and a NaN tail_fraction writes NaN
-    # support bounds into the model, so both are rejected at construction.
+    # A NaN tol_delta_t never stops a fit, a NaN tail_fraction would fit no
+    # support extension, and a value of the wrong type would only fail deep
+    # inside a fit or a model load, so all are rejected at construction.
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -75,11 +76,23 @@ class TestFitConfig:
             ("clamp_eps", 0.0),
             ("clamp_eps", 0.5),
             ("clamp_eps", math.nan),
+            ("clamp_eps", "0.1"),
+            ("tail_fraction", 10**400),
+            ("tail_fraction", None),
+            ("tol_delta_t", True),
+            ("bins", 10.0),
+            ("max_layers", 5.0),
+            ("patience", True),
+            ("seed", 1.5),
         ],
     )
     def test_rejects_bad_value(self, field, value):
         with pytest.raises(ValueError, match=field):
             FitConfig(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        config = FitConfig(bins=np.int64(10), tail_fraction=np.float32(0.1), seed=np.int32(4))
+        assert config.bins == 10 and config.seed == 4
 
 
 class TestFit:

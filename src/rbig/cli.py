@@ -59,14 +59,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rotation", choices=["pca", "random"], default="pca")
-    parser.add_argument("--bins", type=int, default=None)
-    parser.add_argument("--tail-fraction", type=float, default=0.1)
-    parser.add_argument("--clamp-eps", type=float, default=None)
-    parser.add_argument("--max-layers", type=int, default=100)
-    parser.add_argument("--tol", type=float, default=0.01)
-    parser.add_argument("--patience", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
+    """One flag per ``FitConfig`` field, with the field's default."""
+    default = FitConfig()
+    parser.add_argument("--rotation", choices=["pca", "random"], default=default.rotation_kind)
+    parser.add_argument("--bins", type=int, default=default.bins)
+    parser.add_argument("--max-layers", type=int, default=default.max_layers)
+    parser.add_argument("--tol", type=float, default=default.tol_delta_t)
+    parser.add_argument("--patience", type=int, default=default.patience)
+    parser.add_argument("--seed", type=int, default=default.seed)
 
 
 def _patch_flags(parser: argparse.ArgumentParser) -> None:
@@ -80,8 +80,6 @@ def _config_from_args(args) -> FitConfig:
     return FitConfig(
         rotation_kind=args.rotation,
         bins=args.bins,
-        tail_fraction=args.tail_fraction,
-        clamp_eps=args.clamp_eps,
         max_layers=args.max_layers,
         tol_delta_t=args.tol,
         patience=args.patience,
@@ -89,9 +87,9 @@ def _config_from_args(args) -> FitConfig:
     )
 
 
-def _patch_config_from_args(args) -> PatchConfig:
+def _patch_config_from_args(args, path: str) -> PatchConfig:
     if args.spatial is None or args.temporal is None:
-        raise _CliInputError("--spatial and --temporal are required for cube inputs")
+        raise _CliInputError(f"{path} is a cube; --spatial and --temporal are required")
     return PatchConfig(
         spatial=args.spatial,
         temporal=args.temporal,
@@ -104,11 +102,8 @@ def _load_samples(path: str, args) -> np.ndarray:
     """CSV paths load directly; anything else is a cube needing patch flags."""
     if path.endswith(".csv"):
         return load_csv(path)
-    if getattr(args, "spatial", None) is None or getattr(args, "temporal", None) is None:
-        raise _CliInputError(
-            f"{path} looks like a cube; --spatial and --temporal are required"
-        )
-    samples, _ = extract_patches(load_cube(path), _patch_config_from_args(args))
+    cfg = _patch_config_from_args(args, path)
+    samples, _ = extract_patches(load_cube(path), cfg)
     return samples
 
 
@@ -247,7 +242,7 @@ def _cmd_info_map(args) -> int:
     started = time.monotonic()
     model = GaussModel.load(args.model)
     cube = load_cube(args.cube)
-    cfg = _patch_config_from_args(args)
+    cfg = _patch_config_from_args(args, args.cube)
     if model.dim != cfg.dim:
         raise DimensionMismatch(
             f"model dimension {model.dim} != patch dimension {cfg.dim}"

@@ -71,7 +71,6 @@ class PatchConfig:
     temporal: int
     stride_space: int = 1
     stride_time: int = 1
-    drop_incomplete: bool = True
 
     def __post_init__(self):
         if min(self.spatial, self.temporal, self.stride_space, self.stride_time) < 1:
@@ -107,8 +106,7 @@ def extract_patches(cube: DataCube, cfg: PatchConfig):
     """Flatten sliding-window patches into sample rows.
 
     Each patch is raveled time-major (time, then row, then col) into a row
-    of length ``spatial**2 * temporal``.  Patches containing NaN are dropped
-    when ``cfg.drop_incomplete``.
+    of length ``spatial**2 * temporal``.  Patches containing NaN are dropped.
 
     Returns
     -------
@@ -131,11 +129,8 @@ def extract_patches(cube: DataCube, cfg: PatchConfig):
         indexing="ij",
     )
     anchors = np.column_stack([ts.ravel(), rs.ravel(), cs.ravel()])
-    if cfg.drop_incomplete:
-        keep = ~np.isnan(samples).any(axis=1)
-        samples = samples[keep]
-        anchors = anchors[keep]
-    return np.ascontiguousarray(samples), anchors
+    keep = ~np.isnan(samples).any(axis=1)
+    return np.ascontiguousarray(samples[keep]), anchors[keep]
 
 
 def ratio_sweep_configs(

@@ -30,9 +30,9 @@ from .marginal import (
     LN2,
     MarginalGaussianizer,
     MarginalUniformizer,
-    _is_finite_number,
     _knot_grid,
     default_bins,
+    default_clamp_eps,
     fit_gaussianizer,
     marginal_entropy,
     marginal_kl_to_standard_normal,
@@ -50,7 +50,7 @@ from .rotation import (
 __all__ = ["FitConfig", "GaussLayer", "GaussModel", "fit", "load_model", "MODEL_FORMAT"]
 
 MODEL_FORMAT = "rbig-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def _is_integer(value) -> bool:
@@ -58,22 +58,30 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    """True for a finite int or float (numpy's too), never for a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of one fit; defaults follow the square-root bin rule.
 
-    ``bins=None`` resolves to ``round(sqrt(N))`` and ``clamp_eps=None`` to
-    ``max(1/(2N), 1e-7)`` at fit time.  ``tol_delta_t`` is the threshold on
-    a layer's total-correlation reduction (bits, summed over dimensions);
-    for data with many dimensions it should be scaled up roughly in
-    proportion, since the per-layer estimate carries a noise floor per
-    dimension.
+    ``bins=None`` resolves to ``round(sqrt(N))`` at fit time.
+    ``tol_delta_t`` is the threshold on a layer's total-correlation
+    reduction (bits, summed over dimensions); for data with many dimensions
+    it should be scaled up roughly in proportion, since the per-layer
+    estimate carries a noise floor per dimension.  Numpy scalars are stored
+    as Python ``int``/``float``, so every config serializes to JSON.
     """
 
     rotation_kind: str = KIND_PCA
     bins: int | None = None
-    tail_fraction: float = 0.1
-    clamp_eps: float | None = None
     max_layers: int = 100
     tol_delta_t: float = 0.01
     patience: int = 3
@@ -83,38 +91,37 @@ class FitConfig:
         if self.rotation_kind not in (KIND_PCA, KIND_RANDOM):
             raise ValueError(f"unknown rotation kind: {self.rotation_kind!r}")
         for name in ("max_layers", "patience", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.patience < 1 or self.max_layers < self.patience:
             raise ValueError("need max_layers >= patience >= 1")
         if not (_is_finite_number(self.tol_delta_t) and self.tol_delta_t > 0):
             raise ValueError(
                 f"tol_delta_t must be finite and > 0, got {self.tol_delta_t!r}"
             )
-        if not (_is_finite_number(self.tail_fraction) and self.tail_fraction >= 0):
-            raise ValueError(
-                f"tail_fraction must be finite and >= 0, got {self.tail_fraction!r}"
-            )
-        clamp_eps = self.clamp_eps
-        if clamp_eps is not None and not (_is_finite_number(clamp_eps) and 0 < clamp_eps < 0.5):
-            raise ValueError(f"clamp_eps must lie in (0, 0.5), got {clamp_eps!r}")
-        if self.bins is not None and not (_is_integer(self.bins) and self.bins >= 2):
-            raise ValueError(f"bins must be an integer >= 2, got {self.bins!r}")
+        object.__setattr__(self, "tol_delta_t", float(self.tol_delta_t))
+        if self.bins is not None:
+            if not (_is_integer(self.bins) and self.bins >= 2):
+                raise ValueError(f"bins must be an integer >= 2, got {self.bins!r}")
+            object.__setattr__(self, "bins", int(self.bins))
 
     def to_dict(self) -> dict:
-        return {
-            "rotation_kind": self.rotation_kind,
-            "bins": self.bins,
-            "tail_fraction": self.tail_fraction,
-            "clamp_eps": self.clamp_eps,
-            "max_layers": self.max_layers,
-            "tol_delta_t": self.tol_delta_t,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitConfig":
+        """Rebuild a config from a dict holding exactly its field names."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be an object, got {reprlib.repr(doc)}")
+        names = [f.name for f in fields(cls)]
+        for name in names:
+            if name not in doc:
+                raise ValueError(f"config field {name} is missing")
+        for key in doc:
+            if key not in names:
+                raise ValueError(f"{key} is not a config field")
         return cls(**doc)
 
 
@@ -242,30 +249,24 @@ class GaussModel:
         z = rng.standard_normal((n, self.dim))
         return self.inverse(z)
 
-    def non_gaussianity_trace(self) -> np.ndarray:
-        """Per-layer KL of the marginals from N(0, 1), in bits."""
-        return self.non_gaussianity.copy()
-
     def to_dict(self) -> dict:
-        """Model format 2 (see the README): per-layer arrays, one clamp.
+        """Model format 3 (see the README): per-layer arrays, one clamp.
 
-        A table that is not ``_knot_grid`` of its end knots, or whose clamp
-        is not ``resolved_clamp_eps``, raises ``ValueError``: the file would
-        reload as a different model.
+        A table that is not ``_knot_grid`` of its interior end knots, or
+        whose clamp is not ``resolved_clamp_eps``, raises ``ValueError``: the
+        file would reload as a different model.
         """
-        bins, tail = self.resolved_bins, self.config.tail_fraction
-        end = 1 if tail > 0 else 0
+        bins = self.resolved_bins
         layers = []
         for i, layer in enumerate(self.layers):
             tables = [g.uniformizer for g in layer.gaussianizers]
-            x_min = np.array([u.knots_x[end] for u in tables])
-            x_max = np.array([u.knots_x[-1 - end] for u in tables])
-            grid = _knot_grid(x_min, x_max, bins, tail)
+            x_min = np.array([u.knots_x[1] for u in tables])
+            x_max = np.array([u.knots_x[-2] for u in tables])
+            grid = _knot_grid(x_min, x_max, bins)
             for j, u in enumerate(tables):
                 if not np.array_equal(u.knots_x, grid[j]):
                     raise ValueError(
-                        f"layer {i} column {j}: knots_x is not the knot grid of"
-                        f" {bins} bins and tail_fraction {tail}"
+                        f"layer {i} column {j}: knots_x is not the knot grid of {bins} bins"
                     )
                 if u.clamp_eps != self.resolved_clamp_eps:
                     raise ValueError(
@@ -299,11 +300,11 @@ class GaussModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GaussModel":
-        """Rebuild a model from a format-2 document, checking every field.
+        """Rebuild a model from a format-3 document, checking every field.
 
         A missing, unknown or ill-typed field, or an array of the wrong
         shape, raises a one-line ``ValueError`` naming the field.  Version-1
-        documents are not read; such models must be refit.
+        and version-2 documents are not read; such models must be refit.
         """
         if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ValueError("not a serialized model document")
@@ -311,7 +312,6 @@ class GaussModel:
         if type(version) is not int or version != MODEL_VERSION:
             raise ValueError(f"unsupported model version: {version!r}")
         _fields(doc, _DOC_FIELDS, "")
-        _fields(doc["config"], [f.name for f in fields(FitConfig)], "config")
         config = _build("config", FitConfig.from_dict, doc["config"])
         bins = doc["resolved_bins"]
         if type(bins) is not int or bins < 2:
@@ -322,7 +322,7 @@ class GaussModel:
         records = doc["layers"]
         if not isinstance(records, list) or not records:
             raise _malformed("layers", "a non-empty list", records)
-        width = bins + 1 + 2 * (config.tail_fraction > 0)
+        width = bins + 3
         dim = None
         layers = []
         for i, rec in enumerate(records):
@@ -342,7 +342,7 @@ class GaussModel:
             # A range near the float limit overflows to non-finite knots,
             # which the table check rejects.
             with np.errstate(over="ignore", invalid="ignore"):
-                knots_x = _knot_grid(x_min, x_max, bins, config.tail_fraction)
+                knots_x = _knot_grid(x_min, x_max, bins)
             gaussianizers = tuple(
                 MarginalGaussianizer(
                     _build(
@@ -377,9 +377,11 @@ class GaussModel:
         Serialized floats round-trip exactly, so a reloaded model
         reproduces transform outputs bit for bit.
         """
-        doc = self.to_dict()
+        # Encoded before the file is opened: a document that does not
+        # serialize leaves any earlier file at ``path`` as it was.
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "GaussModel":
@@ -387,7 +389,7 @@ class GaussModel:
             return cls.from_dict(json.load(fh))
 
 
-# Model document schema, format 2.  Every check raises a one-line
+# Model document schema, format 3.  Every check raises a one-line
 # ValueError naming the field.  JSON numbers load as int or float; bool, a
 # subclass of int, is neither.
 
@@ -534,11 +536,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     if config.rotation_kind == KIND_PCA and n <= d:
         raise ValueError("PCA rotations need more samples than dimensions")
     bins = config.bins if config.bins is not None else default_bins(n)
-    clamp_eps = (
-        config.clamp_eps
-        if config.clamp_eps is not None
-        else max(1.0 / (2.0 * n), 1e-7)
-    )
+    clamp_eps = default_clamp_eps(n)
     seed_rng = np.random.default_rng(config.seed)
 
     h_input = np.array([marginal_entropy(x[:, j], bins) for j in range(d)])
@@ -548,8 +546,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     converged = False
     for _ in range(config.max_layers):
         gaussianizers = tuple(
-            fit_gaussianizer(x[:, j], bins, config.tail_fraction, clamp_eps)
-            for j in range(d)
+            fit_gaussianizer(x[:, j], bins) for j in range(d)
         )
         z = np.empty_like(x)
         for j, g in enumerate(gaussianizers):

@@ -10,7 +10,6 @@ assembled.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,19 +42,14 @@ GAUSS_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 # of the Gaussianized output.
 HIST_SMOOTHING = 1e-3
 
+# Support extension on each side of a fitted table, as a fraction of the
+# observed range.  The two extension segments carry the pseudo-count, so
+# points outside the training range keep a finite density.
+TAIL_FRACTION = 0.1
+
 
 def _as_float_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
-
-
-def _is_finite_number(value) -> bool:
-    """True for a finite int or float (numpy's too), never for a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -299,38 +293,32 @@ class MarginalGaussianizer:
         return self.uniformizer.inverse(p)
 
 
-def _knot_grid(x_min, x_max, bins: int, tail_fraction: float) -> np.ndarray:
+def _knot_grid(x_min, x_max, bins: int) -> np.ndarray:
     """Knot abscissae of a fitted table: where the knots sit.
 
     ``bins + 1`` equal-width knots from ``x_min`` to ``x_max`` (the edges
-    ``np.histogram`` uses over that range) and, when ``tail_fraction > 0``,
-    one support-extension knot ``tail_fraction`` of the range beyond each
-    end.  Array bounds give one grid per element, stacked on the last axis,
-    each bit-identical to the grid of its scalar bounds.
+    ``np.histogram`` uses over that range) and one support-extension knot
+    ``TAIL_FRACTION`` of the range beyond each end, ``bins + 3`` in all.
+    Array bounds give one grid per element, stacked on the last axis, each
+    bit-identical to the grid of its scalar bounds.
     """
+    ext = TAIL_FRACTION * np.subtract(x_max, x_min)
+    lo = np.subtract(x_min, ext)[..., None]
+    hi = np.add(x_max, ext)[..., None]
     grid = np.linspace(x_min, x_max, bins + 1, axis=-1)
-    if tail_fraction > 0:
-        ext = tail_fraction * np.subtract(x_max, x_min)
-        lo = np.subtract(x_min, ext)[..., None]
-        hi = np.add(x_max, ext)[..., None]
-        grid = np.concatenate([lo, grid, hi], axis=-1)
-    return grid
+    return np.concatenate([lo, grid, hi], axis=-1)
 
 
-def fit_uniformizer(
-    x,
-    bins: int,
-    tail_fraction: float = 0.1,
-    clamp_eps: float | None = None,
-) -> MarginalUniformizer:
+def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
     """Fit a piecewise-linear empirical CDF to a 1-D sample.
 
     The CDF is the cumulative normalized histogram of ``x`` over the
-    observed range, extended by ``tail_fraction`` of the range on each side;
-    the extension segments carry the histogram pseudo-count so out-of-sample
-    points keep a finite density.  Where rounding puts an extension knot on
-    the range's end (a range of a few ulps of the data's magnitude), the
-    table has a zero-width segment and is rejected with ``ValueError``.
+    observed range, extended by ``TAIL_FRACTION`` of the range on each
+    side; the extension segments carry the histogram pseudo-count so
+    out-of-sample points keep a finite density.  The probability clamp is
+    ``default_clamp_eps(N)``.  Where rounding puts an extension knot on the
+    range's end (a range of a few ulps of the data's magnitude), the table
+    has a zero-width segment and is rejected with ``ValueError``.
 
     Parameters
     ----------
@@ -338,48 +326,32 @@ def fit_uniformizer(
         Training sample, at least two finite values.
     bins : int
         Number of histogram bins, at least 2.
-    tail_fraction : float
-        Finite support extension on each side as a fraction of the observed
-        range; 0 fits no extension.
-    clamp_eps : float, optional
-        Probability clamp; defaults to ``max(1/(2N), 1e-7)``.
     """
     xs = _as_float_array(x).ravel()
     if xs.size < 2:
         raise ValueError("need at least two samples to fit a uniformizer")
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if not (_is_finite_number(tail_fraction) and tail_fraction >= 0):
-        raise ValueError(f"tail_fraction must be finite and >= 0, got {tail_fraction}")
     _require_finite(xs, "x")
     x_min = float(xs.min())
     x_max = float(xs.max())
     if x_max == x_min:
         raise DegenerateDimension("sample has zero range")
-    if clamp_eps is None:
-        clamp_eps = max(1.0 / (2.0 * xs.size), 1e-7)
     counts, _ = np.histogram(xs, bins=bins, range=(x_min, x_max))
-    weights = counts + HIST_SMOOTHING
-    if tail_fraction > 0:
-        weights = np.concatenate([[HIST_SMOOTHING], weights, [HIST_SMOOTHING]])
+    weights = np.concatenate([[HIST_SMOOTHING], counts + HIST_SMOOTHING, [HIST_SMOOTHING]])
     knots_p = np.concatenate([[0.0], np.cumsum(weights)])
     knots_p /= knots_p[-1]
     knots_p[-1] = 1.0
     return MarginalUniformizer(
-        knots_x=_knot_grid(x_min, x_max, bins, tail_fraction),
+        knots_x=_knot_grid(x_min, x_max, bins),
         knots_p=knots_p,
-        clamp_eps=float(clamp_eps),
+        clamp_eps=default_clamp_eps(xs.size),
     )
 
 
-def fit_gaussianizer(
-    x,
-    bins: int,
-    tail_fraction: float = 0.1,
-    clamp_eps: float | None = None,
-) -> MarginalGaussianizer:
+def fit_gaussianizer(x, bins: int) -> MarginalGaussianizer:
     """Fit the probit-of-empirical-CDF map for one dimension."""
-    return MarginalGaussianizer(fit_uniformizer(x, bins, tail_fraction, clamp_eps))
+    return MarginalGaussianizer(fit_uniformizer(x, bins))
 
 
 def normal_cdf(z):
@@ -441,6 +413,11 @@ def _validate_entropy_input(x) -> np.ndarray:
 def default_bins(n: int) -> int:
     """Square-root histogram bin rule used whenever bins are unspecified."""
     return max(2, round(math.sqrt(n)))
+
+
+def default_clamp_eps(n: int) -> float:
+    """Probability clamp of a table fitted to ``n`` values, ``max(1/(2n), 1e-7)``."""
+    return max(1.0 / (2.0 * n), 1e-7)
 
 
 def marginal_entropy(x, bins: int | None = None) -> float:

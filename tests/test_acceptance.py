@@ -108,7 +108,7 @@ def test_05_gaussianization_quality_sine():
     z, _ = model.transform(data)
     ks = max(kstest(z[:, j], "norm").statistic for j in range(2))
     trace = model.delta_t_trace
-    ng = model.non_gaussianity_trace()
+    ng = model.non_gaussianity
     ok = (
         ks <= 0.02
         and trace[-1] < model.config.tol_delta_t

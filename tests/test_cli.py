@@ -171,6 +171,14 @@ class TestFit:
         assert code == 1
         assert "--spatial" in err
 
+    @pytest.mark.parametrize("flag", [["--tail-fraction", "0.1"], ["--clamp-eps", "1e-3"]])
+    def test_removed_fit_flag_exit_1(self, tmp_path, capsys, gauss_csv, flag):
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "fit", "--input", str(gauss_csv), "--out", str(out), *flag)
+        assert code == 1
+        assert "unrecognized arguments: " + flag[0] in err
+        assert not out.exists()
+
 
 def edited(path, value):
     """Model-document edit setting the field at ``path`` to ``value``."""
@@ -231,6 +239,7 @@ class TestTransformSample:
              "malformed model document: resolved_clamp_eps must be a number in (0, 0.5), got None"),
             (flat_cdf_segment, "malformed model document: layers[0].knots_p[0]: knot segment 1 "),
             (edited(["version"], 1), "unsupported model version: 1"),
+            (edited(["version"], 2), "unsupported model version: 2"),
             (edited(["layers", 0, "delta_t"], None),
              "malformed model document: layers[0].delta_t must be a finite number, got None"),
             (edited(["converged"], "yes"),
@@ -241,8 +250,8 @@ class TestTransformSample:
              "malformed model document: resolved_bins must be an integer >= 2, got 22.0"),
             (edited(["config", "seed"], True),
              "malformed model document: config: seed must be an integer, got True"),
-            (edited(["config", "tail_fraction"], 10**400),
-             "malformed model document: config: tail_fraction must be finite and >= 0, got 1000"),
+            (edited(["config", "tol_delta_t"], 10**400),
+             "malformed model document: config: tol_delta_t must be finite and > 0, got 1000"),
             (edited(["config", "tol_delta_t"], "0.01"),
              "malformed model document: config: tol_delta_t must be finite and > 0, got '0.01'"),
             (edited(["resolved_bins"], 10**9),
@@ -274,8 +283,8 @@ class TestTransformSample:
         ],
         ids=[
             "no-layers", "json-array", "null-clamp-eps", "flat-cdf-segment", "version-1",
-            "null-delta-t", "string-converged", "null-resolved-bins", "float-resolved-bins",
-            "bool-seed", "huge-tail-fraction", "string-tol", "huge-resolved-bins",
+            "version-2", "null-delta-t", "string-converged", "null-resolved-bins",
+            "float-resolved-bins", "bool-seed", "huge-tol", "string-tol", "huge-resolved-bins",
             "absurd-resolved-bins", "short-entropies", "layer-clamp-eps", "nan-rotation-entry",
             "short-knots-p-row", "x-max-below-x-min", "overflowing-range",
             "string-x-min", "bool-knot", "infinite-knot", "huge-int-x-min",

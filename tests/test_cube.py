@@ -57,16 +57,6 @@ class TestExtractPatches:
         assert not np.isnan(samples).any()
         assert [0, 0, 0] not in anchors.tolist()
 
-    def test_keep_incomplete(self):
-        values = np.random.default_rng(3).standard_normal((4, 5, 6))
-        values[1, 1, 1] = np.nan
-        cube = DataCube(values)
-        samples, _ = extract_patches(
-            cube, PatchConfig(spatial=1, temporal=1, drop_incomplete=False)
-        )
-        assert samples.shape == (120, 1)
-        assert np.isnan(samples).sum() == 1
-
     def test_count_formula_with_strides(self):
         cube = DataCube(np.random.default_rng(4).standard_normal((20, 15, 17)))
         cfg = PatchConfig(spatial=3, temporal=4, stride_space=2, stride_time=3)

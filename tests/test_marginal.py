@@ -44,7 +44,7 @@ class TestFitUniformizer:
         assert 0.48 <= p <= 0.52
 
     def test_symmetric_four_points(self):
-        u = fit_uniformizer(np.array([1.0, 2.0, 3.0, 4.0]), bins=2, tail_fraction=0.0)
+        u = fit_uniformizer(np.array([1.0, 2.0, 3.0, 4.0]), bins=2)
         p, _ = u.forward(2.5)
         assert p == pytest.approx(0.5, abs=1e-12)
 
@@ -103,14 +103,8 @@ class TestFitUniformizer:
     def test_extension_knot_rounding_onto_range_end_rejected(self):
         # 2**53 + 4 + 0.8 rounds back to 2**53 + 4: a zero-width extension.
         with pytest.raises(ValueError, match="^knot segment 3 "):
-            fit_uniformizer(np.array([2.0**53 - 4, 2.0**53, 2.0**53 + 4]), 2, 0.1)
+            fit_uniformizer(np.array([2.0**53 - 4, 2.0**53, 2.0**53 + 4]), 2)
 
-    @pytest.mark.parametrize("tail", [math.nan, math.inf, -0.1])
-    def test_bad_tail_fraction_raises(self, tail):
-        with pytest.raises(ValueError, match="^tail_fraction must be finite and >= 0"):
-            fit_uniformizer(np.arange(10.0), 4, tail)
-
-    @pytest.mark.parametrize("tail", [0.0, 1e-3, 0.1])
     @pytest.mark.parametrize(
         "draw",
         [
@@ -121,19 +115,18 @@ class TestFitUniformizer:
         ],
         ids=["normal", "lognormal", "cauchy", "offset"],
     )
-    def test_knots_x_are_histogram_edges_plus_extension(self, tail, draw):
+    def test_knots_x_are_histogram_edges_plus_extension(self, draw):
         x = draw(np.random.default_rng(23))
         bins = default_bins(x.size)
-        u = fit_uniformizer(x, bins, tail)
+        u = fit_uniformizer(x, bins)
         lo, hi = x.min(), x.max()
         _, ref = np.histogram(x, bins, range=(lo, hi))
-        if tail > 0:
-            ref = np.concatenate([[lo - tail * (hi - lo)], ref, [hi + tail * (hi - lo)]])
+        ref = np.concatenate([[lo - 0.1 * (hi - lo)], ref, [hi + 0.1 * (hi - lo)]])
         assert np.array_equal(u.knots_x, ref)
         # Array bounds: one grid per element, each equal to its scalar grid.
-        grids = _knot_grid(np.array([lo, -1.0]), np.array([hi, 2.0]), bins, tail)
+        grids = _knot_grid(np.array([lo, -1.0]), np.array([hi, 2.0]), bins)
         assert np.array_equal(grids[0], ref)
-        assert np.array_equal(grids[1], _knot_grid(-1.0, 2.0, bins, tail))
+        assert np.array_equal(grids[1], _knot_grid(-1.0, 2.0, bins))
 
 
 class TestUniformizeForward:
@@ -196,14 +189,13 @@ def check_segment(kx, x):
 
 
 fitted_tables = st.builds(
-    lambda seed, n, bins, scale, tail: fit_uniformizer(
-        scale * np.random.default_rng(seed).standard_normal(n), bins, tail
+    lambda seed, n, bins, scale: fit_uniformizer(
+        scale * np.random.default_rng(seed).standard_normal(n), bins
     ),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 400),
     bins=st.integers(2, 60),
     scale=st.sampled_from([1e-6, 1.0, 3e5]),
-    tail=st.sampled_from([0.0, 0.1]),
 )
 draws = st.lists(st.floats(0.0, 1.0), max_size=50)
 

@@ -175,6 +175,21 @@ class TestITReport:
         back = ITReport.from_dict(doc)
         assert back == report
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c.update(tail_fraction=0.1), "^tail_fraction is not a config field$"),
+            (lambda c: c.pop("seed"), "^config field seed is missing$"),
+        ],
+        ids=["removed-key", "missing-key"],
+    )
+    def test_config_keys_checked(self, edit, message):
+        report = total_correlation(equicorrelated_gaussian(2000, 2, 0.5, 16))
+        doc = json.loads(report.to_json())
+        edit(doc["config"])
+        with pytest.raises(ValueError, match=message):
+            ITReport.from_dict(doc)
+
     def test_value_not_rounded_in_storage(self):
         data = equicorrelated_gaussian(20000, 2, 0.5, 17)
         report = total_correlation(data)

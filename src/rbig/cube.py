@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -210,11 +211,17 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
     """Write a cube as flat little-endian floats plus a JSON sidecar.
 
     ``fill_value``, when given, replaces NaN in the binary payload and is
-    recorded in the sidecar so loading restores the NaNs.  A fill value equal
-    to a data value in the stored dtype raises ``ValueError``.
+    recorded in the sidecar, as a float, so loading restores the NaNs.  A
+    fill value that is not a real number (a bool included), or that equals a
+    data value in the stored dtype, raises ``ValueError``.  Both files are
+    written only once the sidecar has been encoded.
     """
     if dtype not in ("float32", "float64"):
         raise ValueError("dtype must be 'float32' or 'float64'")
+    if fill_value is not None:
+        if isinstance(fill_value, bool) or not isinstance(fill_value, numbers.Real):
+            raise ValueError(f"fill_value must be a real number, got {fill_value!r}")
+        fill_value = float(fill_value)
     np_dtype = "<f4" if dtype == "float32" else "<f8"
     stored = cube.values.astype(np_dtype)
     if fill_value is not None:
@@ -222,7 +229,6 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
         if np.any(stored == fill):
             raise ValueError(f"fill_value {fill_value!r} equals a data value in {dtype}")
         stored[np.isnan(stored)] = fill
-    stored.tofile(path)
     sidecar = {
         "shape": list(cube.shape),
         "dtype": dtype,
@@ -230,8 +236,10 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
         "order": "C",
         "grid_meta": asdict(cube.grid_meta) if cube.grid_meta else None,
     }
+    text = json.dumps(sidecar, sort_keys=True, indent=2)
+    stored.tofile(path)
     with open(_sidecar_path(path), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
+        fh.write(text)
 
 
 def load_cube(path) -> DataCube:

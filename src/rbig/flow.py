@@ -13,8 +13,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import reprlib
+import threading
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -51,6 +55,76 @@ __all__ = ["FitConfig", "GaussLayer", "GaussModel", "fit", "load_model", "MODEL_
 
 MODEL_FORMAT = "rbig-model"
 MODEL_VERSION = 3
+
+
+# Rows from which a layer's columns run on the thread pool.  The column
+# kernels (binning, ndtri, ndtr) release the GIL, but each pooled call pays a
+# hand-off.  Per column-layer of a 49-column fit on a 2-CPU x86_64 host, the
+# pool lost at 20,000 rows and won from 30,000 (README, "Column threads").
+_POOL_MIN_ROWS = 2**15
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _column_pool() -> ThreadPoolExecutor | None:
+    """The process's column pool, one worker per usable CPU, made on first
+    use; None on a single CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            workers = _cpu_count()
+            if workers >= 2:
+                _pool = ThreadPoolExecutor(workers, thread_name_prefix="rbig-columns")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the parent's worker threads: it makes its own.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map_columns(fn, n_rows: int, n_cols: int):
+    """Yield ``fn(j)`` for each column ``j`` in column order.
+
+    The calls run on the column pool when there are 2 or more columns of at
+    least ``_POOL_MIN_ROWS`` rows and 2 or more CPUs, else one by one on the
+    calling thread.  ``fn`` must touch only column ``j``'s data.  Results
+    come back in column order whatever order the calls finish in, so every
+    sum the caller takes over them is the serial sum.  A failing call
+    raises its exception when its result is reached, so the first failing
+    column's error is the one raised, as in the serial order; calls not yet
+    started are then cancelled and running ones waited for.
+    """
+    pool = None
+    if n_cols >= 2 and n_rows >= _POOL_MIN_ROWS:
+        pool = _column_pool()
+    if pool is None:
+        for j in range(n_cols):
+            yield fn(j)
+        return
+    futures = deque(pool.submit(fn, j) for j in range(n_cols))
+    try:
+        while futures:
+            # Dropped once read, so only columns finished ahead of the
+            # caller are held.
+            yield futures.popleft().result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _is_integer(value) -> bool:
@@ -200,11 +274,16 @@ class GaussModel:
             (rotations contribute zero).
         """
         x = self._check(data)
-        logjac = np.zeros(x.shape[0])
+        n, d = x.shape
+        logjac = np.zeros(n)
         for layer in self.layers:
             z = np.empty_like(x)
-            for j, g in enumerate(layer.gaussianizers):
-                z[:, j], lj = g.forward(x[:, j])
+
+            def forward(j):
+                z[:, j], lj = layer.gaussianizers[j].forward(x[:, j])
+                return lj
+
+            for lj in _map_columns(forward, n, d):
                 logjac += lj
             x = rotate(layer.rotation, z)
         return x, logjac
@@ -216,12 +295,17 @@ class GaussModel:
         ``z`` is left unchanged.
         """
         x = self._check(z)
+        n, d = x.shape
         for layer in reversed(self.layers):
             # rotate_inverse returns a fresh column-contiguous array, so each
             # marginal inverse reads a contiguous column and writes it back.
             x = rotate_inverse(layer.rotation, x)
-            for j, g in enumerate(layer.gaussianizers):
-                x[:, j] = g.inverse(x[:, j])
+
+            def invert(j):
+                x[:, j] = layer.gaussianizers[j].inverse(x[:, j])
+
+            for _ in _map_columns(invert, n, d):
+                pass
         return x
 
     def log_density(self, data):
@@ -539,18 +623,20 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     clamp_eps = default_clamp_eps(n)
     seed_rng = np.random.default_rng(config.seed)
 
-    h_input = np.array([marginal_entropy(x[:, j], bins) for j in range(d)])
+    h_input = np.array(list(_map_columns(lambda j: marginal_entropy(x[:, j], bins), n, d)))
     layers: list[GaussLayer] = []
     non_gauss: list[float] = []
     below = 0
     converged = False
     for _ in range(config.max_layers):
-        gaussianizers = tuple(
-            fit_gaussianizer(x[:, j], bins) for j in range(d)
-        )
         z = np.empty_like(x)
-        for j, g in enumerate(gaussianizers):
+
+        def gaussianize(j):
+            g = fit_gaussianizer(x[:, j], bins)
             z[:, j], _ = g.forward(x[:, j])
+            return g
+
+        gaussianizers = tuple(_map_columns(gaussianize, n, d))
         if config.rotation_kind == KIND_PCA:
             rotation = fit_pca_rotation(z)
         else:
@@ -563,17 +649,21 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         spans = x.max(axis=0) - x.min(axis=0)
         degenerate = spans == 0.0
         h_floor = math.log2(clamp_eps)
-        delta_t = 0.0
-        j_m = 0.0
-        for j in range(d):
+
+        def entropy_and_kl(j):
             if degenerate[j]:
                 value = x[0, j]
-                h_j = h_floor
                 cross = (0.5 * value * value + 0.5 * math.log(2 * math.pi)) / LN2
-                j_m += cross - h_floor
-            else:
-                h_j = marginal_entropy(x[:, j], bins)
-                j_m += marginal_kl_to_standard_normal(x[:, j], bins)
+                return h_floor, cross - h_floor
+            return (
+                marginal_entropy(x[:, j], bins),
+                marginal_kl_to_standard_normal(x[:, j], bins),
+            )
+
+        delta_t = 0.0
+        j_m = 0.0
+        for h_j, kl_j in _map_columns(entropy_and_kl, n, d):
+            j_m += kl_j
             delta_t += GAUSS_ENTROPY_BITS - h_j
         layers.append(
             GaussLayer(gaussianizers=gaussianizers, rotation=rotation, delta_t=delta_t)

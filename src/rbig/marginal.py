@@ -309,6 +309,21 @@ def _knot_grid(x_min, x_max, bins: int) -> np.ndarray:
     return np.concatenate([lo, grid, hi], axis=-1)
 
 
+def _bin_counts(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Counts of 1-D ``x`` in the equal-width bins of a knot grid.
+
+    The bins are the grid's interior segments, from ``grid[1]`` to
+    ``grid[-2]``; every value must lie in that range.  A value equal to its
+    upper end counts in the last bin.  The counts equal ``np.histogram(x,
+    bins, range=(grid[1], grid[-2]))[0]``, whose edges are the same
+    ``linspace``: both place a value between the two edges that bracket it.
+    """
+    bins = grid.size - 3
+    seg, _, _ = _segment(grid, x)
+    np.minimum(seg, bins, out=seg)
+    return np.bincount(seg, minlength=bins + 1)[1:]
+
+
 def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
     """Fit a piecewise-linear empirical CDF to a 1-D sample.
 
@@ -337,13 +352,14 @@ def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
     x_max = float(xs.max())
     if x_max == x_min:
         raise DegenerateDimension("sample has zero range")
-    counts, _ = np.histogram(xs, bins=bins, range=(x_min, x_max))
+    knots_x = _knot_grid(x_min, x_max, bins)
+    counts = _bin_counts(xs, knots_x)
     weights = np.concatenate([[HIST_SMOOTHING], counts + HIST_SMOOTHING, [HIST_SMOOTHING]])
     knots_p = np.concatenate([[0.0], np.cumsum(weights)])
     knots_p /= knots_p[-1]
     knots_p[-1] = 1.0
     return MarginalUniformizer(
-        knots_x=_knot_grid(x_min, x_max, bins),
+        knots_x=knots_x,
         knots_p=knots_p,
         clamp_eps=default_clamp_eps(xs.size),
     )
@@ -388,26 +404,36 @@ def probit(p):
     return z
 
 
-def _hist_entropy(x: np.ndarray, bins: int):
-    """Histogram entropy of ``x`` in bits, with the bin probabilities and
-    centers (see :func:`marginal_entropy`)."""
-    counts, edges = np.histogram(x, bins=bins)
-    probs = counts / x.size
+def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
+    """Histogram entropy of ``x`` over its range ``[x_min, x_max]``, in bits,
+    with the bin probabilities and centers (see :func:`marginal_entropy`)."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    grid = _knot_grid(x_min, x_max, bins)
+    edges = grid[1:-1]
     widths = np.diff(edges)
+    if not np.all(widths > 0):
+        raise ValueError(
+            f"cannot make {bins} bins of positive width over [{x_min!r}, {x_max!r}]"
+        )
+    probs = _bin_counts(x, grid) / x.size
     nz = probs > 0
     h = -np.sum(probs[nz] * np.log2(probs[nz] / widths[nz]))
-    h += (int(np.count_nonzero(counts)) - 1) / (2.0 * x.size * LN2)
+    h += (int(np.count_nonzero(nz)) - 1) / (2.0 * x.size * LN2)
     return float(h), probs, 0.5 * (edges[:-1] + edges[1:])
 
 
-def _validate_entropy_input(x) -> np.ndarray:
+def _validate_entropy_input(x):
+    """The sample as a 1-D array, with its minimum and maximum."""
     xs = _as_float_array(x).ravel()
     if xs.size < 10:
         raise ValueError("need at least 10 samples for an entropy estimate")
     _require_finite(xs, "x")
-    if xs.max() == xs.min():
+    x_min = float(xs.min())
+    x_max = float(xs.max())
+    if x_max == x_min:
         raise DegenerateDimension("sample has zero range")
-    return xs
+    return xs, x_min, x_max
 
 
 def default_bins(n: int) -> int:
@@ -426,10 +452,10 @@ def marginal_entropy(x, bins: int | None = None) -> float:
     ``H = -sum_k p_k log2(p_k / w_k) + (m - 1) / (2 N ln 2)`` where ``m``
     counts non-empty bins and ``w_k`` are bin widths.
     """
-    xs = _validate_entropy_input(x)
+    xs, x_min, x_max = _validate_entropy_input(x)
     if bins is None:
         bins = default_bins(xs.size)
-    return _hist_entropy(xs, bins)[0]
+    return _hist_entropy(xs, x_min, x_max, bins)[0]
 
 
 def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
@@ -439,10 +465,10 @@ def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
     centers) minus the histogram entropy estimate, sharing the bins with
     :func:`marginal_entropy`.
     """
-    xs = _validate_entropy_input(x)
+    xs, x_min, x_max = _validate_entropy_input(x)
     if bins is None:
         bins = default_bins(xs.size)
-    h, probs, centers = _hist_entropy(xs, bins)
+    h, probs, centers = _hist_entropy(xs, x_min, x_max, bins)
     log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
     cross = -float(np.sum(probs * log2_phi))
     return cross - h

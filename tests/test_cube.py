@@ -184,6 +184,34 @@ class TestCubeIO:
             save_cube(path, DataCube(values), dtype=dtype, fill_value=fill)
         assert not path.exists()
 
+    @pytest.mark.parametrize("fill", [np.float32(-9999), np.int16(-9999)], ids=["float32", "int16"])
+    def test_numpy_scalar_fill_value(self, tmp_path, fill):
+        values = np.random.default_rng(12).standard_normal((4, 3, 3))
+        values[2, 0, 1] = np.nan
+        path = tmp_path / "cube32.bin"
+        save_cube(path, DataCube(values), dtype="float32", fill_value=fill)
+        sidecar = json.loads((tmp_path / "cube32.bin.json").read_text())
+        assert sidecar["fill_value"] == -9999.0
+        assert np.array_equal(np.isnan(load_cube(path).values), np.isnan(values))
+
+    @pytest.mark.parametrize("fill", [True, "-9999", 1 + 2j], ids=["bool", "str", "complex"])
+    def test_non_real_fill_value_rejected(self, tmp_path, fill):
+        path = tmp_path / "cube.bin"
+        with pytest.raises(ValueError, match="^fill_value must be a real number, got "):
+            save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11), fill_value=fill)
+        assert not path.exists()
+
+    def test_sidecar_encoded_before_any_file_is_written(self, tmp_path):
+        cube = DataCube(
+            np.random.default_rng(13).standard_normal((4, 3, 3)),
+            grid_meta=GridMeta(lat_origin=np.float32(40.0)),
+        )
+        path = tmp_path / "cube.bin"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_cube(path, cube)
+        assert not path.exists()
+        assert not (tmp_path / "cube.bin.json").exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +21,9 @@ from rbig import (
     MarginalUniformizer,
     NotConvergedWarning,
     fit,
+    mutual_information,
 )
+from rbig import flow
 from rbig.synth import equicorrelated_gaussian, gaussian_mixture, noisy_sine
 
 
@@ -380,3 +386,156 @@ class TestDeterminism:
         data = equicorrelated_gaussian(5000, 2, 0.5, 22)
         cfg = FitConfig(rotation_kind="random", seed=23)
         assert fit(data, cfg).to_dict() == fit(data, cfg).to_dict()
+
+
+def skewed(n, seed):
+    """N x 3 rows: a correlated Gaussian with one log-normal column."""
+    x = equicorrelated_gaussian(n, 3, 0.6, seed)
+    x[:, 0] = np.exp(x[:, 0])
+    return x
+
+
+@pytest.fixture
+def both(monkeypatch):
+    """``run(fn)`` returns ``fn()`` run serially, then on a fresh pool.
+
+    The pooled run takes every column-layer, whatever its row count, on 4
+    workers (more than the CPUs of a small host) with a short thread switch
+    interval, so workers interleave often.
+    """
+
+    def run(fn):
+        serial = fn()
+        interval = sys.getswitchinterval()
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_POOL_MIN_ROWS", 1)
+            m.setattr(flow, "_cpu_count", lambda: 4)
+            m.setattr(flow, "_pool", None)
+            sys.setswitchinterval(1e-6)
+            try:
+                pooled = fn()
+                assert flow._pool is not None, "the columns did not run on the pool"
+            finally:
+                sys.setswitchinterval(interval)
+                if flow._pool is not None:
+                    flow._pool.shutdown()
+        return serial, pooled
+
+    return run
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+PCA_AND_HAAR = pytest.mark.parametrize("kind", ["pca", "random"])
+
+
+class TestColumnPool:
+    @PCA_AND_HAAR
+    def test_fit_saves_same_bytes(self, both, kind, tmp_path):
+        x = skewed(3000, 31)
+        serial, pooled = both(lambda: fit(x, FitConfig(rotation_kind=kind, seed=32)))
+        serial.save(tmp_path / "serial.json")
+        pooled.save(tmp_path / "pooled.json")
+        assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "pooled.json").read_bytes()
+
+    @PCA_AND_HAAR
+    def test_queries_bit_identical(self, both, kind):
+        model = fit(skewed(3000, 33), FitConfig(rotation_kind=kind, seed=34))
+        # Scaled out of the training support, so the tails run too.
+        q = 1.5 * skewed(2000, 35)
+
+        def queries():
+            z, logjac = model.transform(q)
+            return z, logjac, model.log_density(q), model.inverse(z), model.sample(1000, seed=36)
+
+        serial, pooled = both(queries)
+        for a, b in zip(serial, pooled):
+            assert same_bits(a, b)
+
+    def test_logjac_summed_in_column_order_when_columns_finish_out_of_order(
+        self, both, monkeypatch
+    ):
+        x = skewed(3000, 37)
+        model = fit(x, FitConfig(seed=38))
+        rank = {id(g): j for layer in model.layers for j, g in enumerate(layer.gaussianizers)}
+        forward = MarginalGaussianizer.forward
+
+        def first_columns_last(self, v):
+            time.sleep(0.01 * (model.dim - rank[id(self)]))
+            return forward(self, v)
+
+        monkeypatch.setattr(MarginalGaussianizer, "forward", first_columns_last)
+        serial, pooled = both(lambda: model.transform(x))
+        assert same_bits(serial[1], pooled[1])
+
+    def test_mutual_information_bit_identical(self, both):
+        d = skewed(3000, 39)
+        serial, pooled = both(lambda: mutual_information(d[:, :2], d[:, 2]).raw_value_bits)
+        assert serial == pooled
+
+    def test_fit_error_same_through_pool(self, both):
+        x = np.random.default_rng(40).standard_normal((5, 3))
+
+        def error():
+            with pytest.raises(ValueError) as info:
+                fit(x)
+            return type(info.value), str(info.value)
+
+        serial, pooled = both(error)
+        assert serial == pooled == (ValueError, "need at least 10 samples for an entropy estimate")
+
+    def test_first_failing_column_raises_and_pending_columns_are_cancelled(self, monkeypatch):
+        monkeypatch.setattr(flow, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(flow, "_pool", None)
+        started = []
+
+        def column(j):
+            started.append(j)
+            # Column 3 fails first in time; column 1 fails first in order.
+            time.sleep(0.05 if j == 1 else 0.002)
+            if j in (1, 3):
+                raise ValueError(f"column {j}")
+            return j
+
+        try:
+            with pytest.raises(ValueError, match="^column 1$"):
+                list(flow._map_columns(column, flow._POOL_MIN_ROWS, 1000))
+        finally:
+            flow._pool.shutdown()
+        assert len(started) < 1000
+
+    def test_single_cpu_makes_no_pool(self, monkeypatch):
+        monkeypatch.setattr(flow.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(flow, "_POOL_MIN_ROWS", 1)
+        monkeypatch.setattr(flow, "_pool", None)
+        fit(skewed(500, 41))
+        assert flow._pool is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self):
+        # The child inherits the parent's pool object but not its threads;
+        # work handed to that pool would never run.
+        script = (
+            "import os\n"
+            "import signal\n"
+            "import numpy as np\n"
+            "from rbig import fit, flow\n"
+            "flow._POOL_MIN_ROWS = 1\n"
+            "flow._cpu_count = lambda: 2\n"
+            "x = np.random.default_rng(0).standard_normal((500, 3))\n"
+            "model = fit(x)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    model.transform(x)\n"
+            "    os._exit(0)\n"
+            "_, status = os.waitpid(pid, 0)\n"
+            "raise SystemExit(os.waitstatus_to_exitcode(status))\n"
+        )
+        src = os.path.dirname(os.path.dirname(rbig.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+        assert result.returncode == 0

@@ -20,7 +20,7 @@ from rbig import (
     normal_cdf,
     probit,
 )
-from rbig.marginal import _knot_grid, _p_segment, _segment, default_bins
+from rbig.marginal import _bin_counts, _knot_grid, _p_segment, _segment, default_bins
 
 
 def erf_cdf(z):
@@ -131,6 +131,38 @@ class TestFitUniformizer:
         grids = _knot_grid(np.array([lo, -1.0]), np.array([hi, 2.0]), bins)
         assert np.array_equal(grids[0], ref)
         assert np.array_equal(grids[1], _knot_grid(-1.0, 2.0, bins))
+
+
+# Samples for the bin-count property: smooth, heavy-tailed, lattice (every
+# value tied, many on bin edges) and a range of a few hundred ulps.
+BIN_COUNT_DRAWS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "lognormal": lambda rng, n: rng.lognormal(size=n),
+    "cauchy": lambda rng, n: rng.standard_cauchy(n),
+    "lattice": lambda rng, n: rng.integers(-3, 4, n).astype(float),
+    "near-one": lambda rng, n: 1.0 + 1e-9 * rng.uniform(size=n),
+}
+
+
+class TestBinCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(BIN_COUNT_DRAWS)),
+        scale=st.sampled_from([1e-200, 1.0, 1e200]),
+        n=st.integers(2, 2000),
+        bins=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_and_edges_equal_histogram(self, kind, scale, n, bins, seed):
+        x = scale * BIN_COUNT_DRAWS[kind](np.random.default_rng(seed), n)
+        lo, hi = x.min(), x.max()
+        if lo == hi:
+            return
+        grid = _knot_grid(lo, hi, bins)
+        counts, edges = np.histogram(x, bins, range=(lo, hi))
+        assert np.array_equal(_bin_counts(x, grid), counts)
+        assert np.array_equal(grid[1:-1], edges)
+        assert np.array_equal(np.histogram(x, bins)[1], edges)
 
 
 class TestUniformizeForward:

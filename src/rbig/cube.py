@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InfeasibleBudget, PatchLargerThanCube, SeriesTooShort
+from .flow import _is_finite_number
 
 __all__ = [
     "GridMeta",
@@ -203,6 +204,11 @@ def lag_embed(series, lags: int) -> np.ndarray:
     return x[idx]
 
 
+def _is_real(value) -> bool:
+    """True for an int or float (numpy's too), never for a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
@@ -219,7 +225,7 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
     if dtype not in ("float32", "float64"):
         raise ValueError("dtype must be 'float32' or 'float64'")
     if fill_value is not None:
-        if isinstance(fill_value, bool) or not isinstance(fill_value, numbers.Real):
+        if not _is_real(fill_value):
             raise ValueError(f"fill_value must be a real number, got {fill_value!r}")
         fill_value = float(fill_value)
     np_dtype = "<f4" if dtype == "float32" else "<f8"
@@ -246,8 +252,11 @@ def load_cube(path) -> DataCube:
     """Load a cube written by :func:`save_cube` (binary + JSON sidecar).
 
     A sidecar that is not a JSON object, whose ``shape`` is not a list of
-    sizes, whose ``dtype`` is not ``float32``/``float64`` or whose ``order``
-    is not ``"C"`` raises ``ValueError``.
+    sizes holding as many values as the payload, whose ``dtype`` is not
+    ``float32``/``float64``, whose ``order`` is not ``"C"``, whose
+    ``fill_value`` is not null or a real number, or whose ``grid_meta`` is
+    not null or an object of :class:`GridMeta` fields holding finite numbers
+    or null raises ``ValueError``.
     """
     with open(_sidecar_path(path)) as fh:
         sidecar = json.load(fh)
@@ -261,14 +270,32 @@ def load_cube(path) -> DataCube:
         raise ValueError(f"cube sidecar dtype must be 'float32' or 'float64', got {dtype!r}")
     if order != "C":
         raise ValueError(f"cube sidecar order must be 'C', got {order!r}")
-    np_dtype = "<f4" if dtype == "float32" else "<f8"
-    stored = np.fromfile(path, dtype=np_dtype).reshape(shape)
-    values = stored.astype(float)
     fill = sidecar.get("fill_value")
+    if fill is not None and not _is_real(fill):
+        raise ValueError(f"cube sidecar fill_value must be a real number, got {fill!r}")
+    meta = sidecar.get("grid_meta")
+    names = {f.name for f in fields(GridMeta)}
+    if meta is not None and not (
+        isinstance(meta, dict)
+        and set(meta) <= names
+        and all(v is None or _is_finite_number(v) for v in meta.values())
+    ):
+        raise ValueError(
+            "cube sidecar grid_meta must be null or an object of GridMeta fields,"
+            f" each a finite number or null, got {meta!r}"
+        )
+    np_dtype = "<f4" if dtype == "float32" else "<f8"
+    stored = np.fromfile(path, dtype=np_dtype)
+    size = math.prod(shape)
+    if stored.size != size:
+        raise ValueError(
+            f"cube sidecar shape {shape} holds {size} values, the payload {stored.size}"
+        )
+    stored = stored.reshape(shape)
+    values = stored.astype(float)
     if fill is not None:
         # Mask in the stored dtype: save_cube rounded the fill value to it.
         values[stored == np.array(fill, dtype=np_dtype)] = np.nan
-    meta = sidecar.get("grid_meta")
     return DataCube(values=values, grid_meta=GridMeta(**meta) if meta else None)
 
 

@@ -10,6 +10,7 @@ used by the information measures.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import numbers
@@ -19,7 +20,7 @@ import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .rotation import (
 __all__ = ["FitConfig", "GaussLayer", "GaussModel", "fit", "load_model", "MODEL_FORMAT"]
 
 MODEL_FORMAT = "rbig-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 # Rows from which a layer's columns run on the thread pool.  The column
@@ -187,52 +188,111 @@ class FitConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "FitConfig":
         """Rebuild a config from a dict holding exactly its field names."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"config must be an object, got {reprlib.repr(doc)}")
-        names = [f.name for f in fields(cls)]
-        for name in names:
-            if name not in doc:
-                raise ValueError(f"config field {name} is missing")
-        for key in doc:
-            if key not in names:
-                raise ValueError(f"{key} is not a config field")
+        _exact_keys(doc, [f.name for f in fields(cls)], "config")
         return cls(**doc)
+
+
+def _exact_keys(doc, names, kind: str) -> None:
+    """Require a dict holding exactly the keys ``names``, else a one-line
+    ``ValueError`` calling it a ``kind``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} must be an object, got {reprlib.repr(doc)}")
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"{kind} field {name} is missing")
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"{key} is not a {kind} field")
 
 
 @dataclass(frozen=True)
 class GaussLayer:
-    """One iteration: D marginal Gaussianizers, a rotation, and its delta-T."""
+    """One iteration: D marginal knot tables, a rotation and its delta-T.
 
-    gaussianizers: tuple[MarginalGaussianizer, ...]
+    A layer holds what a model file stores: the range ends ``x_min`` and
+    ``x_max`` (D,) and the CDF values ``knots_p`` (D, K), K >= 5, as
+    read-only float64 arrays; one probability clamp; the rotation; and
+    ``delta_t``, a finite float.  ``gaussianizers[j]`` is built from row j
+    of ``_knot_grid(x_min, x_max, K - 3)`` and of ``knots_p`` (row views);
+    a table that fails its checks raises ``ValueError`` naming its column.
+    """
+
+    x_min: np.ndarray
+    x_max: np.ndarray
+    knots_p: np.ndarray
+    clamp_eps: float
     rotation: RotationMatrix
     delta_t: float
+    gaussianizers: tuple[MarginalGaussianizer, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.gaussianizers) != self.rotation.dim:
-            raise ValueError("one gaussianizer per rotation dimension required")
+        d = self.rotation.dim
+        for name in ("x_min", "x_max", "knots_p"):
+            a = np.array(getattr(self, name), dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        kp = self.knots_p
+        shapes = (self.x_min.shape, self.x_max.shape, kp.shape[:1], kp.ndim)
+        if shapes != ((d,), (d,), (d,), 2) or kp.shape[1] < 5:
+            raise ValueError(f"x_min and x_max need shape ({d},) and knots_p ({d}, K >= 5)")
+        if not _is_finite_number(self.delta_t):
+            raise ValueError(f"delta_t must be a finite number, got {self.delta_t!r}")
+        object.__setattr__(self, "delta_t", float(self.delta_t))
+        # A range near the float limit overflows to non-finite knots, which
+        # the table check rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            knots_x = _knot_grid(self.x_min, self.x_max, kp.shape[1] - 3)
+        gaussianizers = []
+        for j in range(d):
+            try:
+                table = MarginalUniformizer(knots_x[j], kp[j], self.clamp_eps)
+            except ValueError as exc:
+                raise ValueError(f"column {j}: {exc}") from None
+            gaussianizers.append(MarginalGaussianizer(table))
+        object.__setattr__(self, "gaussianizers", tuple(gaussianizers))
 
 
 @dataclass(frozen=True)
 class GaussModel:
-    """Fitted Gaussianization transform with its convergence bookkeeping."""
+    """Fitted Gaussianization transform with its convergence bookkeeping.
+
+    A model file stores one D, K and clamp, so every layer must have layer
+    0's ``knots_p`` shape and ``clamp_eps``, else construction raises
+    ``ValueError``.
+    """
 
     layers: tuple[GaussLayer, ...]
     marginal_entropies_input: np.ndarray
     non_gaussianity: np.ndarray
     config: FitConfig
     converged: bool
-    resolved_bins: int
-    resolved_clamp_eps: float
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("model needs at least one layer")
+        first = self.layers[0]
+        for i, layer in enumerate(self.layers):
+            if (layer.knots_p.shape, layer.clamp_eps) != (first.knots_p.shape, first.clamp_eps):
+                raise ValueError(
+                    f"layer {i} has knots_p of shape {layer.knots_p.shape} and clamp_eps"
+                    f" {layer.clamp_eps}, layer 0 {first.knots_p.shape} and {first.clamp_eps}"
+                )
         h = np.asarray(self.marginal_entropies_input, dtype=float)
         ng = np.asarray(self.non_gaussianity, dtype=float)
         object.__setattr__(self, "marginal_entropies_input", h)
         object.__setattr__(self, "non_gaussianity", ng)
         h.setflags(write=False)
         ng.setflags(write=False)
+
+    @property
+    def resolved_bins(self) -> int:
+        """Histogram bins of every marginal table, K - 3."""
+        return self.layers[0].knots_p.shape[1] - 3
+
+    @property
+    def resolved_clamp_eps(self) -> float:
+        """The probability clamp shared by every marginal table."""
+        return self.layers[0].clamp_eps
 
     @property
     def dim(self) -> int:
@@ -334,61 +394,42 @@ class GaussModel:
         return self.inverse(z)
 
     def to_dict(self) -> dict:
-        """Model format 3 (see the README): per-layer arrays, one clamp.
-
-        A table that is not ``_knot_grid`` of its interior end knots, or
-        whose clamp is not ``resolved_clamp_eps``, raises ``ValueError``: the
-        file would reload as a different model.
-        """
-        bins = self.resolved_bins
-        layers = []
-        for i, layer in enumerate(self.layers):
-            tables = [g.uniformizer for g in layer.gaussianizers]
-            x_min = np.array([u.knots_x[1] for u in tables])
-            x_max = np.array([u.knots_x[-2] for u in tables])
-            grid = _knot_grid(x_min, x_max, bins)
-            for j, u in enumerate(tables):
-                if not np.array_equal(u.knots_x, grid[j]):
-                    raise ValueError(
-                        f"layer {i} column {j}: knots_x is not the knot grid of {bins} bins"
-                    )
-                if u.clamp_eps != self.resolved_clamp_eps:
-                    raise ValueError(
-                        f"layer {i} column {j}: clamp_eps {u.clamp_eps} differs from"
-                        f" resolved_clamp_eps {self.resolved_clamp_eps}"
-                    )
-            layers.append(
-                {
-                    "delta_t": layer.delta_t,
-                    "rotation": {
-                        "kind": layer.rotation.kind,
-                        "rank_deficient": layer.rotation.rank_deficient,
-                        "entries": layer.rotation.entries.tolist(),
-                    },
-                    "x_min": x_min.tolist(),
-                    "x_max": x_max.tolist(),
-                    "knots_p": [u.knots_p.tolist() for u in tables],
-                }
-            )
+        """Model format 4 (see the README): each array as base64 float64."""
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "config": self.config.to_dict(),
             "converged": self.converged,
+            "dim": self.dim,
             "resolved_bins": self.resolved_bins,
             "resolved_clamp_eps": self.resolved_clamp_eps,
-            "marginal_entropies_input": self.marginal_entropies_input.tolist(),
-            "non_gaussianity": self.non_gaussianity.tolist(),
-            "layers": layers,
+            "marginal_entropies_input": _encode(self.marginal_entropies_input),
+            "non_gaussianity": _encode(self.non_gaussianity),
+            "layers": [
+                {
+                    "delta_t": layer.delta_t,
+                    "rotation": {
+                        "kind": layer.rotation.kind,
+                        "rank_deficient": layer.rotation.rank_deficient,
+                        "entries": _encode(layer.rotation.entries),
+                    },
+                    "x_min": _encode(layer.x_min),
+                    "x_max": _encode(layer.x_max),
+                    "knots_p": _encode(layer.knots_p),
+                }
+                for layer in self.layers
+            ],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GaussModel":
-        """Rebuild a model from a format-3 document, checking every field.
+        """Rebuild a model from a format-4 document, checking every field.
 
-        A missing, unknown or ill-typed field, or an array of the wrong
-        shape, raises a one-line ``ValueError`` naming the field.  Version-1
-        and version-2 documents are not read; such models must be refit.
+        ``dim``, ``resolved_bins`` and the layer count fix every array's
+        shape.  A missing, unknown or ill-typed field, or an array of the
+        wrong length, raises a one-line ``ValueError`` naming the field.
+        Documents of earlier versions are not read; such models must be
+        refit.
         """
         if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ValueError("not a serialized model document")
@@ -397,6 +438,9 @@ class GaussModel:
             raise ValueError(f"unsupported model version: {version!r}")
         _fields(doc, _DOC_FIELDS, "")
         config = _build("config", FitConfig.from_dict, doc["config"])
+        dim = doc["dim"]
+        if type(dim) is not int or dim < 1:
+            raise _malformed("dim", "an integer >= 1", dim)
         bins = doc["resolved_bins"]
         if type(bins) is not int or bins < 2:
             raise _malformed("resolved_bins", "an integer >= 2", bins)
@@ -406,53 +450,28 @@ class GaussModel:
         records = doc["layers"]
         if not isinstance(records, list) or not records:
             raise _malformed("layers", "a non-empty list", records)
-        width = bins + 3
-        dim = None
         layers = []
         for i, rec in enumerate(records):
             where = f"layers[{i}]"
             _fields(rec, _LAYER_FIELDS, where)
-            rotation = _rotation(rec["rotation"], dim, f"{where}.rotation")
-            dim = rotation.dim
-            x_min = _vector(rec["x_min"], dim, f"{where}.x_min")
-            x_max = _vector(rec["x_max"], dim, f"{where}.x_max")
-            bad = np.flatnonzero(x_min >= x_max)
-            if bad.size:
-                j = bad[0]
-                above = f"above x_min[{j}] = {rec['x_min'][j]!r}"
-                raise _malformed(f"{where}.x_max[{j}]", above, rec["x_max"][j])
-            # Checked first, so the grid below is no larger than the file.
-            knots_p = _matrix(rec["knots_p"], dim, width, f"{where}.knots_p")
-            # A range near the float limit overflows to non-finite knots,
-            # which the table check rejects.
-            with np.errstate(over="ignore", invalid="ignore"):
-                knots_x = _knot_grid(x_min, x_max, bins)
-            gaussianizers = tuple(
-                MarginalGaussianizer(
-                    _build(
-                        f"{where}.knots_p[{j}]",
-                        MarginalUniformizer, knots_x[j], knots_p[j], clamp_eps,
-                    )
-                )
-                for j in range(dim)
-            )
-            layers.append(
-                GaussLayer(
-                    gaussianizers=gaussianizers,
-                    rotation=rotation,
-                    delta_t=_number(rec["delta_t"], f"{where}.delta_t"),
-                )
-            )
+            rot = rec["rotation"]
+            _fields(rot, _ROTATION_FIELDS, f"{where}.rotation")
+            entries = _array(rot["entries"], (dim, dim), f"{where}.rotation.entries")
+            deficient = _boolean(rot["rank_deficient"], f"{where}.rotation.rank_deficient")
+            rotation = _build(f"{where}.rotation", RotationMatrix, entries, rot["kind"], deficient)
+            x_min = _array(rec["x_min"], (dim,), f"{where}.x_min")
+            x_max = _array(rec["x_max"], (dim,), f"{where}.x_max")
+            knots_p = _array(rec["knots_p"], (dim, bins + 3), f"{where}.knots_p")
+            layer_args = (x_min, x_max, knots_p, clamp_eps, rotation, rec["delta_t"])
+            layers.append(_build(where, GaussLayer, *layer_args))
         return cls(
             layers=tuple(layers),
-            marginal_entropies_input=_vector(
-                doc["marginal_entropies_input"], dim, "marginal_entropies_input"
+            marginal_entropies_input=_array(
+                doc["marginal_entropies_input"], (dim,), "marginal_entropies_input"
             ),
-            non_gaussianity=_vector(doc["non_gaussianity"], len(layers), "non_gaussianity"),
+            non_gaussianity=_array(doc["non_gaussianity"], (len(layers),), "non_gaussianity"),
             config=config,
             converged=_boolean(doc["converged"], "converged"),
-            resolved_bins=bins,
-            resolved_clamp_eps=clamp_eps,
         )
 
     def save(self, path) -> None:
@@ -473,13 +492,15 @@ class GaussModel:
             return cls.from_dict(json.load(fh))
 
 
-# Model document schema, format 3.  Every check raises a one-line
+# Model document schema, format 4.  Every check raises a one-line
 # ValueError naming the field.  JSON numbers load as int or float; bool, a
-# subclass of int, is neither.
+# subclass of int, is neither.  An array is the base64 text of its
+# little-endian float64 values in C order: far smaller than a list of
+# numbers, and its length is known from its shape before it is decoded.
 
 _DOC_FIELDS = (
-    "format", "version", "config", "converged", "resolved_bins", "resolved_clamp_eps",
-    "marginal_entropies_input", "non_gaussianity", "layers",
+    "format", "version", "config", "converged", "dim", "resolved_bins",
+    "resolved_clamp_eps", "marginal_entropies_input", "non_gaussianity", "layers",
 )
 _LAYER_FIELDS = ("delta_t", "rotation", "x_min", "x_max", "knots_p")
 _ROTATION_FIELDS = ("kind", "rank_deficient", "entries")
@@ -512,72 +533,40 @@ def _fields(value, names, field: str) -> None:
             raise ValueError(f"malformed model document: {prefix}{name} is not a model field")
 
 
-def _number(value, field: str) -> float:
-    if not _is_finite_number(value):
-        raise _malformed(field, "a finite number", value)
-    return float(value)
-
-
 def _boolean(value, field: str) -> bool:
     if type(value) is not bool:
         raise _malformed(field, "true or false", value)
     return value
 
 
-def _name_bad_item(value: list, field: str) -> None:
-    """Raise for the first item of ``value`` that is not a finite number."""
-    for k, v in enumerate(value):
-        if not _is_finite_number(v):
-            raise _malformed(f"{field}[{k}]", "a finite number", v)
+def _encode(a: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _check_list(value, length: int, field: str) -> None:
-    """Length and item types of one list; finiteness is checked on the array."""
-    if not isinstance(value, list) or len(value) != length:
-        raise _malformed(field, f"a list of {length} finite numbers", value)
-    if not set(map(type, value)) <= {int, float}:
-        _name_bad_item(value, field)
+def _array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """Decode an array field of the given shape; every item must be finite.
 
-
-def _finite_array(value) -> np.ndarray | None:
-    """Type-checked lists as one float array, or None if an item is not finite."""
+    The text's length is checked before it is decoded, so a shape far
+    larger than the text allocates nothing.
+    """
+    size = math.prod(shape)
+    length = 4 * -(-8 * size // 3)
+    expected = f"the base64 of {size} float64 values ({length} characters)"
+    if not isinstance(value, str) or len(value) != length:
+        raise _malformed(field, expected, value)
     try:
-        a = np.array(value, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        return None
-    return a if np.isfinite(a).all() else None
-
-
-def _vector(value, length: int, field: str) -> np.ndarray:
-    _check_list(value, length, field)
-    a = _finite_array(value)
-    if a is None:
-        _name_bad_item(value, field)
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise _malformed(field, "base64 text", value) from None
+    if len(raw) != 8 * size:  # padding that does not fit the length
+        raise _malformed(field, expected, value)
+    a = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    finite = np.isfinite(a)
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), shape)
+        item = field + "".join(f"[{k}]" for k in index)
+        raise _malformed(item, "a finite number", float(a[index]))
     return a
-
-
-def _matrix(value, rows: int, cols: int, field: str) -> np.ndarray:
-    """A ``rows x cols`` float array, one allocation."""
-    if not isinstance(value, list) or len(value) != rows:
-        raise _malformed(field, f"a list of {rows} rows of {cols} finite numbers", value)
-    for r, row in enumerate(value):
-        _check_list(row, cols, f"{field}[{r}]")
-    a = _finite_array(value)
-    if a is None:
-        for r, row in enumerate(value):
-            _name_bad_item(row, f"{field}[{r}]")
-    return a
-
-
-def _rotation(value, dim: int | None, field: str) -> RotationMatrix:
-    """Rotation record; the first layer's (``dim`` None) sets the dimension."""
-    _fields(value, _ROTATION_FIELDS, field)
-    entries = value["entries"]
-    if dim is None:
-        dim = len(entries) if isinstance(entries, list) and entries else 1
-    m = _matrix(entries, dim, dim, f"{field}.entries")
-    rank_deficient = _boolean(value["rank_deficient"], f"{field}.rank_deficient")
-    return _build(field, RotationMatrix, m, value["kind"], rank_deficient)
 
 
 def load_model(path) -> GaussModel:
@@ -624,7 +613,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     seed_rng = np.random.default_rng(config.seed)
 
     h_input = np.array(list(_map_columns(lambda j: marginal_entropy(x[:, j], bins), n, d)))
-    layers: list[GaussLayer] = []
+    fitted = []  # (tables, rotation, delta_t) per layer
     non_gauss: list[float] = []
     below = 0
     converged = False
@@ -636,7 +625,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             z[:, j], _ = g.forward(x[:, j])
             return g
 
-        gaussianizers = tuple(_map_columns(gaussianize, n, d))
+        tables = [g.uniformizer for g in _map_columns(gaussianize, n, d)]
         if config.rotation_kind == KIND_PCA:
             rotation = fit_pca_rotation(z)
         else:
@@ -665,9 +654,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         for h_j, kl_j in _map_columns(entropy_and_kl, n, d):
             j_m += kl_j
             delta_t += GAUSS_ENTROPY_BITS - h_j
-        layers.append(
-            GaussLayer(gaussianizers=gaussianizers, rotation=rotation, delta_t=delta_t)
-        )
+        fitted.append((tables, rotation, delta_t))
         non_gauss.append(j_m)
         if degenerate.any():
             converged = True
@@ -681,12 +668,25 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             f"fit hit max_layers={config.max_layers} before converging",
             NotConvergedWarning,
         )
+    # The layers' blocks are allocated once the N x D matrices are freed:
+    # allocated between them, they split or pin the freed heap (peak RSS
+    # +10 MB over repeated 38,686 x 49 fits).
+    del x, z
+    layers = tuple(
+        GaussLayer(
+            x_min=np.array([u.knots_x[1] for u in tables]),
+            x_max=np.array([u.knots_x[-2] for u in tables]),
+            knots_p=np.array([u.knots_p for u in tables]),
+            clamp_eps=clamp_eps,
+            rotation=rotation,
+            delta_t=delta_t,
+        )
+        for tables, rotation, delta_t in fitted
+    )
     return GaussModel(
-        layers=tuple(layers),
+        layers=layers,
         marginal_entropies_input=h_input,
         non_gaussianity=np.array(non_gauss),
         config=config,
         converged=converged,
-        resolved_bins=bins,
-        resolved_clamp_eps=clamp_eps,
     )

@@ -9,12 +9,12 @@ the concatenation of their independently Gaussianized versions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import PairedLengthMismatch
-from .flow import FitConfig, GaussModel, fit
+from .flow import FitConfig, GaussModel, _exact_keys, fit
 
 __all__ = [
     "ITReport",
@@ -63,6 +63,8 @@ class ITReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ITReport":
+        """Rebuild a report from a dict holding exactly its field names."""
+        _exact_keys(doc, [f.name for f in fields(cls)], "report")
         return cls(
             quantity=doc["quantity"],
             value_bits=doc["value_bits"],

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -193,15 +194,41 @@ def edited(path, value):
     return edit
 
 
-def without_layers(doc):
-    del doc["layers"]
-    return doc
+def without(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+
+    return edit
 
 
-def flat_cdf_segment(doc):
-    knots_p = doc["layers"][0]["knots_p"][0]
-    knots_p[2] = knots_p[1]
-    return doc
+def decoded_edit(path, change):
+    """Model-document edit applying ``change`` to the decoded array at ``path``."""
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        a = np.frombuffer(base64.b64decode(target[path[-1]]), dtype="<f8").copy()
+        target[path[-1]] = base64.b64encode(change(a).tobytes()).decode("ascii")
+        return doc
+
+    return edit
+
+
+def item(index, value):
+    """Array change setting flat item ``index`` to ``value``."""
+
+    def change(a):
+        a[index] = value
+        return a
+
+    return change
+
+
+# The test model: 500 x 2 rows, 22 bins, so knots_p is 2 x 25 and knots_p[1][3]
+# is flat item 28.
+KNOTS_P = ["layers", 0, "knots_p"]
 
 
 class TestTransformSample:
@@ -233,61 +260,80 @@ class TestTransformSample:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (without_layers, "malformed model document: layers is missing"),
+            (without("layers"), "malformed model document: layers is missing"),
             (lambda doc: [doc], "not a serialized model document"),
             (edited(["resolved_clamp_eps"], None),
              "malformed model document: resolved_clamp_eps must be a number in (0, 0.5), got None"),
-            (flat_cdf_segment, "malformed model document: layers[0].knots_p[0]: knot segment 1 "),
+            (decoded_edit(KNOTS_P, lambda a: item(2, a[1])(a)),
+             "malformed model document: layers[0]: column 0: knot segment 1 "),
             (edited(["version"], 1), "unsupported model version: 1"),
             (edited(["version"], 2), "unsupported model version: 2"),
+            (edited(["version"], 3), "unsupported model version: 3"),
             (edited(["layers", 0, "delta_t"], None),
-             "malformed model document: layers[0].delta_t must be a finite number, got None"),
+             "malformed model document: layers[0]: delta_t must be a finite number, got None"),
             (edited(["converged"], "yes"),
              "malformed model document: converged must be true or false, got 'yes'"),
             (edited(["resolved_bins"], None),
              "malformed model document: resolved_bins must be an integer >= 2, got None"),
             (edited(["resolved_bins"], float),
              "malformed model document: resolved_bins must be an integer >= 2, got 22.0"),
+            (without("dim"), "malformed model document: dim is missing"),
+            (edited(["dim"], True),
+             "malformed model document: dim must be an integer >= 1, got True"),
             (edited(["config", "seed"], True),
              "malformed model document: config: seed must be an integer, got True"),
             (edited(["config", "tol_delta_t"], 10**400),
              "malformed model document: config: tol_delta_t must be finite and > 0, got 1000"),
             (edited(["config", "tol_delta_t"], "0.01"),
              "malformed model document: config: tol_delta_t must be finite and > 0, got '0.01'"),
+            # Refused by the text's length, before anything is decoded.
             (edited(["resolved_bins"], 10**9),
-             "malformed model document: layers[0].knots_p[0] must be a list of 1000000003 finite"),
+             "malformed model document: layers[0].knots_p must be the base64 of 2000000006"
+             " float64 values (21333333400 characters), got '"),
             (edited(["resolved_bins"], 10**30),
-             "malformed model document: layers[0].knots_p[0] must be a list of"
-             " 1000000000000000000000000000003 finite"),
-            (edited(["marginal_entropies_input"], lambda h: h[:1]),
-             "malformed model document: marginal_entropies_input must be a list of 2 finite"),
+             "malformed model document: layers[0].knots_p must be the base64 of"
+             " 2000000000000000000000000000006 float64 values"
+             " (21333333333333333333333333333400 characters), got '"),
+            (decoded_edit(["marginal_entropies_input"], lambda h: h[:1]),
+             "malformed model document: marginal_entropies_input must be the base64 of 2"
+             " float64 values (24 characters), got '"),
             (edited(["layers", 0, "clamp_eps"], 0.3),
              "malformed model document: layers[0].clamp_eps is not a model field"),
-            (edited(["layers", 0, "rotation", "entries", 0, 0], math.nan),
+            (decoded_edit(["layers", 0, "rotation", "entries"], item(0, math.nan)),
              "malformed model document: layers[0].rotation.entries[0][0] must be a finite"
              " number, got nan"),
-            (edited(["layers", 0, "knots_p", 1], lambda row: row[:-1]),
-             "malformed model document: layers[0].knots_p[1] must be a list of 25 finite"),
-            (edited(["layers", 0, "x_max", 1], -1e300),
-             "malformed model document: layers[0].x_max[1] must be above x_min[1] = "),
-            (edited(["layers", 0, "x_max", 0], 1.7e308),
-             "malformed model document: layers[0].knots_p[0]: knot segment "),
-            (edited(["layers", 0, "x_min", 0], "0.5"),
-             "malformed model document: layers[0].x_min[0] must be a finite number, got '0.5'"),
-            (edited(["layers", 0, "knots_p", 0, 0], False),
-             "malformed model document: layers[0].knots_p[0][0] must be a finite number, got False"),
-            (edited(["layers", 0, "knots_p", 1, 3], math.inf),
-             "malformed model document: layers[0].knots_p[1][3] must be a finite number, got inf"),
-            (edited(["layers", 0, "x_min", 1], 10**400),
-             "malformed model document: layers[0].x_min[1] must be a finite number, got 1000"),
+            (decoded_edit(KNOTS_P, lambda a: a[:-1]),
+             "malformed model document: layers[0].knots_p must be the base64 of 50 float64"
+             " values (536 characters), got '"),
+            (decoded_edit(["layers", 0, "x_max"], item(1, -1e300)),
+             "malformed model document: layers[0]: column 1: knot segment 0 "),
+            (decoded_edit(["layers", 0, "x_max"], item(0, 1.7e308)),
+             "malformed model document: layers[0]: column 0: knot segment "),
+            (decoded_edit(KNOTS_P, item(28, math.inf)),
+             "malformed model document: layers[0].knots_p[1][3] must be a finite number,"
+             " got inf"),
+            (edited(["layers", 0, "x_min"], [0.5, 1.5]),
+             "malformed model document: layers[0].x_min must be the base64 of 2 float64"
+             " values (24 characters), got [0.5, 1.5]"),
+            (edited(["layers", 0, "x_max"], lambda text: text + "AAAA"),
+             "malformed model document: layers[0].x_max must be the base64 of 2 float64"
+             " values (24 characters), got '"),
+            # Decoded without validation, the rest would be 13 bytes.
+            (edited(["layers", 0, "x_min"], lambda text: "!!!!" + text[4:]),
+             "malformed model document: layers[0].x_min must be base64 text, got '!!!!"),
+            # The right length, but 18 bytes without the padding.
+            (edited(["layers", 0, "x_min"], lambda text: text[:-2] + "AA"),
+             "malformed model document: layers[0].x_min must be the base64 of 2 float64"
+             " values (24 characters), got '"),
         ],
         ids=[
             "no-layers", "json-array", "null-clamp-eps", "flat-cdf-segment", "version-1",
-            "version-2", "null-delta-t", "string-converged", "null-resolved-bins",
-            "float-resolved-bins", "bool-seed", "huge-tol", "string-tol", "huge-resolved-bins",
-            "absurd-resolved-bins", "short-entropies", "layer-clamp-eps", "nan-rotation-entry",
-            "short-knots-p-row", "x-max-below-x-min", "overflowing-range",
-            "string-x-min", "bool-knot", "infinite-knot", "huge-int-x-min",
+            "version-2", "version-3", "null-delta-t", "string-converged",
+            "null-resolved-bins", "float-resolved-bins", "no-dim", "bool-dim", "bool-seed",
+            "huge-tol", "string-tol", "huge-resolved-bins", "absurd-resolved-bins",
+            "short-entropies", "layer-clamp-eps", "nan-rotation-entry", "short-knots-p-row",
+            "x-max-below-x-min", "overflowing-range", "infinite-knot", "list-x-min",
+            "long-x-max", "non-base64-x-min", "unpadded-x-min",
         ],
     )
     def test_malformed_model_exit_1(self, tmp_path, capsys, edit, message):

@@ -138,6 +138,11 @@ class TestLagEmbed:
         assert per_feature == pytest.approx(GAUSS_ENTROPY_BITS, abs=0.1)
 
 
+GRID_META_RULE = (
+    "grid_meta must be null or an object of GridMeta fields, each a finite number or null"
+)
+
+
 class TestCubeIO:
     def test_roundtrip_float64(self, tmp_path):
         cube = ar1_cube(10, 6, 5, phi=0.5, seed=6)
@@ -219,8 +224,20 @@ class TestCubeIO:
             ("order", "F", "order must be 'C', got 'F'"),
             ("shape", None, "shape must be a list of sizes, got None"),
             ("shape", [4, 3, -1], "shape must be a list of sizes, got [4, 3, -1]"),
+            ("shape", [2, 3, 5], "shape [2, 3, 5] holds 30 values, the payload 36"),
+            # true would mask every 1.0 cell.
+            ("fill_value", True, "fill_value must be a real number, got True"),
+            ("fill_value", "-9999", "fill_value must be a real number, got '-9999'"),
+            ("grid_meta", [1, 2], f"{GRID_META_RULE}, got [1, 2]"),
+            ("grid_meta", {"foo": 1}, f"{GRID_META_RULE}, got {{'foo': 1}}"),
+            ("grid_meta", {"lat_origin": "north"},
+             f"{GRID_META_RULE}, got {{'lat_origin': 'north'}}"),
         ],
-        ids=["int64-dtype", "fortran-order", "no-shape", "negative-size"],
+        ids=[
+            "int64-dtype", "fortran-order", "no-shape", "negative-size", "payload-size",
+            "bool-fill", "string-fill", "list-grid-meta", "foreign-grid-meta-key",
+            "string-lat-origin",
+        ],
     )
     def test_foreign_sidecar_rejected(self, tmp_path, capsys, key, value, message):
         # Read as float64 in C order, such a file would load as other values.

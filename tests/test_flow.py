@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -8,6 +9,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import rbig
@@ -18,7 +21,6 @@ from rbig import (
     GAUSS_ENTROPY_BITS,
     GaussModel,
     MarginalGaussianizer,
-    MarginalUniformizer,
     NotConvergedWarning,
     fit,
     mutual_information,
@@ -299,10 +301,9 @@ class TestNonGaussianityTrace:
         assert sine_model.non_gaussianity.size == sine_model.n_layers
 
 
-def move_third_knot(u):
-    kx = u.knots_x.copy()
-    kx[3] = 0.5 * (kx[3] + kx[4])
-    return MarginalUniformizer(kx, u.knots_p, u.clamp_eps)
+def decoded(text, shape):
+    """A format-4 array field, decoded here independently of the loader."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(shape)
 
 
 class TestSerialization:
@@ -325,40 +326,53 @@ class TestSerialization:
         sine_model.save(path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "rbig-model"
-        assert doc["version"] == 3
+        assert doc["version"] == 4
+        assert doc["dim"] == 2
         assert set(doc["config"]) == {f.name for f in fields(FitConfig)}
-        for layer in doc["layers"]:
-            assert set(layer) == {"delta_t", "rotation", "x_min", "x_max", "knots_p"}
+        k = doc["resolved_bins"] + 3
+        assert np.array_equal(
+            decoded(doc["non_gaussianity"], (sine_model.n_layers,)), sine_model.non_gaussianity
+        )
+        for record, layer in zip(doc["layers"], sine_model.layers, strict=True):
+            assert set(record) == {"delta_t", "rotation", "x_min", "x_max", "knots_p"}
+            # Each block is stored as the layer holds it, little-endian in C order.
+            assert same_bits(decoded(record["x_min"], (2,)), layer.x_min)
+            assert same_bits(decoded(record["x_max"], (2,)), layer.x_max)
+            assert same_bits(decoded(record["knots_p"], (2, k)), layer.knots_p)
+            entries = decoded(record["rotation"]["entries"], (2, 2))
+            assert same_bits(entries, np.ascontiguousarray(layer.rotation.entries))
 
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (move_third_knot, "knots_x is not the knot grid"),
-            (lambda u: MarginalUniformizer(u.knots_x, u.knots_p, 0.25),
-             "clamp_eps 0.25 differs"),
-        ],
-        ids=["off-grid", "own-clamp"],
-    )
-    def test_save_rejects_table_the_file_cannot_hold(self, sine_model, tmp_path, edit, message):
-        # Saved as x_min/x_max and one clamp, it would reload as another model.
+    def test_layer_tables_are_views_of_its_blocks(self, sine_model):
         layer = sine_model.layers[1]
-        first = MarginalGaussianizer(edit(layer.gaussianizers[0].uniformizer))
-        layers = list(sine_model.layers)
-        layers[1] = replace(layer, gaussianizers=(first,) + layer.gaussianizers[1:])
-        model = replace(sine_model, layers=tuple(layers))
-        path = tmp_path / "model.json"
-        with pytest.raises(ValueError, match=f"^layer 1 column 0: {message}"):
-            model.save(path)
-        assert not path.exists()
+        assert not (layer.x_min.flags.writeable or layer.knots_p.flags.writeable)
+        for j, g in enumerate(layer.gaussianizers):
+            u = g.uniformizer
+            assert np.shares_memory(u.knots_p, layer.knots_p)
+            assert u.knots_x[1] == layer.x_min[j] and u.knots_x[-2] == layer.x_max[j]
+            assert u.clamp_eps == sine_model.resolved_clamp_eps
+
+    @pytest.mark.parametrize("mix", ["dim", "knots", "clamp"])
+    def test_model_rejects_mixed_layers(self, sine_model, sine_data, mix):
+        # A file holds one D, one resolved_bins and one clamp for all layers.
+        layer = sine_model.layers[1]
+        if mix == "clamp":
+            other = replace(layer, clamp_eps=0.25)
+            message = r"layer 1 has knots_p of shape \(2, 103\) and clamp_eps 0.25, layer 0 "
+        else:
+            data = np.column_stack([sine_data, sine_data[:, 0] ** 3])
+            config = FitConfig(bins=9 if mix == "knots" else None, seed=2)
+            other = fit(data if mix == "dim" else sine_data, config).layers[0]
+            message = "layer 1 has knots_p of shape "
+        layers = (sine_model.layers[0], other) + sine_model.layers[2:]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(sine_model, layers=layers)
 
     def test_failed_save_keeps_earlier_file(self, sine_model, tmp_path):
         path = tmp_path / "model.json"
         sine_model.save(path)
         before = path.read_bytes()
-        layers = list(sine_model.layers)
-        layers[0] = replace(layers[0], delta_t=np.float32(0.5))
         with pytest.raises(TypeError, match="not JSON serializable"):
-            replace(sine_model, layers=tuple(layers)).save(path)
+            replace(sine_model, converged=np.True_).save(path)
         assert path.read_bytes() == before
 
     def test_rejects_foreign_documents(self, tmp_path):
@@ -373,6 +387,40 @@ class TestSerialization:
         sine_model.save(a)
         sine_model.save(b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# Finite float64 values: signed zero, subnormals, values near the float
+# limit, and random bit patterns.
+finite_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.1e-308, 1.7e308, -1.7e308]),
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+    .filter(math.isfinite),
+)
+
+
+class TestArrayField:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 8), st.integers(1, 8))
+        ),
+        data=st.data(),
+    )
+    def test_decodes_the_encoded_bits(self, shape, data):
+        size = math.prod(shape)
+        values = data.draw(st.lists(finite_floats, min_size=size, max_size=size))
+        a = np.array(values, dtype=np.float64).reshape(shape)
+        text = base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")
+        assert same_bits(flow._array(text, shape, "x"), a)
+
+    def test_length_checked_before_decoding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded")
+
+        monkeypatch.setattr(flow.base64, "b64decode", refuse)
+        with pytest.raises(ValueError, match=r"x must be the base64 of 10000000000 float64"):
+            flow._array("AAAAAAAAAAA=", (10**10,), "x")
 
 
 class TestDeterminism:

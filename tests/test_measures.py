@@ -190,6 +190,21 @@ class TestITReport:
         with pytest.raises(ValueError, match=message):
             ITReport.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("value_bits"), "^report field value_bits is missing$"),
+            (lambda doc: doc.update(value_nats=0.1), "^value_nats is not a report field$"),
+        ],
+        ids=["missing-key", "unknown-key"],
+    )
+    def test_report_keys_checked(self, edit, message):
+        report = total_correlation(equicorrelated_gaussian(2000, 2, 0.5, 16))
+        doc = json.loads(report.to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            ITReport.from_dict(doc)
+
     def test_value_not_rounded_in_storage(self):
         data = equicorrelated_gaussian(20000, 2, 0.5, 17)
         report = total_correlation(data)

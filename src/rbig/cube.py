@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -117,22 +118,18 @@ def extract_patches(cube: DataCube, cfg: PatchConfig):
         The (t, r, c) cube index of each patch's first element, in row-major
         anchor order.
     """
-    t, h, w = cube.shape
-    gt, gh, gw = patch_grid_shape(cube.shape, cfg)
+    patch_grid_shape(cube.shape, cfg)  # raises if the patch does not fit
+    st, ss = cfg.stride_time, cfg.stride_space
     windows = np.lib.stride_tricks.sliding_window_view(
         cube.values, (cfg.temporal, cfg.spatial, cfg.spatial)
-    )
-    windows = windows[:: cfg.stride_time, :: cfg.stride_space, :: cfg.stride_space]
-    samples = windows.reshape(gt * gh * gw, cfg.dim)
-    ts, rs, cs = np.meshgrid(
-        np.arange(0, t - cfg.temporal + 1, cfg.stride_time),
-        np.arange(0, h - cfg.spatial + 1, cfg.stride_space),
-        np.arange(0, w - cfg.spatial + 1, cfg.stride_space),
-        indexing="ij",
-    )
-    anchors = np.column_stack([ts.ravel(), rs.ravel(), cs.ravel()])
-    keep = ~np.isnan(samples).any(axis=1)
-    return np.ascontiguousarray(samples[keep]), anchors[keep]
+    )[::st, ::ss, ::ss]
+    keep = ~np.isnan(windows).any(axis=(3, 4, 5))
+    # The anchors come before the samples: made after them, they pinned
+    # freed heap, and patch-query peak RSS read 175-185 MB against 161 MB.
+    anchors = np.column_stack(np.nonzero(keep)) * (st, ss, ss)
+    # One N x dim copy: the kept windows, selected from the view.
+    samples = windows[keep].reshape(-1, cfg.dim)
+    return samples, anchors
 
 
 def ratio_sweep_configs(
@@ -204,9 +201,15 @@ def lag_embed(series, lags: int) -> np.ndarray:
     return x[idx]
 
 
-def _is_real(value) -> bool:
-    """True for an int or float (numpy's too), never for a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _fill_float(value, what: str) -> float:
+    """A fill value as a float; a bool, a non-real or a number beyond the
+    float range raises a one-line ``ValueError`` naming it ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{what} {reprlib.repr(value)} is beyond the float range") from None
 
 
 def _sidecar_path(path) -> Path:
@@ -218,16 +221,15 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
 
     ``fill_value``, when given, replaces NaN in the binary payload and is
     recorded in the sidecar, as a float, so loading restores the NaNs.  A
-    fill value that is not a real number (a bool included), or that equals a
-    data value in the stored dtype, raises ``ValueError``.  Both files are
-    written only once the sidecar has been encoded.
+    fill value that is not a real number (a bool included), lies beyond the
+    float range or equals a data value in the stored dtype raises
+    ``ValueError``.  Both files are written only once the sidecar has been
+    encoded.
     """
     if dtype not in ("float32", "float64"):
         raise ValueError("dtype must be 'float32' or 'float64'")
     if fill_value is not None:
-        if not _is_real(fill_value):
-            raise ValueError(f"fill_value must be a real number, got {fill_value!r}")
-        fill_value = float(fill_value)
+        fill_value = _fill_float(fill_value, "fill_value")
     np_dtype = "<f4" if dtype == "float32" else "<f8"
     stored = cube.values.astype(np_dtype)
     if fill_value is not None:
@@ -254,9 +256,9 @@ def load_cube(path) -> DataCube:
     A sidecar that is not a JSON object, whose ``shape`` is not a list of
     sizes holding as many values as the payload, whose ``dtype`` is not
     ``float32``/``float64``, whose ``order`` is not ``"C"``, whose
-    ``fill_value`` is not null or a real number, or whose ``grid_meta`` is
-    not null or an object of :class:`GridMeta` fields holding finite numbers
-    or null raises ``ValueError``.
+    ``fill_value`` is not null or a real number within the float range, or
+    whose ``grid_meta`` is not null or an object of :class:`GridMeta` fields
+    holding finite numbers or null raises ``ValueError``.
     """
     with open(_sidecar_path(path)) as fh:
         sidecar = json.load(fh)
@@ -271,8 +273,8 @@ def load_cube(path) -> DataCube:
     if order != "C":
         raise ValueError(f"cube sidecar order must be 'C', got {order!r}")
     fill = sidecar.get("fill_value")
-    if fill is not None and not _is_real(fill):
-        raise ValueError(f"cube sidecar fill_value must be a real number, got {fill!r}")
+    if fill is not None:
+        fill = _fill_float(fill, "cube sidecar fill_value")
     meta = sidecar.get("grid_meta")
     names = {f.name for f in fields(GridMeta)}
     if meta is not None and not (

@@ -11,6 +11,7 @@ used by the information measures.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
 import numbers
@@ -345,7 +346,11 @@ class GaussModel:
 
             for lj in _map_columns(forward, n, d):
                 logjac += lj
+            # Two N x D arrays at most: the spent input goes before the
+            # rotation allocates its output, and z once it is rotated.
+            del x
             x = rotate(layer.rotation, z)
+            del z
         return x, logjac
 
     def inverse(self, z):
@@ -355,6 +360,8 @@ class GaussModel:
         ``z`` is left unchanged.
         """
         x = self._check(z)
+        # Not held past the first rotation: sample's draw is freed there.
+        del z
         n, d = x.shape
         for layer in reversed(self.layers):
             # rotate_inverse returns a fresh column-contiguous array, so each
@@ -371,9 +378,10 @@ class GaussModel:
     def log_density(self, data):
         """log2 of the estimated density at each row, in bits."""
         z, logjac = self.transform(data)
+        z *= z  # in place: z is this call's own array
         log2_phi = (
             -0.5 * self.dim * math.log2(2.0 * math.pi)
-            - np.sum(z * z, axis=1) / (2.0 * LN2)
+            - np.sum(z, axis=1) / (2.0 * LN2)
         )
         return log2_phi + logjac / LN2
 
@@ -390,8 +398,7 @@ class GaussModel:
         if n < 1:
             raise ValueError("n must be >= 1")
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, self.dim))
-        return self.inverse(z)
+        return self.inverse(rng.standard_normal((n, self.dim)))
 
     def to_dict(self) -> dict:
         """Model format 4 (see the README): each array as base64 float64."""
@@ -478,13 +485,22 @@ class GaussModel:
         """Write the model as a self-describing JSON document.
 
         Serialized floats round-trip exactly, so a reloaded model
-        reproduces transform outputs bit for bit.
+        reproduces transform outputs bit for bit.  The document is streamed
+        into a temporary file beside ``path``, which then replaces ``path``:
+        a failure while encoding or writing leaves any earlier file there as
+        it was and removes the temporary file.
         """
-        # Encoded before the file is opened: a document that does not
-        # serialize leaves any earlier file at ``path`` as it was.
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        with open(path, "w") as fh:
-            fh.write(text)
+        path = os.fsdecode(path)
+        # Unique per thread, so concurrent saves to one path do not collide.
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):  # open itself may have failed
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "GaussModel":
@@ -603,6 +619,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     of the input.
     """
     x = _validate_fit_input(data)
+    # Not held here, so an input no caller holds is freed with the first layer.
+    del data
     if config is None:
         config = FitConfig()
     n, d = x.shape
@@ -626,11 +644,15 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             return g
 
         tables = [g.uniformizer for g in _map_columns(gaussianize, n, d)]
+        # Two N x D arrays at most: the spent input goes before the PCA's
+        # centered copy and the rotation's output, and z once it is rotated.
+        del x
         if config.rotation_kind == KIND_PCA:
             rotation = fit_pca_rotation(z)
         else:
             rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))
         x = rotate(rotation, z)
+        del z
         # A rotation of exactly dependent columns can produce a zero-range
         # direction (e.g. duplicated variables).  Its differential entropy is
         # unboundedly negative; floor it at the flow's probability resolution
@@ -671,7 +693,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     # The layers' blocks are allocated once the N x D matrices are freed:
     # allocated between them, they split or pin the freed heap (peak RSS
     # +10 MB over repeated 38,686 x 49 fits).
-    del x, z
+    del x
     layers = tuple(
         GaussLayer(
             x_min=np.array([u.knots_x[1] for u in tables]),

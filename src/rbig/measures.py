@@ -128,10 +128,7 @@ def mutual_information(x, y, config: FitConfig | None = None) -> ITReport:
         )
     gx = fit(xa, config)
     gy = fit(ya, config)
-    zx, _ = gx.transform(xa)
-    zy, _ = gy.transform(ya)
-    joint = np.hstack([zx, zy])
-    model = fit(joint, config)
-    return _report(
-        QUANTITY_MI, model.total_correlation, model, joint.shape[0], joint.shape[1]
-    )
+    # Unnamed, the transforms are freed once stacked and the stack with the
+    # joint fit's first layer: two N x (Dx + Dy) arrays at most.
+    model = fit(np.hstack([gx.transform(xa)[0], gy.transform(ya)[0]]), config)
+    return _report(QUANTITY_MI, model.total_correlation, model, xa.shape[0], model.dim)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import reprlib
 
 import numpy as np
 import pytest
@@ -75,6 +76,42 @@ class TestExtractPatches:
         rebuilt = row.reshape(2, 2, 2)
         assert np.array_equal(rebuilt, values[0:2, 0:2, 0:2])
         assert tuple(anchors[0]) == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "shape, cfg, nan_fraction",
+        [
+            ((9, 12, 11), PatchConfig(spatial=3, temporal=2, stride_space=2, stride_time=3), 0.03),
+            ((20, 15, 17), PatchConfig(spatial=4, temporal=3, stride_space=3, stride_time=2), 0.01),
+            ((6, 8, 8), PatchConfig(spatial=2, temporal=4, stride_space=2, stride_time=1), 0.0),
+            ((5, 5, 5), PatchConfig(spatial=5, temporal=5), 0.2),
+        ],
+        ids=["holes", "sparse-holes", "no-holes", "every-patch-dropped"],
+    )
+    def test_matches_reshape_then_mask(self, shape, cfg, nan_fraction):
+        values = np.random.default_rng(14).standard_normal(shape)
+        values[np.random.default_rng(15).random(shape) < nan_fraction] = np.nan
+        cube = DataCube(values)
+        samples, anchors = extract_patches(cube, cfg)
+        # The former construction: copy every window, then mask the NaN rows.
+        t, h, w = shape
+        windows = np.lib.stride_tricks.sliding_window_view(
+            values, (cfg.temporal, cfg.spatial, cfg.spatial)
+        )[:: cfg.stride_time, :: cfg.stride_space, :: cfg.stride_space]
+        every = windows.reshape(-1, cfg.dim)
+        ts, rs, cs = np.meshgrid(
+            np.arange(0, t - cfg.temporal + 1, cfg.stride_time),
+            np.arange(0, h - cfg.spatial + 1, cfg.stride_space),
+            np.arange(0, w - cfg.spatial + 1, cfg.stride_space),
+            indexing="ij",
+        )
+        keep = ~np.isnan(every).any(axis=1)
+        for got, want in [
+            (samples, np.ascontiguousarray(every[keep])),
+            (anchors, np.column_stack([ts.ravel(), rs.ravel(), cs.ravel()])[keep]),
+        ]:
+            assert got.flags.c_contiguous
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
     def test_patch_larger_than_cube(self):
         cube = DataCube(np.zeros((3, 4, 4)) + 1.0)
@@ -206,6 +243,13 @@ class TestCubeIO:
             save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11), fill_value=fill)
         assert not path.exists()
 
+    def test_fill_value_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "cube.bin"
+        message = f"fill_value {reprlib.repr(10**400)} is beyond the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11), fill_value=10**400)
+        assert not path.exists()
+
     def test_sidecar_encoded_before_any_file_is_written(self, tmp_path):
         cube = DataCube(
             np.random.default_rng(13).standard_normal((4, 3, 3)),
@@ -228,6 +272,8 @@ class TestCubeIO:
             # true would mask every 1.0 cell.
             ("fill_value", True, "fill_value must be a real number, got True"),
             ("fill_value", "-9999", "fill_value must be a real number, got '-9999'"),
+            ("fill_value", 10**400,
+             f"fill_value {reprlib.repr(10**400)} is beyond the float range"),
             ("grid_meta", [1, 2], f"{GRID_META_RULE}, got [1, 2]"),
             ("grid_meta", {"foo": 1}, f"{GRID_META_RULE}, got {{'foo': 1}}"),
             ("grid_meta", {"lat_origin": "north"},
@@ -235,7 +281,7 @@ class TestCubeIO:
         ],
         ids=[
             "int64-dtype", "fortran-order", "no-shape", "negative-size", "payload-size",
-            "bool-fill", "string-fill", "list-grid-meta", "foreign-grid-meta-key",
+            "bool-fill", "string-fill", "huge-int-fill", "list-grid-meta", "foreign-grid-meta-key",
             "string-lat-origin",
         ],
     )

@@ -1,4 +1,5 @@
 import base64
+import errno
 import json
 import math
 import os
@@ -374,6 +375,42 @@ class TestSerialization:
         with pytest.raises(TypeError, match="not JSON serializable"):
             replace(sine_model, converged=np.True_).save(path)
         assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]
+
+    def test_failed_write_keeps_earlier_file(self, sine_model, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        sine_model.save(path)
+        before = path.read_bytes()
+        room = len(before) // 2
+        files = []
+
+        class HalfFullDisk:
+            """A text file that takes ``room`` characters, then raises."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.size = 0
+                files.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                fits = text[: room - self.size]
+                self.fh.write(fits)
+                self.size += len(fits)
+                if len(fits) < len(text):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(flow, "open", lambda *a, **k: HalfFullDisk(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            sine_model.save(path)
+        assert [f.size for f in files] == [room]
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]
 
     def test_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "bogus.json"

@@ -37,7 +37,7 @@ from .rotation import (
     rotate,
     rotate_inverse,
 )
-from .flow import FitConfig, GaussLayer, GaussModel, fit, load_model
+from .flow import FitConfig, GaussModel, fit, load_model
 from .measures import (
     ITReport,
     entropy,
@@ -67,7 +67,6 @@ __all__ = [
     "DegenerateDimension",
     "DimensionMismatch",
     "FitConfig",
-    "GaussLayer",
     "GaussModel",
     "GridMeta",
     "ITReport",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleBudget, PatchLargerThanCube, SeriesTooShort
-from .flow import _is_finite_number
+from .flow import _exact_keys, _is_finite_number
 
 __all__ = [
     "GridMeta",
@@ -212,6 +212,11 @@ def _fill_float(value, what: str) -> float:
         raise ValueError(f"{what} {reprlib.repr(value)} is beyond the float range") from None
 
 
+# Every sidecar holds exactly these keys: one lost (fill_value, say) would
+# load its cube differently (the fill sentinel as data).
+_SIDECAR_KEYS = ("shape", "dtype", "fill_value", "order", "grid_meta")
+
+
 def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
@@ -253,29 +258,30 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
 def load_cube(path) -> DataCube:
     """Load a cube written by :func:`save_cube` (binary + JSON sidecar).
 
-    A sidecar that is not a JSON object, whose ``shape`` is not a list of
-    sizes holding as many values as the payload, whose ``dtype`` is not
-    ``float32``/``float64``, whose ``order`` is not ``"C"``, whose
-    ``fill_value`` is not null or a real number within the float range, or
-    whose ``grid_meta`` is not null or an object of :class:`GridMeta` fields
-    holding finite numbers or null raises ``ValueError``.
+    A sidecar that is not a JSON object holding exactly the keys
+    ``shape``, ``dtype``, ``fill_value``, ``order`` and ``grid_meta``, whose
+    ``shape`` is not a list of sizes holding as many values as the payload,
+    whose ``dtype`` is not ``float32``/``float64``, whose ``order`` is not
+    ``"C"``, whose ``fill_value`` is not null or a real number within the
+    float range, or whose ``grid_meta`` is not null or an object of
+    :class:`GridMeta` fields holding finite numbers or null raises
+    ``ValueError``.
     """
     with open(_sidecar_path(path)) as fh:
         sidecar = json.load(fh)
-    if not isinstance(sidecar, dict):
-        raise ValueError("cube sidecar must be a JSON object")
-    shape = sidecar.get("shape")
+    _exact_keys(sidecar, _SIDECAR_KEYS, "cube sidecar")
+    shape = sidecar["shape"]
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"cube sidecar shape must be a list of sizes, got {shape!r}")
-    dtype, order = sidecar.get("dtype"), sidecar.get("order")
+    dtype, order = sidecar["dtype"], sidecar["order"]
     if dtype not in ("float32", "float64"):
         raise ValueError(f"cube sidecar dtype must be 'float32' or 'float64', got {dtype!r}")
     if order != "C":
         raise ValueError(f"cube sidecar order must be 'C', got {order!r}")
-    fill = sidecar.get("fill_value")
+    fill = sidecar["fill_value"]
     if fill is not None:
         fill = _fill_float(fill, "cube sidecar fill_value")
-    meta = sidecar.get("grid_meta")
+    meta = sidecar["grid_meta"]
     names = {f.name for f in fields(GridMeta)}
     if meta is not None and not (
         isinstance(meta, dict)

@@ -53,10 +53,10 @@ from .rotation import (
     rotate_inverse,
 )
 
-__all__ = ["FitConfig", "GaussLayer", "GaussModel", "fit", "load_model", "MODEL_FORMAT"]
+__all__ = ["FitConfig", "GaussModel", "fit", "load_model", "MODEL_FORMAT"]
 
 MODEL_FORMAT = "rbig-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 
 # Rows from which a layer's columns run on the thread pool.  The column
@@ -197,7 +197,7 @@ def _exact_keys(doc, names, kind: str) -> None:
     """Require a dict holding exactly the keys ``names``, else a one-line
     ``ValueError`` calling it a ``kind``."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{kind} must be an object, got {reprlib.repr(doc)}")
+        raise ValueError(f"{kind} must be a JSON object, got {reprlib.repr(doc)}")
     for name in names:
         if name not in doc:
             raise ValueError(f"{kind} field {name} is missing")
@@ -206,111 +206,146 @@ def _exact_keys(doc, names, kind: str) -> None:
             raise ValueError(f"{key} is not a {kind} field")
 
 
-@dataclass(frozen=True)
-class GaussLayer:
-    """One iteration: D marginal knot tables, a rotation and its delta-T.
+# A model's float64 blocks and the axes of each: L layers, D columns and K
+# knots per marginal table.
+_BLOCKS = {
+    "x_min": "LD",
+    "x_max": "LD",
+    "knots_p": "LDK",
+    "rotation_entries": "LDD",
+    "delta_t": "L",
+    "non_gaussianity": "L",
+    "marginal_entropies_input": "D",
+}
 
-    A layer holds what a model file stores: the range ends ``x_min`` and
-    ``x_max`` (D,) and the CDF values ``knots_p`` (D, K), K >= 5, as
-    read-only float64 arrays; one probability clamp; the rotation; and
-    ``delta_t``, a finite float.  ``gaussianizers[j]`` is built from row j
-    of ``_knot_grid(x_min, x_max, K - 3)`` and of ``knots_p`` (row views);
-    a table that fails its checks raises ``ValueError`` naming its column.
+
+def _block_shapes(n_layers: int, dim: int, k: int) -> dict:
+    sizes = {"L": n_layers, "D": dim, "K": k}
+    return {name: tuple(sizes[axis] for axis in axes) for name, axes in _BLOCKS.items()}
+
+
+def _named(where: str, make, *args):
+    """Call a validating constructor, naming ``where`` in its ValueError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class GaussModel:
+    """Fitted Gaussianization stack of L layers over D columns, as blocks.
+
+    Layer i maps column j through the knot table of the range ends
+    ``x_min[i, j]`` and ``x_max[i, j]`` (blocks of shape (L, D)) and the CDF
+    values ``knots_p[i, j]`` ((L, D, K), K >= 5), then rotates by
+    ``rotation_entries[i]`` ((L, D, D)).  ``delta_t`` (L,) is each layer's
+    drop in total correlation and ``rank_deficient`` (L,) flags a PCA
+    rotation of a degenerate spectrum.  Every table has the probability
+    clamp ``clamp_eps`` and every rotation the kind ``config.rotation_kind``.
+
+    Construction checks each block's shape and finiteness once and keeps it
+    as a read-only float64 array.  It then builds ``gaussianizers[i][j]``
+    from row views of one block of ``_knot_grid`` knots and of ``knots_p``,
+    and ``rotations[i]``.  A bad block, table or rotation raises a one-line
+    ``ValueError`` naming it.
     """
 
     x_min: np.ndarray
     x_max: np.ndarray
     knots_p: np.ndarray
+    rotation_entries: np.ndarray
+    rank_deficient: np.ndarray
+    delta_t: np.ndarray
     clamp_eps: float
-    rotation: RotationMatrix
-    delta_t: float
-    gaussianizers: tuple[MarginalGaussianizer, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        d = self.rotation.dim
-        for name in ("x_min", "x_max", "knots_p"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        kp = self.knots_p
-        shapes = (self.x_min.shape, self.x_max.shape, kp.shape[:1], kp.ndim)
-        if shapes != ((d,), (d,), (d,), 2) or kp.shape[1] < 5:
-            raise ValueError(f"x_min and x_max need shape ({d},) and knots_p ({d}, K >= 5)")
-        if not _is_finite_number(self.delta_t):
-            raise ValueError(f"delta_t must be a finite number, got {self.delta_t!r}")
-        object.__setattr__(self, "delta_t", float(self.delta_t))
-        # A range near the float limit overflows to non-finite knots, which
-        # the table check rejects.
-        with np.errstate(over="ignore", invalid="ignore"):
-            knots_x = _knot_grid(self.x_min, self.x_max, kp.shape[1] - 3)
-        gaussianizers = []
-        for j in range(d):
-            try:
-                table = MarginalUniformizer(knots_x[j], kp[j], self.clamp_eps)
-            except ValueError as exc:
-                raise ValueError(f"column {j}: {exc}") from None
-            gaussianizers.append(MarginalGaussianizer(table))
-        object.__setattr__(self, "gaussianizers", tuple(gaussianizers))
-
-
-@dataclass(frozen=True)
-class GaussModel:
-    """Fitted Gaussianization transform with its convergence bookkeeping.
-
-    A model file stores one D, K and clamp, so every layer must have layer
-    0's ``knots_p`` shape and ``clamp_eps``, else construction raises
-    ``ValueError``.
-    """
-
-    layers: tuple[GaussLayer, ...]
     marginal_entropies_input: np.ndarray
     non_gaussianity: np.ndarray
     config: FitConfig
     converged: bool
+    gaussianizers: tuple[tuple[MarginalGaussianizer, ...], ...] = field(init=False, repr=False)
+    rotations: tuple[RotationMatrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("model needs at least one layer")
-        first = self.layers[0]
-        for i, layer in enumerate(self.layers):
-            if (layer.knots_p.shape, layer.clamp_eps) != (first.knots_p.shape, first.clamp_eps):
-                raise ValueError(
-                    f"layer {i} has knots_p of shape {layer.knots_p.shape} and clamp_eps"
-                    f" {layer.clamp_eps}, layer 0 {first.knots_p.shape} and {first.clamp_eps}"
+        lead, kp = np.shape(self.x_min), np.shape(self.knots_p)
+        if len(lead) != 2 or min(lead) < 1:
+            raise ValueError(f"x_min must have shape (L, D) with L, D >= 1, got {lead}")
+        if len(kp) != 3 or kp[2] < 5:
+            raise ValueError(f"knots_p must have shape (L, D, K) with K >= 5, got {kp}")
+        n_layers, d = lead
+        for name, shape in _block_shapes(n_layers, d, kp[2]).items():
+            a = np.array(getattr(self, name), dtype=np.float64)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            finite = np.isfinite(a)
+            if not finite.all():
+                index = np.unravel_index(np.argmin(finite), shape)
+                item = name + "".join(f"[{i}]" for i in index)
+                raise ValueError(f"{item} must be a finite number, got {float(a[index])}")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        deficient = np.array(self.rank_deficient)
+        if deficient.dtype != bool or deficient.shape != (n_layers,):
+            raise ValueError(
+                f"rank_deficient must be {n_layers} booleans,"
+                f" got {reprlib.repr(self.rank_deficient)}"
+            )
+        deficient.setflags(write=False)
+        object.__setattr__(self, "rank_deficient", deficient)
+        eps = self.clamp_eps
+        if not (_is_finite_number(eps) and 0 < eps < 0.5):
+            raise ValueError(f"clamp_eps must be a number in (0, 0.5), got {reprlib.repr(eps)}")
+        object.__setattr__(self, "clamp_eps", float(eps))
+        # Filled layer by layer: computed at once, the grid's (L, D, K)
+        # temporaries split the heap beside the long-lived block (patch-query
+        # peak RSS 173 MB against 161 MB).  A range near the float limit
+        # overflows to non-finite knots, which the table check rejects.
+        knots_x = np.empty_like(self.knots_p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n_layers):
+                knots_x[i] = _knot_grid(self.x_min[i], self.x_max[i], self.resolved_bins)
+        knots_x.setflags(write=False)
+        gaussianizers = tuple(
+            tuple(
+                MarginalGaussianizer(
+                    _named(
+                        f"layer {i} column {j}", MarginalUniformizer,
+                        knots_x[i, j], self.knots_p[i, j], self.clamp_eps,
+                    )
                 )
-        h = np.asarray(self.marginal_entropies_input, dtype=float)
-        ng = np.asarray(self.non_gaussianity, dtype=float)
-        object.__setattr__(self, "marginal_entropies_input", h)
-        object.__setattr__(self, "non_gaussianity", ng)
-        h.setflags(write=False)
-        ng.setflags(write=False)
+                for j in range(d)
+            )
+            for i in range(n_layers)
+        )
+        kind = self.config.rotation_kind
+        rotations = tuple(
+            _named(f"layer {i} rotation", RotationMatrix, entries, kind, bool(flag))
+            for i, (entries, flag) in enumerate(zip(self.rotation_entries, deficient))
+        )
+        object.__setattr__(self, "gaussianizers", gaussianizers)
+        object.__setattr__(self, "rotations", rotations)
 
     @property
     def resolved_bins(self) -> int:
         """Histogram bins of every marginal table, K - 3."""
-        return self.layers[0].knots_p.shape[1] - 3
-
-    @property
-    def resolved_clamp_eps(self) -> float:
-        """The probability clamp shared by every marginal table."""
-        return self.layers[0].clamp_eps
+        return self.knots_p.shape[2] - 3
 
     @property
     def dim(self) -> int:
-        return self.layers[0].rotation.dim
+        return self.x_min.shape[1]
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
+        return self.x_min.shape[0]
 
     @property
     def delta_t_trace(self) -> np.ndarray:
-        return np.array([layer.delta_t for layer in self.layers])
+        """The ``delta_t`` block: each layer's drop in total correlation."""
+        return self.delta_t
 
     @property
     def total_correlation(self) -> float:
         """Sum of the per-layer reductions, in bits."""
-        return float(self.delta_t_trace.sum())
+        return float(self.delta_t.sum())
 
     def _check(self, data) -> np.ndarray:
         x = np.asarray(data, dtype=float)
@@ -337,11 +372,11 @@ class GaussModel:
         x = self._check(data)
         n, d = x.shape
         logjac = np.zeros(n)
-        for layer in self.layers:
+        for gaussianizers, rotation in zip(self.gaussianizers, self.rotations):
             z = np.empty_like(x)
 
             def forward(j):
-                z[:, j], lj = layer.gaussianizers[j].forward(x[:, j])
+                z[:, j], lj = gaussianizers[j].forward(x[:, j])
                 return lj
 
             for lj in _map_columns(forward, n, d):
@@ -349,7 +384,7 @@ class GaussModel:
             # Two N x D arrays at most: the spent input goes before the
             # rotation allocates its output, and z once it is rotated.
             del x
-            x = rotate(layer.rotation, z)
+            x = rotate(rotation, z)
             del z
         return x, logjac
 
@@ -363,13 +398,13 @@ class GaussModel:
         # Not held past the first rotation: sample's draw is freed there.
         del z
         n, d = x.shape
-        for layer in reversed(self.layers):
+        for gaussianizers, rotation in zip(reversed(self.gaussianizers), reversed(self.rotations)):
             # rotate_inverse returns a fresh column-contiguous array, so each
             # marginal inverse reads a contiguous column and writes it back.
-            x = rotate_inverse(layer.rotation, x)
+            x = rotate_inverse(rotation, x)
 
             def invert(j):
-                x[:, j] = layer.gaussianizers[j].inverse(x[:, j])
+                x[:, j] = gaussianizers[j].inverse(x[:, j])
 
             for _ in _map_columns(invert, n, d):
                 pass
@@ -401,85 +436,56 @@ class GaussModel:
         return self.inverse(rng.standard_normal((n, self.dim)))
 
     def to_dict(self) -> dict:
-        """Model format 4 (see the README): each array as base64 float64."""
+        """Model format 5 (see the README): each block as base64 float64."""
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "config": self.config.to_dict(),
             "converged": self.converged,
+            "n_layers": self.n_layers,
             "dim": self.dim,
             "resolved_bins": self.resolved_bins,
-            "resolved_clamp_eps": self.resolved_clamp_eps,
-            "marginal_entropies_input": _encode(self.marginal_entropies_input),
-            "non_gaussianity": _encode(self.non_gaussianity),
-            "layers": [
-                {
-                    "delta_t": layer.delta_t,
-                    "rotation": {
-                        "kind": layer.rotation.kind,
-                        "rank_deficient": layer.rotation.rank_deficient,
-                        "entries": _encode(layer.rotation.entries),
-                    },
-                    "x_min": _encode(layer.x_min),
-                    "x_max": _encode(layer.x_max),
-                    "knots_p": _encode(layer.knots_p),
-                }
-                for layer in self.layers
-            ],
+            "clamp_eps": self.clamp_eps,
+            "rank_deficient": self.rank_deficient.tolist(),
+            **{name: _encode(getattr(self, name)) for name in _BLOCKS},
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GaussModel":
-        """Rebuild a model from a format-4 document, checking every field.
+        """Rebuild a model from a format-5 document, checking every field.
 
-        ``dim``, ``resolved_bins`` and the layer count fix every array's
-        shape.  A missing, unknown or ill-typed field, or an array of the
-        wrong length, raises a one-line ``ValueError`` naming the field.
-        Documents of earlier versions are not read; such models must be
-        refit.
+        ``n_layers``, ``dim`` and ``resolved_bins`` fix every block's shape
+        before any block is decoded.  A missing, unknown or ill-typed field,
+        a block of the wrong length, a non-finite item (named by its index)
+        or a table or rotation that fails its checks raises a one-line
+        ``ValueError`` naming it.  Documents of earlier versions are not
+        read; such models must be refit.
         """
         if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ValueError("not a serialized model document")
         version = doc.get("version")
         if type(version) is not int or version != MODEL_VERSION:
             raise ValueError(f"unsupported model version: {version!r}")
-        _fields(doc, _DOC_FIELDS, "")
-        config = _build("config", FitConfig.from_dict, doc["config"])
-        dim = doc["dim"]
-        if type(dim) is not int or dim < 1:
-            raise _malformed("dim", "an integer >= 1", dim)
-        bins = doc["resolved_bins"]
-        if type(bins) is not int or bins < 2:
-            raise _malformed("resolved_bins", "an integer >= 2", bins)
-        clamp_eps = doc["resolved_clamp_eps"]
-        if not (type(clamp_eps) in (int, float) and 0 < clamp_eps < 0.5):
-            raise _malformed("resolved_clamp_eps", "a number in (0, 0.5)", clamp_eps)
-        records = doc["layers"]
-        if not isinstance(records, list) or not records:
-            raise _malformed("layers", "a non-empty list", records)
-        layers = []
-        for i, rec in enumerate(records):
-            where = f"layers[{i}]"
-            _fields(rec, _LAYER_FIELDS, where)
-            rot = rec["rotation"]
-            _fields(rot, _ROTATION_FIELDS, f"{where}.rotation")
-            entries = _array(rot["entries"], (dim, dim), f"{where}.rotation.entries")
-            deficient = _boolean(rot["rank_deficient"], f"{where}.rotation.rank_deficient")
-            rotation = _build(f"{where}.rotation", RotationMatrix, entries, rot["kind"], deficient)
-            x_min = _array(rec["x_min"], (dim,), f"{where}.x_min")
-            x_max = _array(rec["x_max"], (dim,), f"{where}.x_max")
-            knots_p = _array(rec["knots_p"], (dim, bins + 3), f"{where}.knots_p")
-            layer_args = (x_min, x_max, knots_p, clamp_eps, rotation, rec["delta_t"])
-            layers.append(_build(where, GaussLayer, *layer_args))
-        return cls(
-            layers=tuple(layers),
-            marginal_entropies_input=_array(
-                doc["marginal_entropies_input"], (dim,), "marginal_entropies_input"
-            ),
-            non_gaussianity=_array(doc["non_gaussianity"], (len(layers),), "non_gaussianity"),
-            config=config,
-            converged=_boolean(doc["converged"], "converged"),
-        )
+        try:
+            _exact_keys(doc, _DOC_FIELDS, "model")
+            config = _named("config", FitConfig.from_dict, doc["config"])
+            for name, least in (("n_layers", 1), ("dim", 1), ("resolved_bins", 2)):
+                # JSON numbers load as int or float; bool, a subclass of
+                # int, is neither.
+                if type(doc[name]) is not int or doc[name] < least:
+                    raise _malformed(name, f"an integer >= {least}", doc[name])
+            if type(doc["converged"]) is not bool:
+                raise _malformed("converged", "true or false", doc["converged"])
+            shapes = _block_shapes(doc["n_layers"], doc["dim"], doc["resolved_bins"] + 3)
+            return cls(
+                **{name: _array(doc[name], shape, name) for name, shape in shapes.items()},
+                rank_deficient=doc["rank_deficient"],
+                clamp_eps=doc["clamp_eps"],
+                config=config,
+                converged=doc["converged"],
+            )
+        except ValueError as exc:
+            raise ValueError(f"malformed model document: {exc}") from None
 
     def save(self, path) -> None:
         """Write the model as a self-describing JSON document.
@@ -508,51 +514,18 @@ class GaussModel:
             return cls.from_dict(json.load(fh))
 
 
-# Model document schema, format 4.  Every check raises a one-line
-# ValueError naming the field.  JSON numbers load as int or float; bool, a
-# subclass of int, is neither.  An array is the base64 text of its
-# little-endian float64 values in C order: far smaller than a list of
-# numbers, and its length is known from its shape before it is decoded.
-
+# Model document, format 5: the scalars, the config, the rank_deficient
+# flags and each block of _BLOCKS as the base64 text of its little-endian
+# float64 values in C order.  Far smaller than a list of numbers, a block's
+# text has a length known from its shape before it is decoded.
 _DOC_FIELDS = (
-    "format", "version", "config", "converged", "dim", "resolved_bins",
-    "resolved_clamp_eps", "marginal_entropies_input", "non_gaussianity", "layers",
+    "format", "version", "config", "converged", "n_layers", "dim", "resolved_bins",
+    "clamp_eps", "rank_deficient", *_BLOCKS,
 )
-_LAYER_FIELDS = ("delta_t", "rotation", "x_min", "x_max", "knots_p")
-_ROTATION_FIELDS = ("kind", "rank_deficient", "entries")
 
 
 def _malformed(field: str, expected: str, value) -> ValueError:
-    return ValueError(
-        f"malformed model document: {field} must be {expected}, got {reprlib.repr(value)}"
-    )
-
-
-def _build(field: str, make, *args):
-    """Call a validating constructor, naming ``field`` in its ValueError."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ValueError(f"malformed model document: {field}: {exc}") from None
-
-
-def _fields(value, names, field: str) -> None:
-    """Require a JSON object holding exactly the keys ``names``."""
-    if not isinstance(value, dict):
-        raise _malformed(field, "an object", value)
-    prefix = f"{field}." if field else ""
-    for name in names:
-        if name not in value:
-            raise ValueError(f"malformed model document: {prefix}{name} is missing")
-    for name in value:
-        if name not in names:
-            raise ValueError(f"malformed model document: {prefix}{name} is not a model field")
-
-
-def _boolean(value, field: str) -> bool:
-    if type(value) is not bool:
-        raise _malformed(field, "true or false", value)
-    return value
+    return ValueError(f"{field} must be {expected}, got {reprlib.repr(value)}")
 
 
 def _encode(a: np.ndarray) -> str:
@@ -560,10 +533,10 @@ def _encode(a: np.ndarray) -> str:
 
 
 def _array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
-    """Decode an array field of the given shape; every item must be finite.
+    """Decode a block's base64 text into an array of the given shape.
 
     The text's length is checked before it is decoded, so a shape far
-    larger than the text allocates nothing.
+    larger than the text allocates nothing.  The model checks the values.
     """
     size = math.prod(shape)
     length = 4 * -(-8 * size // 3)
@@ -576,13 +549,7 @@ def _array(value, shape: tuple[int, ...], field: str) -> np.ndarray:
         raise _malformed(field, "base64 text", value) from None
     if len(raw) != 8 * size:  # padding that does not fit the length
         raise _malformed(field, expected, value)
-    a = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    finite = np.isfinite(a)
-    if not finite.all():
-        index = np.unravel_index(np.argmin(finite), shape)
-        item = field + "".join(f"[{k}]" for k in index)
-        raise _malformed(item, "a finite number", float(a[index]))
-    return a
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def load_model(path) -> GaussModel:
@@ -631,7 +598,10 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     seed_rng = np.random.default_rng(config.seed)
 
     h_input = np.array(list(_map_columns(lambda j: marginal_entropy(x[:, j], bins), n, d)))
-    fitted = []  # (tables, rotation, delta_t) per layer
+    # Per layer: its D fitted tables, its rotation and its delta-T.
+    layer_tables: list[list[MarginalUniformizer]] = []
+    rotations: list[RotationMatrix] = []
+    deltas: list[float] = []
     non_gauss: list[float] = []
     below = 0
     converged = False
@@ -676,7 +646,9 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         for h_j, kl_j in _map_columns(entropy_and_kl, n, d):
             j_m += kl_j
             delta_t += GAUSS_ENTROPY_BITS - h_j
-        fitted.append((tables, rotation, delta_t))
+        layer_tables.append(tables)
+        rotations.append(rotation)
+        deltas.append(delta_t)
         non_gauss.append(j_m)
         if degenerate.any():
             converged = True
@@ -690,25 +662,20 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             f"fit hit max_layers={config.max_layers} before converging",
             NotConvergedWarning,
         )
-    # The layers' blocks are allocated once the N x D matrices are freed:
-    # allocated between them, they split or pin the freed heap (peak RSS
-    # +10 MB over repeated 38,686 x 49 fits).
+    # The blocks are allocated once the N x D matrices are freed: allocated
+    # between them, they split or pin the freed heap (peak RSS +10 MB over
+    # repeated 38,686 x 49 fits).
     del x
-    layers = tuple(
-        GaussLayer(
-            x_min=np.array([u.knots_x[1] for u in tables]),
-            x_max=np.array([u.knots_x[-2] for u in tables]),
-            knots_p=np.array([u.knots_p for u in tables]),
-            clamp_eps=clamp_eps,
-            rotation=rotation,
-            delta_t=delta_t,
-        )
-        for tables, rotation, delta_t in fitted
-    )
     return GaussModel(
-        layers=layers,
+        x_min=[[u.knots_x[1] for u in tables] for tables in layer_tables],
+        x_max=[[u.knots_x[-2] for u in tables] for tables in layer_tables],
+        knots_p=[[u.knots_p for u in tables] for tables in layer_tables],
+        rotation_entries=[r.entries for r in rotations],
+        rank_deficient=[r.rank_deficient for r in rotations],
+        delta_t=deltas,
+        clamp_eps=clamp_eps,
         marginal_entropies_input=h_input,
-        non_gaussianity=np.array(non_gauss),
+        non_gaussianity=non_gauss,
         config=config,
         converged=converged,
     )

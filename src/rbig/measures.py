@@ -9,12 +9,13 @@ the concatenation of their independently Gaussianized versions.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import PairedLengthMismatch
-from .flow import FitConfig, GaussModel, _exact_keys, fit
+from .flow import FitConfig, GaussModel, _exact_keys, _is_finite_number, _is_integer, fit
 
 __all__ = [
     "ITReport",
@@ -35,6 +36,14 @@ class ITReport:
     ``value_bits`` is clamped at zero for total correlation and mutual
     information (estimator noise can produce small negatives); the unclamped
     estimate is kept in ``raw_value_bits``.  Entropy is never clamped.
+
+    Construction checks every field's type: ``quantity`` is one of the three
+    quantity names, the values and every per-layer delta-T are finite
+    numbers (a list or tuple of them for ``per_layer_delta_t``),
+    ``n_samples`` and ``dim`` are integers >= 1, ``config`` is a
+    :class:`FitConfig` and ``converged`` is a bool; else a one-line
+    ``ValueError`` names the field.  Numbers are stored as Python
+    ``int``/``float``, so every report serializes to JSON.
     """
 
     quantity: str
@@ -45,6 +54,31 @@ class ITReport:
     dim: int
     config: FitConfig
     converged: bool
+
+    def __post_init__(self):
+        if self.quantity not in (QUANTITY_ENTROPY, QUANTITY_TC, QUANTITY_MI):
+            raise ValueError(f"unknown quantity: {reprlib.repr(self.quantity)}")
+        for name in ("value_bits", "raw_value_bits"):
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+            object.__setattr__(self, name, float(value))
+        trace = self.per_layer_delta_t
+        if not (isinstance(trace, (list, tuple)) and all(map(_is_finite_number, trace))):
+            raise ValueError(
+                f"per_layer_delta_t must be a list of finite numbers, got {reprlib.repr(trace)}"
+            )
+        object.__setattr__(self, "per_layer_delta_t", tuple(map(float, trace)))
+        for name in ("n_samples", "dim"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {reprlib.repr(value)}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.config, FitConfig):
+            raise ValueError(f"config must be a FitConfig, got {reprlib.repr(self.config)}")
+        if not isinstance(self.converged, (bool, np.bool_)):
+            raise ValueError(f"converged must be true or false, got {reprlib.repr(self.converged)}")
+        object.__setattr__(self, "converged", bool(self.converged))
 
     def to_dict(self) -> dict:
         return {
@@ -65,16 +99,7 @@ class ITReport:
     def from_dict(cls, doc: dict) -> "ITReport":
         """Rebuild a report from a dict holding exactly its field names."""
         _exact_keys(doc, [f.name for f in fields(cls)], "report")
-        return cls(
-            quantity=doc["quantity"],
-            value_bits=doc["value_bits"],
-            raw_value_bits=doc["raw_value_bits"],
-            per_layer_delta_t=tuple(doc["per_layer_delta_t"]),
-            n_samples=doc["n_samples"],
-            dim=doc["dim"],
-            config=FitConfig.from_dict(doc["config"]),
-            converged=doc["converged"],
-        )
+        return cls(**{**doc, "config": FitConfig.from_dict(doc["config"])})
 
 
 def _report(quantity: str, raw: float, model: GaussModel, n: int, dim: int) -> ITReport:
@@ -83,7 +108,7 @@ def _report(quantity: str, raw: float, model: GaussModel, n: int, dim: int) -> I
         quantity=quantity,
         value_bits=max(0.0, raw) if clamp else raw,
         raw_value_bits=raw,
-        per_layer_delta_t=tuple(model.delta_t_trace.tolist()),
+        per_layer_delta_t=model.delta_t_trace.tolist(),
         n_samples=n,
         dim=dim,
         config=model.config,

@@ -226,9 +226,9 @@ def item(index, value):
     return change
 
 
-# The test model: 500 x 2 rows, 22 bins, so knots_p is 2 x 25 and knots_p[1][3]
-# is flat item 28.
-KNOTS_P = ["layers", 0, "knots_p"]
+# The test model: 500 x 2 rows, 3 layers, 22 bins, so knots_p is 3 x 2 x 25 and
+# knots_p[0][1][3] is flat item 28.
+KNOTS_P = ["knots_p"]
 
 
 class TestTransformSample:
@@ -260,26 +260,30 @@ class TestTransformSample:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (without("layers"), "malformed model document: layers is missing"),
+            (without("n_layers"), "malformed model document: model field n_layers is missing"),
             (lambda doc: [doc], "not a serialized model document"),
-            (edited(["resolved_clamp_eps"], None),
-             "malformed model document: resolved_clamp_eps must be a number in (0, 0.5), got None"),
+            (edited(["clamp_eps"], None),
+             "malformed model document: clamp_eps must be a number in (0, 0.5), got None"),
             (decoded_edit(KNOTS_P, lambda a: item(2, a[1])(a)),
-             "malformed model document: layers[0]: column 0: knot segment 1 "),
+             "malformed model document: layer 0 column 0: knot segment 1 "),
             (edited(["version"], 1), "unsupported model version: 1"),
             (edited(["version"], 2), "unsupported model version: 2"),
             (edited(["version"], 3), "unsupported model version: 3"),
-            (edited(["layers", 0, "delta_t"], None),
-             "malformed model document: layers[0]: delta_t must be a finite number, got None"),
+            (edited(["version"], 4), "unsupported model version: 4"),
+            (edited(["delta_t"], None),
+             "malformed model document: delta_t must be the base64 of 3 float64 values"
+             " (32 characters), got None"),
             (edited(["converged"], "yes"),
              "malformed model document: converged must be true or false, got 'yes'"),
             (edited(["resolved_bins"], None),
              "malformed model document: resolved_bins must be an integer >= 2, got None"),
             (edited(["resolved_bins"], float),
              "malformed model document: resolved_bins must be an integer >= 2, got 22.0"),
-            (without("dim"), "malformed model document: dim is missing"),
+            (without("dim"), "malformed model document: model field dim is missing"),
             (edited(["dim"], True),
              "malformed model document: dim must be an integer >= 1, got True"),
+            (edited(["n_layers"], 0),
+             "malformed model document: n_layers must be an integer >= 1, got 0"),
             (edited(["config", "seed"], True),
              "malformed model document: config: seed must be an integer, got True"),
             (edited(["config", "tol_delta_t"], 10**400),
@@ -288,52 +292,67 @@ class TestTransformSample:
              "malformed model document: config: tol_delta_t must be finite and > 0, got '0.01'"),
             # Refused by the text's length, before anything is decoded.
             (edited(["resolved_bins"], 10**9),
-             "malformed model document: layers[0].knots_p must be the base64 of 2000000006"
-             " float64 values (21333333400 characters), got '"),
+             "malformed model document: knots_p must be the base64 of 6000000018"
+             " float64 values (64000000192 characters), got '"),
             (edited(["resolved_bins"], 10**30),
-             "malformed model document: layers[0].knots_p must be the base64 of"
-             " 2000000000000000000000000000006 float64 values"
-             " (21333333333333333333333333333400 characters), got '"),
+             "malformed model document: knots_p must be the base64 of"
+             " 6000000000000000000000000000018 float64 values"
+             " (64000000000000000000000000000192 characters), got '"),
+            (edited(["n_layers"], 10**9),
+             "malformed model document: x_min must be the base64 of 2000000000"
+             " float64 values (21333333336 characters), got '"),
             (decoded_edit(["marginal_entropies_input"], lambda h: h[:1]),
              "malformed model document: marginal_entropies_input must be the base64 of 2"
              " float64 values (24 characters), got '"),
-            (edited(["layers", 0, "clamp_eps"], 0.3),
-             "malformed model document: layers[0].clamp_eps is not a model field"),
-            (decoded_edit(["layers", 0, "rotation", "entries"], item(0, math.nan)),
-             "malformed model document: layers[0].rotation.entries[0][0] must be a finite"
+            # One clamp per layer: the model has one for all of them.
+            (edited(["clamp_eps"], [0.001] * 3),
+             "malformed model document: clamp_eps must be a number in (0, 0.5),"
+             " got [0.001, 0.001, 0.001]"),
+            # One kind per layer: every rotation is of the config's kind.
+            (edited(["kind"], ["random"] * 3),
+             "malformed model document: kind is not a model field"),
+            (edited(["rank_deficient"], [False, False]),
+             "malformed model document: rank_deficient must be 3 booleans, got [False, False]"),
+            (edited(["rank_deficient"], [0, 0, 0]),
+             "malformed model document: rank_deficient must be 3 booleans, got [0, 0, 0]"),
+            (decoded_edit(["rotation_entries"], item(0, math.nan)),
+             "malformed model document: rotation_entries[0][0][0] must be a finite"
              " number, got nan"),
+            (decoded_edit(["rotation_entries"], item(0, 2.0)),
+             "malformed model document: layer 0 rotation: matrix is not orthogonal"),
             (decoded_edit(KNOTS_P, lambda a: a[:-1]),
-             "malformed model document: layers[0].knots_p must be the base64 of 50 float64"
-             " values (536 characters), got '"),
-            (decoded_edit(["layers", 0, "x_max"], item(1, -1e300)),
-             "malformed model document: layers[0]: column 1: knot segment 0 "),
-            (decoded_edit(["layers", 0, "x_max"], item(0, 1.7e308)),
-             "malformed model document: layers[0]: column 0: knot segment "),
+             "malformed model document: knots_p must be the base64 of 150 float64"
+             " values (1600 characters), got '"),
+            (decoded_edit(["x_max"], item(1, -1e300)),
+             "malformed model document: layer 0 column 1: knot segment 0 "),
+            (decoded_edit(["x_max"], item(0, 1.7e308)),
+             "malformed model document: layer 0 column 0: knot segment "),
             (decoded_edit(KNOTS_P, item(28, math.inf)),
-             "malformed model document: layers[0].knots_p[1][3] must be a finite number,"
+             "malformed model document: knots_p[0][1][3] must be a finite number,"
              " got inf"),
-            (edited(["layers", 0, "x_min"], [0.5, 1.5]),
-             "malformed model document: layers[0].x_min must be the base64 of 2 float64"
-             " values (24 characters), got [0.5, 1.5]"),
-            (edited(["layers", 0, "x_max"], lambda text: text + "AAAA"),
-             "malformed model document: layers[0].x_max must be the base64 of 2 float64"
-             " values (24 characters), got '"),
-            # Decoded without validation, the rest would be 13 bytes.
-            (edited(["layers", 0, "x_min"], lambda text: "!!!!" + text[4:]),
-             "malformed model document: layers[0].x_min must be base64 text, got '!!!!"),
-            # The right length, but 18 bytes without the padding.
-            (edited(["layers", 0, "x_min"], lambda text: text[:-2] + "AA"),
-             "malformed model document: layers[0].x_min must be the base64 of 2 float64"
-             " values (24 characters), got '"),
+            (edited(["x_min"], [0.5, 1.5]),
+             "malformed model document: x_min must be the base64 of 6 float64"
+             " values (64 characters), got [0.5, 1.5]"),
+            (edited(["x_max"], lambda text: text + "AAAA"),
+             "malformed model document: x_max must be the base64 of 6 float64"
+             " values (64 characters), got '"),
+            # Decoded without validation, the rest would be 45 bytes.
+            (edited(["x_min"], lambda text: "!!!!" + text[4:]),
+             "malformed model document: x_min must be base64 text, got '!!!!"),
+            # The right length, but padding that leaves 46 bytes, not 48.
+            (edited(["x_min"], lambda text: text[:-2] + "=="),
+             "malformed model document: x_min must be the base64 of 6 float64"
+             " values (64 characters), got '"),
         ],
         ids=[
             "no-layers", "json-array", "null-clamp-eps", "flat-cdf-segment", "version-1",
-            "version-2", "version-3", "null-delta-t", "string-converged",
-            "null-resolved-bins", "float-resolved-bins", "no-dim", "bool-dim", "bool-seed",
-            "huge-tol", "string-tol", "huge-resolved-bins", "absurd-resolved-bins",
-            "short-entropies", "layer-clamp-eps", "nan-rotation-entry", "short-knots-p-row",
-            "x-max-below-x-min", "overflowing-range", "infinite-knot", "list-x-min",
-            "long-x-max", "non-base64-x-min", "unpadded-x-min",
+            "version-2", "version-3", "version-4", "null-delta-t", "string-converged",
+            "null-resolved-bins", "float-resolved-bins", "no-dim", "bool-dim", "zero-layers",
+            "bool-seed", "huge-tol", "string-tol", "huge-resolved-bins", "absurd-resolved-bins",
+            "huge-layer-count", "short-entropies", "layer-clamp-eps", "layer-kinds",
+            "short-rank-deficient", "int-rank-deficient", "nan-rotation-entry",
+            "skewed-rotation", "short-knots-p-row", "x-max-below-x-min", "overflowing-range",
+            "infinite-knot", "list-x-min", "long-x-max", "non-base64-x-min", "unpadded-x-min",
         ],
     )
     def test_malformed_model_exit_1(self, tmp_path, capsys, edit, message):
@@ -479,6 +498,38 @@ class TestInfoMap:
         )
         assert code == 0
         assert load_cube(str(out)).shape == ((9 - 3) // 2 + 1, (11 - 2) // 2 + 1, (13 - 2) // 2 + 1)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda doc, key=key: doc.pop(key), f"cube sidecar field {key} is missing")
+         for key in ("shape", "dtype", "fill_value", "order", "grid_meta")]
+        + [(lambda doc: doc.update(nodata=-9999), "nodata is not a cube sidecar field")],
+        ids=["no-shape", "no-dtype", "no-fill-value", "no-order", "no-grid-meta", "unknown-key"],
+    )
+    def test_sidecar_keys_checked_exit_1(self, tmp_path, capsys, edit, message):
+        # Without its fill_value, the -9999 sentinel would load as data.
+        values = np.random.default_rng(14).standard_normal((6, 8, 8))
+        values[2, 3, 3] = np.nan
+        cube_path = tmp_path / "c.bin"
+        save_cube(cube_path, DataCube(values), fill_value=-9999)
+        model = tmp_path / "m.json"
+        code, _, _ = run(
+            capsys, "fit", "--input", str(cube_path), "--spatial", "1", "--temporal", "1",
+            "--patience", "1", "--out", str(model),
+        )
+        assert code == 0
+        sidecar = tmp_path / "c.bin.json"
+        doc = json.loads(sidecar.read_text())
+        edit(doc)
+        sidecar.write_text(json.dumps(doc))
+        out = tmp_path / "map.bin"
+        code, _, err = run(
+            capsys, "info-map", "--model", str(model), "--cube", str(cube_path),
+            "--spatial", "1", "--temporal", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_model_patch_dim_mismatch_exit_1(self, tmp_path, capsys, gauss_csv):
         model = tmp_path / "m.json"

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -133,7 +134,7 @@ class TestFit:
         assert model.n_layers == 2
 
     def test_total_correlation_is_sum_of_layer_deltas(self, rho09_model):
-        total = sum(layer.delta_t for layer in rho09_model.layers)
+        total = sum(rho09_model.delta_t.tolist())
         assert abs(rho09_model.total_correlation - total) <= 1e-9
 
     def test_random_rotation_fit_converges(self):
@@ -170,12 +171,12 @@ class TestTransform:
         x = sine_data[:100]
         _, total = sine_model.transform(x)
         acc = np.zeros(x.shape[0])
-        for layer in sine_model.layers:
+        for gaussianizers, rotation in zip(sine_model.gaussianizers, sine_model.rotations):
             z = np.empty_like(x)
-            for j, g in enumerate(layer.gaussianizers):
+            for j, g in enumerate(gaussianizers):
                 z[:, j], lj = g.forward(x[:, j])
                 acc += lj
-            x = rbig.rotate(layer.rotation, z)
+            x = rbig.rotate(rotation, z)
         assert np.max(np.abs(acc - total)) <= 1e-9
 
     def test_dimension_mismatch(self, sine_model):
@@ -303,7 +304,7 @@ class TestNonGaussianityTrace:
 
 
 def decoded(text, shape):
-    """A format-4 array field, decoded here independently of the loader."""
+    """A format-5 block, decoded here independently of the loader."""
     return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(shape)
 
 
@@ -327,46 +328,123 @@ class TestSerialization:
         sine_model.save(path)
         doc = json.loads(path.read_text())
         assert doc["format"] == "rbig-model"
-        assert doc["version"] == 4
-        assert doc["dim"] == 2
+        assert doc["version"] == 5
         assert set(doc["config"]) == {f.name for f in fields(FitConfig)}
-        k = doc["resolved_bins"] + 3
-        assert np.array_equal(
-            decoded(doc["non_gaussianity"], (sine_model.n_layers,)), sine_model.non_gaussianity
-        )
-        for record, layer in zip(doc["layers"], sine_model.layers, strict=True):
-            assert set(record) == {"delta_t", "rotation", "x_min", "x_max", "knots_p"}
-            # Each block is stored as the layer holds it, little-endian in C order.
-            assert same_bits(decoded(record["x_min"], (2,)), layer.x_min)
-            assert same_bits(decoded(record["x_max"], (2,)), layer.x_max)
-            assert same_bits(decoded(record["knots_p"], (2, k)), layer.knots_p)
-            entries = decoded(record["rotation"]["entries"], (2, 2))
-            assert same_bits(entries, np.ascontiguousarray(layer.rotation.entries))
+        n, d, k = doc["n_layers"], doc["dim"], doc["resolved_bins"] + 3
+        assert (n, d) == (sine_model.n_layers, 2)
+        assert doc["clamp_eps"] == sine_model.clamp_eps
+        assert doc["rank_deficient"] == [False] * n
+        shapes = {
+            "x_min": (n, d), "x_max": (n, d), "knots_p": (n, d, k),
+            "rotation_entries": (n, d, d), "delta_t": (n,), "non_gaussianity": (n,),
+            "marginal_entropies_input": (d,),
+        }
+        assert set(doc) == {
+            "format", "version", "config", "converged", "n_layers", "dim", "resolved_bins",
+            "clamp_eps", "rank_deficient", *shapes,
+        }
+        # Each block is stored as the model holds it, little-endian in C order.
+        for name, shape in shapes.items():
+            assert same_bits(decoded(doc[name], shape), getattr(sine_model, name)), name
 
     def test_layer_tables_are_views_of_its_blocks(self, sine_model):
-        layer = sine_model.layers[1]
-        assert not (layer.x_min.flags.writeable or layer.knots_p.flags.writeable)
-        for j, g in enumerate(layer.gaussianizers):
-            u = g.uniformizer
-            assert np.shares_memory(u.knots_p, layer.knots_p)
-            assert u.knots_x[1] == layer.x_min[j] and u.knots_x[-2] == layer.x_max[j]
-            assert u.clamp_eps == sine_model.resolved_clamp_eps
+        blocks = ("x_min", "x_max", "knots_p", "rotation_entries", "delta_t", "rank_deficient")
+        assert not any(getattr(sine_model, name).flags.writeable for name in blocks)
+        assert len(sine_model.gaussianizers) == len(sine_model.rotations) == sine_model.n_layers
+        for i, gaussianizers in enumerate(sine_model.gaussianizers):
+            assert len(gaussianizers) == sine_model.dim
+            for j, g in enumerate(gaussianizers):
+                u = g.uniformizer
+                assert np.shares_memory(u.knots_p, sine_model.knots_p)
+                assert u.knots_x[1] == sine_model.x_min[i, j]
+                assert u.knots_x[-2] == sine_model.x_max[i, j]
+                assert u.clamp_eps == sine_model.clamp_eps
+            # Every table's knots are a row of one grid block.
+            first, last = gaussianizers[0].uniformizer, gaussianizers[-1].uniformizer
+            assert np.shares_memory(first.knots_x.base, last.knots_x)
+            rotation = sine_model.rotations[i]
+            assert np.shares_memory(rotation.entries, sine_model.rotation_entries)
+            assert rotation.kind == sine_model.config.rotation_kind
+            assert rotation.rank_deficient == sine_model.rank_deficient[i]
 
-    @pytest.mark.parametrize("mix", ["dim", "knots", "clamp"])
-    def test_model_rejects_mixed_layers(self, sine_model, sine_data, mix):
-        # A file holds one D, one resolved_bins and one clamp for all layers.
-        layer = sine_model.layers[1]
-        if mix == "clamp":
-            other = replace(layer, clamp_eps=0.25)
-            message = r"layer 1 has knots_p of shape \(2, 103\) and clamp_eps 0.25, layer 0 "
+    def test_rotation_kind_follows_config(self, sine_model):
+        # No layer stores a kind of its own, so no layer can differ.
+        haar = replace(sine_model, config=replace(sine_model.config, rotation_kind="random"))
+        assert {r.kind for r in haar.rotations} == {"random"}
+
+    @pytest.mark.parametrize(
+        "name",
+        ["x_max", "knots_p", "rotation_entries", "delta_t", "non_gaussianity",
+         "marginal_entropies_input"],
+    )
+    def test_model_rejects_block_of_wrong_shape(self, sine_model, name):
+        # Such a model would save a file that load refuses.
+        block = getattr(sine_model, name)
+        message = f"^{name} must have shape {re.escape(str(block.shape))}, got "
+        with pytest.raises(ValueError, match=message):
+            replace(sine_model, **{name: block[:-1]})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"x_min": np.zeros(2)}, "x_min must have shape (L, D) with L, D >= 1, got (2,)"),
+            ({"knots_p": np.zeros((3, 2, 4))},
+             "knots_p must have shape (L, D, K) with K >= 5, got (3, 2, 4)"),
+            ({"rank_deficient": [False]}, "rank_deficient must be {L} booleans, got [False]"),
+            ({"rank_deficient": "no"}, "rank_deficient must be {L} booleans, got 'no'"),
+            ({"clamp_eps": 0.5}, "clamp_eps must be a number in (0, 0.5), got 0.5"),
+            ({"clamp_eps": None}, "clamp_eps must be a number in (0, 0.5), got None"),
+        ],
+        ids=["flat-x-min", "four-knots", "short-rank-deficient", "string-rank-deficient",
+             "half-clamp", "null-clamp"],
+    )
+    def test_model_rejects_bad_fields(self, sine_model, change, message):
+        message = message.replace("{L}", str(sine_model.n_layers))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(sine_model, **change)
+
+    def test_model_names_bad_item(self, sine_model):
+        delta_t = sine_model.delta_t.copy()
+        delta_t[1] = math.nan
+        with pytest.raises(ValueError, match=r"^delta_t\[1\] must be a finite number, got nan$"):
+            replace(sine_model, delta_t=delta_t)
+
+    @pytest.mark.parametrize(
+        "kind, n_layers, deficient",
+        [("pca", 1, False), ("pca", 2, False), ("pca", 3, False), ("random", 1, False),
+         ("random", 2, False), ("random", 3, False), ("pca", 1, True)],
+        ids=["pca-1", "pca-2", "pca-3", "random-1", "random-2", "random-3", "pca-rank-deficient"],
+    )
+    def test_round_trip_keeps_every_block(self, tmp_path, kind, n_layers, deficient):
+        x = skewed(2000, 42)
+        if deficient:
+            x[:, 2] = x[:, 1]  # a duplicated column: a degenerate PCA spectrum
+        # Every layer is below tolerance, so the fit stops after n_layers.
+        config = FitConfig(
+            rotation_kind=kind, max_layers=n_layers, patience=n_layers, tol_delta_t=1e3, seed=43
+        )
+        if deficient:
+            with pytest.warns(rbig.RankDeficientWarning):
+                model = fit(x, config)
         else:
-            data = np.column_stack([sine_data, sine_data[:, 0] ** 3])
-            config = FitConfig(bins=9 if mix == "knots" else None, seed=2)
-            other = fit(data if mix == "dim" else sine_data, config).layers[0]
-            message = "layer 1 has knots_p of shape "
-        layers = (sine_model.layers[0], other) + sine_model.layers[2:]
-        with pytest.raises(ValueError, match=f"^{message}"):
-            replace(sine_model, layers=layers)
+            model = fit(x, config)
+        assert model.n_layers == n_layers
+        assert model.rank_deficient.tolist() == [deficient] * n_layers
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model.save(first)
+        loaded = GaussModel.load(first)
+        for name in ("x_min", "x_max", "knots_p", "rotation_entries", "rank_deficient",
+                     "delta_t", "delta_t_trace", "non_gaussianity", "marginal_entropies_input"):
+            assert same_bits(getattr(loaded, name), getattr(model, name)), name
+        assert (loaded.clamp_eps, loaded.config, loaded.converged) == (
+            model.clamp_eps, model.config, model.converged
+        )
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        doc = json.loads(first.read_text())
+        doc["version"] = 4
+        with pytest.raises(ValueError, match="^unsupported model version: 4$"):
+            GaussModel.from_dict(doc)
 
     def test_failed_save_keeps_earlier_file(self, sine_model, tmp_path):
         path = tmp_path / "model.json"
@@ -545,7 +623,7 @@ class TestColumnPool:
     ):
         x = skewed(3000, 37)
         model = fit(x, FitConfig(seed=38))
-        rank = {id(g): j for layer in model.layers for j, g in enumerate(layer.gaussianizers)}
+        rank = {id(g): j for row in model.gaussianizers for j, g in enumerate(row)}
         forward = MarginalGaussianizer.forward
 
         def first_columns_last(self, v):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,8 +196,23 @@ class TestITReport:
         [
             (lambda doc: doc.pop("value_bits"), "^report field value_bits is missing$"),
             (lambda doc: doc.update(value_nats=0.1), "^value_nats is not a report field$"),
+            (lambda doc: doc.update(quantity="entropy_nats"),
+             "^unknown quantity: 'entropy_nats'$"),
+            (lambda doc: doc.update(value_bits=True),
+             "^value_bits must be a finite number, got True$"),
+            (lambda doc: doc.update(raw_value_bits=None),
+             "^raw_value_bits must be a finite number, got None$"),
+            (lambda doc: doc.update(per_layer_delta_t="abc"),
+             "^per_layer_delta_t must be a list of finite numbers, got 'abc'$"),
+            (lambda doc: doc.update(per_layer_delta_t=[0.1, None]),
+             r"^per_layer_delta_t must be a list of finite numbers, got \[0.1, None\]$"),
+            (lambda doc: doc.update(n_samples=0), "^n_samples must be an integer >= 1, got 0$"),
+            (lambda doc: doc.update(dim="two"), "^dim must be an integer >= 1, got 'two'$"),
+            (lambda doc: doc.update(converged="yes"),
+             "^converged must be true or false, got 'yes'$"),
         ],
-        ids=["missing-key", "unknown-key"],
+        ids=["missing-key", "unknown-key", "unknown-quantity", "bool-value", "null-raw-value",
+             "string-trace", "null-in-trace", "no-samples", "string-dim", "string-converged"],
     )
     def test_report_keys_checked(self, edit, message):
         report = total_correlation(equicorrelated_gaussian(2000, 2, 0.5, 16))
@@ -204,6 +220,12 @@ class TestITReport:
         edit(doc)
         with pytest.raises(ValueError, match=message):
             ITReport.from_dict(doc)
+
+    def test_report_config_type_checked(self):
+        # A dict would pass construction and fail only in to_json.
+        report = total_correlation(equicorrelated_gaussian(2000, 2, 0.5, 16))
+        with pytest.raises(ValueError, match=r"^config must be a FitConfig, got \{'seed': 0\}$"):
+            replace(report, config={"seed": 0})
 
     def test_value_not_rounded_in_storage(self):
         data = equicorrelated_gaussian(20000, 2, 0.5, 17)

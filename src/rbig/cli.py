@@ -199,10 +199,7 @@ def _cmd_measure(args) -> int:
                 report = total_correlation(data, config)
             else:
                 report = entropy_measure(data, config)
-    doc = report.to_dict()
-    if getattr(args, "per_feature", False):
-        doc["value_bits_per_feature"] = report.value_bits / report.dim
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     print(text)
     if args.out:
         with open(args.out, "w") as fh:
@@ -297,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--input", required=True)
             _patch_flags(p)
-        if name == "entropy":
-            p.add_argument("--per-feature", action="store_true")
         p.add_argument("--out", default=None)
         _fit_flags(p)
         p.set_defaults(func=_cmd_measure)

@@ -19,8 +19,7 @@ import os
 import reprlib
 import threading
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -59,14 +58,11 @@ MODEL_FORMAT = "rbig-model"
 MODEL_VERSION = 5
 
 
-# Rows from which a layer's columns run on the thread pool.  The column
+# Rows from which a layer's columns run on worker threads.  The column
 # kernels (binning, ndtri, ndtr) release the GIL, but each pooled call pays a
 # hand-off.  Per column-layer of a 49-column fit on a 2-CPU x86_64 host, the
-# pool lost at 20,000 rows and won from 30,000 (README, "Column threads").
+# workers lost at 20,000 rows and won from 30,000 (README, "Column threads").
 _POOL_MIN_ROWS = 2**15
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def _cpu_count() -> int:
@@ -76,57 +72,31 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _column_pool() -> ThreadPoolExecutor | None:
-    """The process's column pool, one worker per usable CPU, made on first
-    use; None on a single CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            workers = _cpu_count()
-            if workers >= 2:
-                _pool = ThreadPoolExecutor(workers, thread_name_prefix="rbig-columns")
-        return _pool
+@contextlib.contextmanager
+def _columns(n_rows: int, n_cols: int):
+    """Yield ``map_columns(fn)``, which yields ``fn(j)`` for each column ``j``
+    in column order.
 
-
-def _forget_pool() -> None:
-    # A forked child has none of the parent's worker threads: it makes its own.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _map_columns(fn, n_rows: int, n_cols: int):
-    """Yield ``fn(j)`` for each column ``j`` in column order.
-
-    The calls run on the column pool when there are 2 or more columns of at
-    least ``_POOL_MIN_ROWS`` rows and 2 or more CPUs, else one by one on the
+    The calls run on workers of this block's own, one per usable CPU up to
+    ``n_cols``, when there are 2 or more columns of at least
+    ``_POOL_MIN_ROWS`` rows and 2 or more CPUs, else one by one on the
     calling thread.  ``fn`` must touch only column ``j``'s data.  Results
     come back in column order whatever order the calls finish in, so every
     sum the caller takes over them is the serial sum.  A failing call
     raises its exception when its result is reached, so the first failing
-    column's error is the one raised, as in the serial order; calls not yet
-    started are then cancelled and running ones waited for.
+    column's error is the one raised, as in the serial order.  Leaving the
+    block cancels calls not yet started and waits for running ones, so no
+    worker outlives it.
     """
-    pool = None
-    if n_cols >= 2 and n_rows >= _POOL_MIN_ROWS:
-        pool = _column_pool()
-    if pool is None:
-        for j in range(n_cols):
-            yield fn(j)
+    workers = min(_cpu_count(), n_cols)
+    if workers < 2 or n_rows < _POOL_MIN_ROWS:
+        yield lambda fn: map(fn, range(n_cols))
         return
-    futures = deque(pool.submit(fn, j) for j in range(n_cols))
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="rbig-columns")
     try:
-        while futures:
-            # Dropped once read, so only columns finished ahead of the
-            # caller are held.
-            yield futures.popleft().result()
+        yield lambda fn: pool.map(fn, range(n_cols))
     finally:
-        for future in futures:
-            future.cancel()
-        wait(futures)
+        pool.shutdown(cancel_futures=True)
 
 
 def _is_integer(value) -> bool:
@@ -232,7 +202,7 @@ def _named(where: str, make, *args):
         raise ValueError(f"{where}: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussModel:
     """Fitted Gaussianization stack of L layers over D columns, as blocks.
 
@@ -249,6 +219,8 @@ class GaussModel:
     from row views of one block of ``_knot_grid`` knots and of ``knots_p``,
     and ``rotations[i]``.  A bad block, table or rotation raises a one-line
     ``ValueError`` naming it.
+
+    ``==`` is identity: compare ``to_dict()`` for equal contents.
     """
 
     x_min: np.ndarray
@@ -372,20 +344,21 @@ class GaussModel:
         x = self._check(data)
         n, d = x.shape
         logjac = np.zeros(n)
-        for gaussianizers, rotation in zip(self.gaussianizers, self.rotations):
-            z = np.empty_like(x)
+        with _columns(n, d) as map_columns:
+            for gaussianizers, rotation in zip(self.gaussianizers, self.rotations):
+                z = np.empty_like(x)
 
-            def forward(j):
-                z[:, j], lj = gaussianizers[j].forward(x[:, j])
-                return lj
+                def forward(j):
+                    z[:, j], lj = gaussianizers[j].forward(x[:, j])
+                    return lj
 
-            for lj in _map_columns(forward, n, d):
-                logjac += lj
-            # Two N x D arrays at most: the spent input goes before the
-            # rotation allocates its output, and z once it is rotated.
-            del x
-            x = rotate(rotation, z)
-            del z
+                for lj in map_columns(forward):
+                    logjac += lj
+                # Two N x D arrays at most: the spent input goes before the
+                # rotation allocates its output, and z once it is rotated.
+                del x
+                x = rotate(rotation, z)
+                del z
         return x, logjac
 
     def inverse(self, z):
@@ -397,17 +370,20 @@ class GaussModel:
         x = self._check(z)
         # Not held past the first rotation: sample's draw is freed there.
         del z
-        n, d = x.shape
-        for gaussianizers, rotation in zip(reversed(self.gaussianizers), reversed(self.rotations)):
-            # rotate_inverse returns a fresh column-contiguous array, so each
-            # marginal inverse reads a contiguous column and writes it back.
-            x = rotate_inverse(rotation, x)
+        with _columns(*x.shape) as map_columns:
+            for gaussianizers, rotation in zip(
+                reversed(self.gaussianizers), reversed(self.rotations)
+            ):
+                # rotate_inverse returns a fresh column-contiguous array, so
+                # each marginal inverse reads a contiguous column and writes
+                # it back.
+                x = rotate_inverse(rotation, x)
 
-            def invert(j):
-                x[:, j] = gaussianizers[j].inverse(x[:, j])
+                def invert(j):
+                    x[:, j] = gaussianizers[j].inverse(x[:, j])
 
-            for _ in _map_columns(invert, n, d):
-                pass
+                for _ in map_columns(invert):
+                    pass
         return x
 
     def log_density(self, data):
@@ -597,66 +573,67 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     clamp_eps = default_clamp_eps(n)
     seed_rng = np.random.default_rng(config.seed)
 
-    h_input = np.array(list(_map_columns(lambda j: marginal_entropy(x[:, j], bins), n, d)))
-    # Per layer: its D fitted tables, its rotation and its delta-T.
-    layer_tables: list[list[MarginalUniformizer]] = []
-    rotations: list[RotationMatrix] = []
-    deltas: list[float] = []
-    non_gauss: list[float] = []
-    below = 0
-    converged = False
-    for _ in range(config.max_layers):
-        z = np.empty_like(x)
+    with _columns(n, d) as map_columns:
+        h_input = np.array(list(map_columns(lambda j: marginal_entropy(x[:, j], bins))))
+        # Per layer: its D fitted tables, its rotation and its delta-T.
+        layer_tables: list[list[MarginalUniformizer]] = []
+        rotations: list[RotationMatrix] = []
+        deltas: list[float] = []
+        non_gauss: list[float] = []
+        below = 0
+        converged = False
+        for _ in range(config.max_layers):
+            z = np.empty_like(x)
 
-        def gaussianize(j):
-            g = fit_gaussianizer(x[:, j], bins)
-            z[:, j], _ = g.forward(x[:, j])
-            return g
+            def gaussianize(j):
+                g = fit_gaussianizer(x[:, j], bins)
+                z[:, j], _ = g.forward(x[:, j])
+                return g
 
-        tables = [g.uniformizer for g in _map_columns(gaussianize, n, d)]
-        # Two N x D arrays at most: the spent input goes before the PCA's
-        # centered copy and the rotation's output, and z once it is rotated.
-        del x
-        if config.rotation_kind == KIND_PCA:
-            rotation = fit_pca_rotation(z)
-        else:
-            rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))
-        x = rotate(rotation, z)
-        del z
-        # A rotation of exactly dependent columns can produce a zero-range
-        # direction (e.g. duplicated variables).  Its differential entropy is
-        # unboundedly negative; floor it at the flow's probability resolution
-        # and stop stacking, since no further layer can be fitted.
-        spans = x.max(axis=0) - x.min(axis=0)
-        degenerate = spans == 0.0
-        h_floor = math.log2(clamp_eps)
+            tables = [g.uniformizer for g in map_columns(gaussianize)]
+            # Two N x D arrays at most: the spent input goes before the PCA's
+            # centered copy and the rotation's output, and z once it is rotated.
+            del x
+            if config.rotation_kind == KIND_PCA:
+                rotation = fit_pca_rotation(z)
+            else:
+                rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))
+            x = rotate(rotation, z)
+            del z
+            # A rotation of exactly dependent columns can produce a zero-range
+            # direction (e.g. duplicated variables).  Its differential entropy is
+            # unboundedly negative; floor it at the flow's probability resolution
+            # and stop stacking, since no further layer can be fitted.
+            spans = x.max(axis=0) - x.min(axis=0)
+            degenerate = spans == 0.0
+            h_floor = math.log2(clamp_eps)
 
-        def entropy_and_kl(j):
-            if degenerate[j]:
-                value = x[0, j]
-                cross = (0.5 * value * value + 0.5 * math.log(2 * math.pi)) / LN2
-                return h_floor, cross - h_floor
-            return (
-                marginal_entropy(x[:, j], bins),
-                marginal_kl_to_standard_normal(x[:, j], bins),
-            )
+            def entropy_and_kl(j):
+                if degenerate[j]:
+                    value = x[0, j]
+                    cross = (0.5 * value * value + 0.5 * math.log(2 * math.pi)) / LN2
+                    return h_floor, cross - h_floor
+                return (
+                    marginal_entropy(x[:, j], bins),
+                    marginal_kl_to_standard_normal(x[:, j], bins),
+                )
 
-        delta_t = 0.0
-        j_m = 0.0
-        for h_j, kl_j in _map_columns(entropy_and_kl, n, d):
-            j_m += kl_j
-            delta_t += GAUSS_ENTROPY_BITS - h_j
-        layer_tables.append(tables)
-        rotations.append(rotation)
-        deltas.append(delta_t)
-        non_gauss.append(j_m)
-        if degenerate.any():
-            converged = True
-            break
-        below = below + 1 if delta_t < config.tol_delta_t else 0
-        if below >= config.patience:
-            converged = True
-            break
+            delta_t = 0.0
+            j_m = 0.0
+            for h_j, kl_j in map_columns(entropy_and_kl):
+                j_m += kl_j
+                delta_t += GAUSS_ENTROPY_BITS - h_j
+            layer_tables.append(tables)
+            rotations.append(rotation)
+            deltas.append(delta_t)
+            non_gauss.append(j_m)
+            if degenerate.any():
+                converged = True
+                break
+            below = below + 1 if delta_t < config.tol_delta_t else 0
+            if below >= config.patience:
+                converged = True
+                break
     if not converged:
         warnings.warn(
             f"fit hit max_layers={config.max_layers} before converging",

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rbig import DataCube, fit, load_csv, load_cube, load_model, save_csv, save_cube
+from rbig import DataCube, ITReport, fit, load_csv, load_cube, load_model, save_csv, save_cube
 from rbig.cli import main
 
 
@@ -400,17 +400,31 @@ class TestMeasures:
         report = json.loads(out)
         assert report["value_bits"] == pytest.approx(-0.5 * math.log2(1 - 0.81), abs=0.1)
 
-    def test_entropy_per_feature(self, tmp_path, capsys):
-        path = tmp_path / "n01_3d.csv"
+    def test_every_report_loads_and_per_feature_is_refused(self, tmp_path, capsys):
         data = np.random.default_rng(7).standard_normal((100000, 3))
-        from rbig import save_csv
-
+        path, xp, yp = tmp_path / "n01_3d.csv", tmp_path / "x.csv", tmp_path / "y.csv"
         save_csv(path, data)
-        code, out, _ = run(capsys, "entropy", "--input", str(path), "--per-feature")
-        assert code == 0
-        report = json.loads(out)
+        save_csv(xp, data[:20000, :2])
+        save_csv(yp, data[:20000, 2:])
+        reports = {}
+        for name, inputs in [
+            ("entropy", ["--input", str(path)]),
+            ("tc", ["--input", str(path)]),
+            ("mi", ["--x", str(xp), "--y", str(yp)]),
+        ]:
+            out = tmp_path / f"{name}.json"
+            code, printed, _ = run(capsys, name, *inputs, "--out", str(out))
+            assert code == 0
+            for text in (printed, out.read_text()):
+                report = ITReport.from_dict(json.loads(text))
+                assert report.to_dict() == json.loads(text)
+            reports[name] = report
         h_gauss = 0.5 * math.log2(2 * math.pi * math.e)
-        assert report["value_bits_per_feature"] == pytest.approx(h_gauss, abs=0.05)
+        entropy = reports["entropy"]
+        assert entropy.value_bits / entropy.dim == pytest.approx(h_gauss, abs=0.05)
+        code, _, err = run(capsys, "entropy", "--input", str(path), "--per-feature")
+        assert code == 1
+        assert "--per-feature" in err
 
     def test_report_file_deterministic(self, tmp_path, capsys, gauss_csv):
         a, b = tmp_path / "ra.json", tmp_path / "rb.json"

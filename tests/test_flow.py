@@ -6,7 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -323,6 +325,14 @@ class TestSerialization:
             assert np.array_equal(model.inverse(z0), loaded.inverse(z0))
             assert np.array_equal(model.sample(500, seed=5), loaded.sample(500, seed=5))
 
+    def test_model_compares_by_identity(self, sine_model):
+        # Field-wise == would compare arrays and raise on their truth value.
+        reloaded = GaussModel.from_dict(sine_model.to_dict())
+        assert (sine_model == reloaded) is False
+        assert (sine_model != reloaded) is True
+        assert sine_model == sine_model
+        assert reloaded.to_dict() == sine_model.to_dict()
+
     def test_document_is_versioned(self, sine_model, tmp_path):
         path = tmp_path / "model.json"
         sine_model.save(path)
@@ -559,29 +569,60 @@ def skewed(n, seed):
 
 
 @pytest.fixture
-def both(monkeypatch):
-    """``run(fn)`` returns ``fn()`` run serially, then on a fresh pool.
+def pools(monkeypatch):
+    """The column pools the library makes during the test, in order; each
+    counts the columns submitted to it."""
+    made = []
 
-    The pooled run takes every column-layer, whatever its row count, on 4
-    workers (more than the CPUs of a small host) with a short thread switch
-    interval, so workers interleave often.
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.columns = 0
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.columns += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "ThreadPoolExecutor", RecordedPool)
+    return made
+
+
+def force_workers(m):
+    """Pool every column-layer, whatever its row count, on 4 workers (more
+    than the CPUs of a small host)."""
+    m.setattr(flow, "_POOL_MIN_ROWS", 1)
+    m.setattr(flow, "_cpu_count", lambda: 4)
+
+
+def column_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("rbig-columns")]
+
+
+@pytest.fixture
+def both(monkeypatch, pools):
+    """``run(fn)`` returns ``fn()`` run serially, then on column workers.
+
+    The serial run sees one CPU and makes no pool.  The pooled run takes
+    every column-layer on 4 workers with a short thread switch interval, so
+    workers interleave often.
     """
 
     def run(fn):
-        serial = fn()
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_cpu_count", lambda: 1)
+            serial = fn()
+        assert not pools, "the serial run made a pool"
         interval = sys.getswitchinterval()
         with monkeypatch.context() as m:
-            m.setattr(flow, "_POOL_MIN_ROWS", 1)
-            m.setattr(flow, "_cpu_count", lambda: 4)
-            m.setattr(flow, "_pool", None)
+            force_workers(m)
             sys.setswitchinterval(1e-6)
             try:
                 pooled = fn()
-                assert flow._pool is not None, "the columns did not run on the pool"
             finally:
                 sys.setswitchinterval(interval)
-                if flow._pool is not None:
-                    flow._pool.shutdown()
+        assert any(pool.columns for pool in pools), "the columns did not run on workers"
+        assert not column_threads(), "a column worker outlived its call"
         return serial, pooled
 
     return run
@@ -650,37 +691,95 @@ class TestColumnPool:
         serial, pooled = both(error)
         assert serial == pooled == (ValueError, "need at least 10 samples for an entropy estimate")
 
-    def test_first_failing_column_raises_and_pending_columns_are_cancelled(self, monkeypatch):
+    def test_first_failing_column_raises_and_pending_columns_are_cancelled(
+        self, monkeypatch, pools
+    ):
         monkeypatch.setattr(flow, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(flow, "_pool", None)
         started = []
+        on_workers = []
 
         def column(j):
             started.append(j)
+            on_workers.append(threading.current_thread().name.startswith("rbig-columns"))
             # Column 3 fails first in time; column 1 fails first in order.
             time.sleep(0.05 if j == 1 else 0.002)
             if j in (1, 3):
                 raise ValueError(f"column {j}")
             return j
 
-        try:
-            with pytest.raises(ValueError, match="^column 1$"):
-                list(flow._map_columns(column, flow._POOL_MIN_ROWS, 1000))
-        finally:
-            flow._pool.shutdown()
+        with pytest.raises(ValueError, match="^column 1$"):
+            with flow._columns(flow._POOL_MIN_ROWS, 1000) as map_columns:
+                list(map_columns(column))
+        assert len(pools) == 1 and all(on_workers)
         assert len(started) < 1000
+        # Running columns were waited for: none is left to start or finish.
+        assert not column_threads()
 
-    def test_single_cpu_makes_no_pool(self, monkeypatch):
+    def test_single_cpu_makes_no_pool(self, monkeypatch, pools):
         monkeypatch.setattr(flow.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(flow, "_POOL_MIN_ROWS", 1)
-        monkeypatch.setattr(flow, "_pool", None)
-        fit(skewed(500, 41))
-        assert flow._pool is None
+        model = fit(skewed(500, 41))
+        model.inverse(model.transform(skewed(500, 42))[0])
+        assert not pools
+
+    @pytest.mark.parametrize("call", ["fit", "transform", "inverse"])
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_worker_outlives_its_call(self, monkeypatch, pools, call, fails):
+        x = skewed(3000, 43)
+        model = fit(x)
+        z, _ = model.transform(x)
+        if call == "fit" and fails:
+            x = x[:5]  # too few rows for an entropy estimate: a column raises
+        elif fails:
+            def broken(self, v):
+                raise ValueError("broken column")
+
+            kernel = "forward" if call == "transform" else "inverse"
+            monkeypatch.setattr(MarginalGaussianizer, kernel, broken)
+        run = {"fit": lambda: fit(x), "transform": lambda: model.transform(x),
+               "inverse": lambda: model.inverse(z)}[call]
+        with monkeypatch.context() as m:
+            force_workers(m)
+            if fails:
+                with pytest.raises(ValueError):
+                    run()
+            else:
+                run()
+        assert len(pools) == 1 and pools[0].columns
+        assert not column_threads()
+
+    def test_concurrent_transforms_each_get_serial_bits(self, monkeypatch, pools):
+        model = fit(skewed(3000, 44), FitConfig(seed=45))
+        q = 1.5 * skewed(2000, 46)
+        serial = model.transform(q)
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def call(i):
+            barrier.wait()
+            results[i] = model.transform(q)
+
+        interval = sys.getswitchinterval()
+        with monkeypatch.context() as m:
+            force_workers(m)
+            sys.setswitchinterval(1e-6)
+            try:
+                callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join()
+            finally:
+                sys.setswitchinterval(interval)
+        # One pool per call, so neither caller waits on the other's workers.
+        assert len(pools) == 2 and all(pool.columns for pool in pools)
+        for result in results:
+            assert same_bits(result[0], serial[0]) and same_bits(result[1], serial[1])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_makes_its_own_pool(self):
-        # The child inherits the parent's pool object but not its threads;
-        # work handed to that pool would never run.
+    def test_forked_child_can_transform(self):
+        # The parent's pooled calls have left no worker behind, so a forked
+        # child runs its own workers and gets the parent's bits.
         script = (
             "import os\n"
             "import signal\n"
@@ -690,11 +789,13 @@ class TestColumnPool:
             "flow._cpu_count = lambda: 2\n"
             "x = np.random.default_rng(0).standard_normal((500, 3))\n"
             "model = fit(x)\n"
+            "z, logjac = model.transform(x)\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
             "    signal.alarm(30)\n"
-            "    model.transform(x)\n"
-            "    os._exit(0)\n"
+            "    z2, logjac2 = model.transform(x)\n"
+            "    same = z2.tobytes() == z.tobytes() and logjac2.tobytes() == logjac.tobytes()\n"
+            "    os._exit(0 if same else 1)\n"
             "_, status = os.waitpid(pid, 0)\n"
             "raise SystemExit(os.waitstatus_to_exitcode(status))\n"
         )

@@ -64,6 +64,10 @@ MODEL_VERSION = 5
 # workers lost at 20,000 rows and won from 30,000 (README, "Column threads").
 _POOL_MIN_ROWS = 2**15
 
+# A rotated direction whose range is at most this many times the layer's
+# largest |value| is rounding noise of a zero range (256 ulps at 1.0).
+_DEGENERATE_SPAN = 256 * np.finfo(np.float64).eps
+
 
 def _cpu_count() -> int:
     try:
@@ -122,8 +126,13 @@ class FitConfig:
     ``tol_delta_t`` is the threshold on a layer's total-correlation
     reduction (bits, summed over dimensions); for data with many dimensions
     it should be scaled up roughly in proportion, since the per-layer
-    estimate carries a noise floor per dimension.  Numpy scalars are stored
-    as Python ``int``/``float``, so every config serializes to JSON.
+    estimate carries a noise floor per dimension.  ``patience`` is the
+    number of consecutive layers below ``tol_delta_t`` that stops a fit of 2
+    or more columns, so that a rotation which leaves delta-T low by chance
+    for one layer is waited out.  A one-column fit stops at its first layer
+    below tolerance: its rotation is +-1, so there is nothing to wait out.
+    Numpy scalars are stored as Python ``int``/``float``, so every config
+    serializes to JSON.
     """
 
     rotation_kind: str = KIND_PCA
@@ -554,7 +563,12 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     Layers are appended until the per-layer total-correlation reduction
     stays below ``config.tol_delta_t`` for ``config.patience`` consecutive
     layers, or ``config.max_layers`` is reached (which raises
-    :class:`NotConvergedWarning` and marks the model unconverged).
+    :class:`NotConvergedWarning` and marks the model unconverged).  A
+    one-column fit stops at its first layer below ``tol_delta_t``, whatever
+    ``patience`` is: a 1 x 1 rotation is +-1, so the next layer would only
+    refit this one's output.  Its layers' ``delta_t`` are kept, not zeroed:
+    one histogram marginal does not map a heavy-tailed column exactly, and
+    the later layers' terms correct the input's histogram entropy.
 
     Each layer's ``delta_t`` is the drop in total correlation it achieved,
     measured on its own output as ``sum_d (H(N(0,1)) - H_d)`` in bits; the
@@ -572,6 +586,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     bins = config.bins if config.bins is not None else default_bins(n)
     clamp_eps = default_clamp_eps(n)
     seed_rng = np.random.default_rng(config.seed)
+    # A 1 x 1 rotation is +-1: no later 1-D layer can undo a low delta-T.
+    patience = config.patience if d > 1 else 1
 
     with _columns(n, d) as map_columns:
         h_input = np.array(list(map_columns(lambda j: marginal_entropy(x[:, j], bins))))
@@ -600,12 +616,14 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                 rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))
             x = rotate(rotation, z)
             del z
-            # A rotation of exactly dependent columns can produce a zero-range
-            # direction (e.g. duplicated variables).  Its differential entropy is
-            # unboundedly negative; floor it at the flow's probability resolution
-            # and stop stacking, since no further layer can be fitted.
-            spans = x.max(axis=0) - x.min(axis=0)
-            degenerate = spans == 0.0
+            # A rotation of exactly dependent columns can produce a direction
+            # of zero range, or of rounding-noise range (e.g. duplicated
+            # variables).  Its differential entropy is unboundedly negative;
+            # floor it at the flow's probability resolution and stop
+            # stacking, since no further layer can be fitted.
+            hi, lo = x.max(axis=0), x.min(axis=0)
+            scale = max(np.abs(hi).max(), np.abs(lo).max())
+            degenerate = hi - lo <= _DEGENERATE_SPAN * scale
             h_floor = math.log2(clamp_eps)
 
             def entropy_and_kl(j):
@@ -631,7 +649,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                 converged = True
                 break
             below = below + 1 if delta_t < config.tol_delta_t else 0
-            if below >= config.patience:
+            if below >= patience:
                 converged = True
                 break
     if not converged:

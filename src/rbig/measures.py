@@ -102,7 +102,9 @@ class ITReport:
         return cls(**{**doc, "config": FitConfig.from_dict(doc["config"])})
 
 
-def _report(quantity: str, raw: float, model: GaussModel, n: int, dim: int) -> ITReport:
+def _report(
+    quantity: str, raw: float, model: GaussModel, n: int, dim: int, converged: bool
+) -> ITReport:
     clamp = quantity in (QUANTITY_TC, QUANTITY_MI)
     return ITReport(
         quantity=quantity,
@@ -112,7 +114,7 @@ def _report(quantity: str, raw: float, model: GaussModel, n: int, dim: int) -> I
         n_samples=n,
         dim=dim,
         config=model.config,
-        converged=model.converged,
+        converged=converged,
     )
 
 
@@ -120,7 +122,9 @@ def total_correlation(data, config: FitConfig | None = None) -> ITReport:
     """Total correlation of a sample matrix, in bits (zero iff independent)."""
     x = np.asarray(data, dtype=float)
     model = fit(x, config)
-    return _report(QUANTITY_TC, model.total_correlation, model, x.shape[0], x.shape[1])
+    return _report(
+        QUANTITY_TC, model.total_correlation, model, x.shape[0], x.shape[1], model.converged
+    )
 
 
 def entropy(data, config: FitConfig | None = None) -> ITReport:
@@ -128,7 +132,7 @@ def entropy(data, config: FitConfig | None = None) -> ITReport:
     x = np.asarray(data, dtype=float)
     model = fit(x, config)
     raw = float(model.marginal_entropies_input.sum()) - model.total_correlation
-    return _report(QUANTITY_ENTROPY, raw, model, x.shape[0], x.shape[1])
+    return _report(QUANTITY_ENTROPY, raw, model, x.shape[0], x.shape[1], model.converged)
 
 
 def _as_columns(data) -> np.ndarray:
@@ -143,7 +147,10 @@ def mutual_information(x, y, config: FitConfig | None = None) -> ITReport:
     correlation); the total correlation remaining in the concatenated
     transformed rows is the mutual information between the originals.
     Row i of ``x`` must correspond to row i of ``y``; a 1-D array is one
-    variable, an N x 1 column.
+    variable, an N x 1 column.  The report is ``converged`` only if all
+    three fits are, and its per-layer trace is the joint fit's.  A
+    one-column side stops at its first layer below ``tol_delta_t``
+    (see :func:`rbig.flow.fit`).
     """
     xa = _as_columns(x)
     ya = _as_columns(y)
@@ -156,4 +163,7 @@ def mutual_information(x, y, config: FitConfig | None = None) -> ITReport:
     # Unnamed, the transforms are freed once stacked and the stack with the
     # joint fit's first layer: two N x (Dx + Dy) arrays at most.
     model = fit(np.hstack([gx.transform(xa)[0], gy.transform(ya)[0]]), config)
-    return _report(QUANTITY_MI, model.total_correlation, model, xa.shape[0], model.dim)
+    converged = gx.converged and gy.converged and model.converged
+    return _report(
+        QUANTITY_MI, model.total_correlation, model, xa.shape[0], model.dim, converged
+    )

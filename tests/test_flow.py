@@ -149,6 +149,33 @@ class TestFit:
         tol = sine_model.config.tol_delta_t
         assert np.all(sine_model.delta_t_trace >= -2 * tol)
 
+    @pytest.mark.parametrize("kind", ["pca", "random"])
+    @pytest.mark.parametrize("patience", [1, 3, 5])
+    def test_gaussian_column_fits_in_one_layer(self, kind, patience):
+        data = np.random.default_rng(3).standard_normal((20000, 1))
+        model = fit(data, FitConfig(rotation_kind=kind, patience=patience))
+        assert model.converged
+        assert model.n_layers == 1
+
+    def test_heavy_tailed_column_stops_at_first_layer_below_tol(self):
+        x = np.random.default_rng(0).standard_normal((100000, 1))
+        model = fit(x**3)
+        trace = model.delta_t_trace
+        assert model.converged
+        # One histogram marginal does not map x**3 exactly: the layers
+        # after the first still remove bits, and each is kept.
+        assert model.n_layers >= 2
+        assert np.all(trace[:-1] >= model.config.tol_delta_t)
+        assert trace[-1] < model.config.tol_delta_t
+
+    @pytest.mark.parametrize("patience", [3, 5])
+    def test_two_column_fit_waits_for_patience(self, patience):
+        data = np.random.default_rng(6).standard_normal((20000, 2))
+        model = fit(data, FitConfig(patience=patience))
+        assert model.converged
+        assert model.n_layers >= patience
+        assert np.all(model.delta_t_trace[-patience:] < model.config.tol_delta_t)
+
 
 class TestTransform:
     def test_gaussian_input_stays_gaussian(self):

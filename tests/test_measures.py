@@ -9,6 +9,7 @@ from rbig import (
     FitConfig,
     GAUSS_ENTROPY_BITS,
     ITReport,
+    NotConvergedWarning,
     PairedLengthMismatch,
     RankDeficientWarning,
     entropy,
@@ -65,6 +66,19 @@ class TestTotalCorrelation:
 
 
 class TestEntropy:
+    def test_heavy_tailed_column(self):
+        # h(X**3) = h(X) + log2(3) + 2 E[log2|X|] for X ~ N(0, 1), where
+        # E[ln|X|] = -(euler_gamma + ln 2) / 2.
+        euler_gamma = 0.5772156649015329
+        true_h = (
+            GAUSS_ENTROPY_BITS + math.log2(3) - (euler_gamma + math.log(2)) / math.log(2)
+        )
+        x = np.random.default_rng(0).standard_normal((100000, 1))
+        report = entropy(x**3)
+        assert report.converged
+        assert len(report.per_layer_delta_t) >= 2
+        assert report.value_bits == pytest.approx(true_h, abs=0.03)
+
     def test_standard_normal_3d(self):
         data = np.random.default_rng(4).standard_normal((100000, 3))
         report = entropy(data)
@@ -129,7 +143,23 @@ class TestMutualInformation:
             with pytest.warns(RankDeficientWarning):
                 values.append(mutual_information(x, x).value_bits)
         assert values[0] > 3.0
-        assert values[1] > values[0]
+        # The rounding-noise direction's entropy is floored at log2 of the
+        # clamp, 1/(2N), so ten times the rows adds log2(10) bits.
+        assert values[1] - values[0] == pytest.approx(math.log2(10), abs=0.1)
+
+    def test_converged_covers_each_side(self):
+        rng = np.random.default_rng(0)
+        t = rng.uniform(-3, 3, 10000)
+        x = np.column_stack([t, np.sin(t)])
+        y = rng.standard_normal((10000, 1))
+        config = FitConfig(max_layers=5, patience=1)
+        with pytest.warns(NotConvergedWarning):
+            side = fit(x, config)
+        joint = fit(np.hstack([side.transform(x)[0], fit(y, config).transform(y)[0]]), config)
+        assert joint.converged
+        with pytest.warns(NotConvergedWarning):
+            report = mutual_information(x, y, config)
+        assert not report.converged
 
     def test_paired_length_mismatch(self):
         with pytest.raises(PairedLengthMismatch):

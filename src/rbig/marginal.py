@@ -353,16 +353,17 @@ def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
     if x_max == x_min:
         raise DegenerateDimension("sample has zero range")
     knots_x = _knot_grid(x_min, x_max, bins)
-    counts = _bin_counts(xs, knots_x)
+    return _table(knots_x, _bin_counts(xs, knots_x), xs.size)
+
+
+def _table(knots_x: np.ndarray, counts: np.ndarray, n: int) -> MarginalUniformizer:
+    """The fitted table of ``n`` values with ``counts`` in the bins of
+    ``knots_x``: the cumulative smoothed counts, scaled to end at 1."""
     weights = np.concatenate([[HIST_SMOOTHING], counts + HIST_SMOOTHING, [HIST_SMOOTHING]])
     knots_p = np.concatenate([[0.0], np.cumsum(weights)])
     knots_p /= knots_p[-1]
     knots_p[-1] = 1.0
-    return MarginalUniformizer(
-        knots_x=knots_x,
-        knots_p=knots_p,
-        clamp_eps=default_clamp_eps(xs.size),
-    )
+    return MarginalUniformizer(knots_x=knots_x, knots_p=knots_p, clamp_eps=default_clamp_eps(n))
 
 
 def fit_gaussianizer(x, bins: int) -> MarginalGaussianizer:
@@ -405,8 +406,9 @@ def probit(p):
 
 
 def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
-    """Histogram entropy of ``x`` over its range ``[x_min, x_max]``, in bits,
-    with the bin probabilities and centers (see :func:`marginal_entropy`)."""
+    """Bin ``x`` over its range ``[x_min, x_max]`` once: the counts, the
+    entropy and the KL to N(0, 1), both in bits (see :func:`marginal_entropy`
+    and :func:`marginal_kl_to_standard_normal`)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     grid = _knot_grid(x_min, x_max, bins)
@@ -416,11 +418,14 @@ def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
         raise ValueError(
             f"cannot make {bins} bins of positive width over [{x_min!r}, {x_max!r}]"
         )
-    probs = _bin_counts(x, grid) / x.size
+    counts = _bin_counts(x, grid)
+    probs = counts / x.size
     nz = probs > 0
-    h = -np.sum(probs[nz] * np.log2(probs[nz] / widths[nz]))
+    h = float(-np.sum(probs[nz] * np.log2(probs[nz] / widths[nz])))
     h += (int(np.count_nonzero(nz)) - 1) / (2.0 * x.size * LN2)
-    return float(h), probs, 0.5 * (edges[:-1] + edges[1:])
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
+    return counts, h, -float(np.sum(probs * log2_phi)) - h
 
 
 def _validate_entropy_input(x):
@@ -455,7 +460,7 @@ def marginal_entropy(x, bins: int | None = None) -> float:
     xs, x_min, x_max = _validate_entropy_input(x)
     if bins is None:
         bins = default_bins(xs.size)
-    return _hist_entropy(xs, x_min, x_max, bins)[0]
+    return _hist_entropy(xs, x_min, x_max, bins)[1]
 
 
 def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
@@ -468,7 +473,4 @@ def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
     xs, x_min, x_max = _validate_entropy_input(x)
     if bins is None:
         bins = default_bins(xs.size)
-    h, probs, centers = _hist_entropy(xs, x_min, x_max, bins)
-    log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
-    cross = -float(np.sum(probs * log2_phi))
-    return cross - h
+    return _hist_entropy(xs, x_min, x_max, bins)[2]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
@@ -27,9 +28,13 @@ from rbig import (
     MarginalGaussianizer,
     NotConvergedWarning,
     fit,
+    fit_uniformizer,
+    marginal_entropy,
+    marginal_kl_to_standard_normal,
     mutual_information,
+    rotate,
 )
-from rbig import flow
+from rbig import flow, marginal
 from rbig.synth import equicorrelated_gaussian, gaussian_mixture, noisy_sine
 
 
@@ -126,6 +131,20 @@ class TestFit:
         data[:, 1] = 4.2
         with pytest.raises(DegenerateDimension, match="column 1"):
             fit(data)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_too_few_rows_for_an_entropy_estimate(self, n):
+        data = np.random.default_rng(1).standard_normal((n, 3))
+        message = f"need at least 10 rows and 1 column, got {n} x 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit(data)
+
+    def test_ten_rows_fit(self):
+        data = np.random.default_rng(1).standard_normal((10, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotConvergedWarning)
+            model = fit(data, FitConfig(max_layers=2, patience=1))
+        assert model.dim == 3 and model.n_layers >= 1
 
     def test_not_converged_warns(self):
         data = equicorrelated_gaussian(5000, 2, 0.8, 3)
@@ -315,6 +334,59 @@ class TestSample:
         synth = uniform2d_model.sample(100000, seed=18)
         inside = np.all((synth >= -0.15) & (synth <= 1.15), axis=1)
         assert inside.mean() >= 0.99
+
+
+def post_rotation_columns(model, x):
+    """Each layer's output, rebuilt from the model's public pieces."""
+    outputs = []
+    for gaussianizers, rotation in zip(model.gaussianizers, model.rotations):
+        z = np.empty_like(x)  # the fit's layout, which rotate's rounding sees
+        for j, g in enumerate(gaussianizers):
+            z[:, j], _ = g.forward(x[:, j])
+        x = rotate(rotation, z)
+        outputs.append(x)
+    return outputs
+
+
+def cubed_column(n):
+    return np.random.default_rng(0).standard_normal((n, 1)) ** 3
+
+
+class TestCarriedHistogram:
+    """One histogram per column-layer: a layer's output counts give its
+    delta-T, its non-Gaussianity and the next layer's tables, bit for bit as
+    the public per-column calls on that output would."""
+
+    @pytest.fixture(
+        params=["sine", "cubed", "random-3"],
+        scope="class",
+    )
+    def fitted(self, request, sine_data, sine_model):
+        if request.param == "sine":
+            return sine_data, sine_model
+        if request.param == "cubed":
+            x = cubed_column(20000)
+            return x, fit(x)
+        x = equicorrelated_gaussian(5000, 3, 0.6, 48)
+        return x, fit(x, FitConfig(rotation_kind="random", seed=49))
+
+    def test_layer_sums_and_next_tables_match_public_calls(self, fitted):
+        x, model = fitted
+        assert model.n_layers >= 2
+        bins = model.resolved_bins
+        outputs = post_rotation_columns(model, np.asarray(x, dtype=float))
+        for i, y in enumerate(outputs):
+            delta_t = non_gauss = 0.0
+            for j in range(model.dim):
+                delta_t += GAUSS_ENTROPY_BITS - marginal_entropy(y[:, j], bins)
+                non_gauss += marginal_kl_to_standard_normal(y[:, j], bins)
+            assert same_bits(model.delta_t[i], delta_t)
+            assert same_bits(model.non_gaussianity[i], non_gauss)
+            if i + 1 < model.n_layers:
+                for j, g in enumerate(model.gaussianizers[i + 1]):
+                    table = fit_uniformizer(y[:, j], bins)
+                    assert same_bits(g.uniformizer.knots_x, table.knots_x)
+                    assert same_bits(g.uniformizer.knots_p, table.knots_p)
 
 
 class TestNonGaussianityTrace:
@@ -655,6 +727,15 @@ def both(monkeypatch, pools):
     return run
 
 
+def unbinnable(x):
+    """A copy of ``x`` whose column 1 takes three values 2 apart at 2**53, one
+    ulp there: no equal-width bins of positive width fit its range, so the
+    column worker that bins it raises."""
+    x = x.copy()
+    x[:, 1] = 2.0**53 + 2.0 * (np.arange(len(x)) % 3)
+    return x
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -707,8 +788,32 @@ class TestColumnPool:
         serial, pooled = both(lambda: mutual_information(d[:, :2], d[:, 2]).raw_value_bits)
         assert serial == pooled
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_fit_bins_each_column_once_per_layer(self, both, monkeypatch, d):
+        # Twice for the input (its entropies and the first tables), then
+        # once per column-layer.  A one-column fit never pools.
+        passes = []
+        bin_counts = marginal._bin_counts
+
+        def counted(x, grid):
+            passes.append(1)
+            return bin_counts(x, grid)
+
+        monkeypatch.setattr(marginal, "_bin_counts", counted)
+        x = cubed_column(20000) if d == 1 else skewed(3000, 47)
+
+        def counted_fit():
+            passes.clear()
+            model = fit(x)
+            return model.n_layers, len(passes)
+
+        runs = [counted_fit()] if d == 1 else both(counted_fit)
+        for n_layers, n_passes in runs:
+            assert n_layers >= 2
+            assert n_passes == 2 * d + n_layers * d
+
     def test_fit_error_same_through_pool(self, both):
-        x = np.random.default_rng(40).standard_normal((5, 3))
+        x = unbinnable(np.random.default_rng(40).standard_normal((12, 3)))
 
         def error():
             with pytest.raises(ValueError) as info:
@@ -716,7 +821,10 @@ class TestColumnPool:
             return type(info.value), str(info.value)
 
         serial, pooled = both(error)
-        assert serial == pooled == (ValueError, "need at least 10 samples for an entropy estimate")
+        assert serial == pooled == (
+            ValueError,
+            "cannot make 3 bins of positive width over [9007199254740992.0, 9007199254740996.0]",
+        )
 
     def test_first_failing_column_raises_and_pending_columns_are_cancelled(
         self, monkeypatch, pools
@@ -756,7 +864,7 @@ class TestColumnPool:
         model = fit(x)
         z, _ = model.transform(x)
         if call == "fit" and fails:
-            x = x[:5]  # too few rows for an entropy estimate: a column raises
+            x = unbinnable(x)
         elif fails:
             def broken(self, v):
                 raise ValueError("broken column")

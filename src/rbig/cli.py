@@ -30,7 +30,7 @@ from .cube import (
     save_csv,
     save_cube,
 )
-from .errors import DimensionMismatch, NotConvergedWarning, RbigError
+from .errors import DimensionMismatch, RbigError
 from .flow import FitConfig, GaussModel, fit
 from .measures import entropy as entropy_measure
 from .measures import mutual_information, total_correlation
@@ -132,15 +132,12 @@ def _write_run_record(subcommand, args, inputs, outputs, started) -> None:
         fh.write("\n")
 
 
-def _warned_not_converged(caught) -> bool:
-    return any(issubclass(w.category, NotConvergedWarning) for w in caught)
-
-
 def _cmd_fit(args) -> int:
     started = time.monotonic()
     data = _load_samples(args.input, args)
     config = _config_from_args(args)
-    with warnings.catch_warnings(record=True) as caught:
+    # Kept off stderr: the exit code and one line below report non-convergence.
+    with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
         model = fit(data, config)
     model.save(args.out)
@@ -156,7 +153,7 @@ def _cmd_fit(args) -> int:
         json.dump(trace, fh, sort_keys=True, indent=2)
         fh.write("\n")
     _write_run_record("fit", args, [args.input], [args.out, trace_path], started)
-    if _warned_not_converged(caught):
+    if not model.converged:
         print("warning: fit did not converge within the layer cap", file=sys.stderr)
         return EXIT_WARNINGS
     return EXIT_OK
@@ -185,7 +182,7 @@ def _cmd_sample(args) -> int:
 def _cmd_measure(args) -> int:
     started = time.monotonic()
     config = _config_from_args(args)
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
         if args.subcommand == "mi":
             x = load_csv(args.x)
@@ -199,14 +196,14 @@ def _cmd_measure(args) -> int:
                 report = total_correlation(data, config)
             else:
                 report = entropy_measure(data, config)
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    text = report.to_json()
     print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
             fh.write("\n")
         _write_run_record(args.subcommand, args, inputs, [args.out], started)
-    if not report.converged or _warned_not_converged(caught):
+    if not report.converged:
         print("warning: a fit did not converge within the layer cap", file=sys.stderr)
         return EXIT_WARNINGS
     return EXIT_OK
@@ -347,10 +344,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (RbigError, ValueError, OSError) as exc:
+    except (_CliInputError, RbigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleBudget, PatchLargerThanCube, SeriesTooShort
-from .flow import _exact_keys, _is_finite_number
+from .flow import _exact_keys, _is_finite_number, _is_integer
 
 __all__ = [
     "GridMeta",
@@ -76,8 +76,10 @@ class PatchConfig:
     stride_time: int = 1
 
     def __post_init__(self):
-        if min(self.spatial, self.temporal, self.stride_space, self.stride_time) < 1:
-            raise ValueError("patch sizes and strides must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (_is_integer(value) and value >= 1):
+                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
 
     @property
     def dim(self) -> int:
@@ -202,14 +204,50 @@ def lag_embed(series, lags: int) -> np.ndarray:
 
 
 def _fill_float(value, what: str) -> float:
-    """A fill value as a float; a bool, a non-real or a number beyond the
-    float range raises a one-line ``ValueError`` naming it ``what``."""
+    """A fill value as a float; a bool, a non-real or a non-finite number
+    raises a one-line ``ValueError`` naming it ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
-        return float(value)
+        fill = float(value)
     except OverflowError:  # an int beyond the float range
         raise ValueError(f"{what} {reprlib.repr(value)} is beyond the float range") from None
+    if not math.isfinite(fill):
+        raise ValueError(f"{what} must be finite, got {fill!r}")
+    return fill
+
+
+def _check_grid_meta(meta, what: str) -> None:
+    """Require null or a dict of :class:`GridMeta` fields, each a finite
+    number or null, else a one-line ``ValueError`` naming it ``what``."""
+    names = {f.name for f in fields(GridMeta)}
+    if meta is not None and not (
+        isinstance(meta, dict)
+        and set(meta) <= names
+        and all(v is None or _is_finite_number(v) for v in meta.values())
+    ):
+        raise ValueError(
+            f"{what} must be null or an object of GridMeta fields,"
+            f" each a finite number or null, got {meta!r}"
+        )
+
+
+# The payload's little-endian numpy dtype for each sidecar dtype.
+_PAYLOAD_DTYPES = {"float32": "<f4", "float64": "<f8"}
+
+
+def _payload(values, dtype: str, what: str) -> np.ndarray:
+    """``values`` in the payload dtype; a finite value beyond its range
+    raises a one-line ``ValueError`` naming the first, ``what[i][j]...``."""
+    values = np.asarray(values)
+    with np.errstate(over="ignore"):
+        stored = values.astype(_PAYLOAD_DTYPES[dtype])
+    overflow = np.isinf(stored) & np.isfinite(values)
+    if overflow.any():
+        index = np.unravel_index(np.argmax(overflow), overflow.shape)
+        item = what + "".join(f"[{i}]" for i in index)
+        raise ValueError(f"{item} = {float(values[index])!r} is beyond the {dtype} range")
+    return stored
 
 
 # Every sidecar holds exactly these keys: one lost (fill_value, say) would
@@ -225,20 +263,21 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
     """Write a cube as flat little-endian floats plus a JSON sidecar.
 
     ``fill_value``, when given, replaces NaN in the binary payload and is
-    recorded in the sidecar, as a float, so loading restores the NaNs.  A
-    fill value that is not a real number (a bool included), lies beyond the
-    float range or equals a data value in the stored dtype raises
-    ``ValueError``.  Both files are written only once the sidecar has been
-    encoded.
+    recorded in the sidecar, as a float, so loading restores the NaNs.
+    Whatever ``load_cube`` would refuse or alter raises a one-line
+    ``ValueError`` before either file is written: a fill value that is not
+    a finite real number (a bool included) or equals a data value in
+    ``dtype``, a finite value beyond the range of ``dtype``, or a
+    ``grid_meta`` field that is not a finite number or None.
     """
-    if dtype not in ("float32", "float64"):
+    if dtype not in _PAYLOAD_DTYPES:
         raise ValueError("dtype must be 'float32' or 'float64'")
+    meta = asdict(cube.grid_meta) if cube.grid_meta else None
+    _check_grid_meta(meta, "grid_meta")
+    stored = _payload(cube.values, dtype, "values")
     if fill_value is not None:
         fill_value = _fill_float(fill_value, "fill_value")
-    np_dtype = "<f4" if dtype == "float32" else "<f8"
-    stored = cube.values.astype(np_dtype)
-    if fill_value is not None:
-        fill = np.array(fill_value, dtype=np_dtype)
+        fill = _payload(fill_value, dtype, "fill_value")
         if np.any(stored == fill):
             raise ValueError(f"fill_value {fill_value!r} equals a data value in {dtype}")
         stored[np.isnan(stored)] = fill
@@ -247,9 +286,9 @@ def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | 
         "dtype": dtype,
         "fill_value": fill_value,
         "order": "C",
-        "grid_meta": asdict(cube.grid_meta) if cube.grid_meta else None,
+        "grid_meta": meta,
     }
-    text = json.dumps(sidecar, sort_keys=True, indent=2)
+    text = json.dumps(sidecar, sort_keys=True, indent=2, allow_nan=False)
     stored.tofile(path)
     with open(_sidecar_path(path), "w") as fh:
         fh.write(text)
@@ -262,8 +301,8 @@ def load_cube(path) -> DataCube:
     ``shape``, ``dtype``, ``fill_value``, ``order`` and ``grid_meta``, whose
     ``shape`` is not a list of sizes holding as many values as the payload,
     whose ``dtype`` is not ``float32``/``float64``, whose ``order`` is not
-    ``"C"``, whose ``fill_value`` is not null or a real number within the
-    float range, or whose ``grid_meta`` is not null or an object of
+    ``"C"``, whose ``fill_value`` is not null or a finite real number within
+    the range of ``dtype``, or whose ``grid_meta`` is not null or an object of
     :class:`GridMeta` fields holding finite numbers or null raises
     ``ValueError``.
     """
@@ -274,26 +313,18 @@ def load_cube(path) -> DataCube:
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"cube sidecar shape must be a list of sizes, got {shape!r}")
     dtype, order = sidecar["dtype"], sidecar["order"]
-    if dtype not in ("float32", "float64"):
+    if dtype not in _PAYLOAD_DTYPES:
         raise ValueError(f"cube sidecar dtype must be 'float32' or 'float64', got {dtype!r}")
     if order != "C":
         raise ValueError(f"cube sidecar order must be 'C', got {order!r}")
     fill = sidecar["fill_value"]
     if fill is not None:
-        fill = _fill_float(fill, "cube sidecar fill_value")
+        # Mask in the stored dtype: save_cube rounded the fill value to it.
+        what = "cube sidecar fill_value"
+        fill = _payload(_fill_float(fill, what), dtype, what)
     meta = sidecar["grid_meta"]
-    names = {f.name for f in fields(GridMeta)}
-    if meta is not None and not (
-        isinstance(meta, dict)
-        and set(meta) <= names
-        and all(v is None or _is_finite_number(v) for v in meta.values())
-    ):
-        raise ValueError(
-            "cube sidecar grid_meta must be null or an object of GridMeta fields,"
-            f" each a finite number or null, got {meta!r}"
-        )
-    np_dtype = "<f4" if dtype == "float32" else "<f8"
-    stored = np.fromfile(path, dtype=np_dtype)
+    _check_grid_meta(meta, "cube sidecar grid_meta")
+    stored = np.fromfile(path, dtype=_PAYLOAD_DTYPES[dtype])
     size = math.prod(shape)
     if stored.size != size:
         raise ValueError(
@@ -302,8 +333,7 @@ def load_cube(path) -> DataCube:
     stored = stored.reshape(shape)
     values = stored.astype(float)
     if fill is not None:
-        # Mask in the stored dtype: save_cube rounded the fill value to it.
-        values[stored == np.array(fill, dtype=np_dtype)] = np.nan
+        values[stored == fill] = np.nan
     return DataCube(values=values, grid_meta=GridMeta(**meta) if meta else None)
 
 

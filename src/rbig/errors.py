@@ -1,5 +1,19 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "RbigError",
+    "NonFiniteInput",
+    "DegenerateDimension",
+    "ProbabilityOutOfRange",
+    "DimensionMismatch",
+    "PairedLengthMismatch",
+    "PatchLargerThanCube",
+    "InfeasibleBudget",
+    "SeriesTooShort",
+    "NotConvergedWarning",
+    "RankDeficientWarning",
+]
+
 
 class RbigError(Exception):
     """Base class for all rbig errors."""

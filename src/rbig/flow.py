@@ -20,7 +20,7 @@ import reprlib
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
 from .marginal import (
     GAUSS_ENTROPY_BITS,
     LN2,
+    MIN_ENTROPY_SAMPLES,
     MarginalGaussianizer,
     MarginalUniformizer,
     _hist_entropy,
@@ -46,8 +47,6 @@ from .marginal import (
     marginal_kl_to_standard_normal,  # noqa: F401
 )
 from .rotation import (
-    KIND_PCA,
-    KIND_RANDOM,
     RotationMatrix,
     fit_pca_rotation,
     random_haar_rotation,
@@ -55,7 +54,7 @@ from .rotation import (
     rotate_inverse,
 )
 
-__all__ = ["FitConfig", "GaussModel", "fit", "load_model", "MODEL_FORMAT"]
+__all__ = ["FitConfig", "GaussModel", "fit", "load_model"]
 
 MODEL_FORMAT = "rbig-model"
 MODEL_VERSION = 5
@@ -134,11 +133,11 @@ class FitConfig:
     or more columns, so that a rotation which leaves delta-T low by chance
     for one layer is waited out.  A one-column fit stops at its first layer
     below tolerance: its rotation is +-1, so there is nothing to wait out.
-    Numpy scalars are stored as Python ``int``/``float``, so every config
-    serializes to JSON.
+    ``seed`` is an integer >= 0.  Numpy scalars are stored as Python
+    ``int``/``float``, so every config serializes to JSON.
     """
 
-    rotation_kind: str = KIND_PCA
+    rotation_kind: str = "pca"
     bins: int | None = None
     max_layers: int = 100
     tol_delta_t: float = 0.01
@@ -146,13 +145,15 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rotation_kind not in (KIND_PCA, KIND_RANDOM):
+        if self.rotation_kind not in ("pca", "random"):
             raise ValueError(f"unknown rotation kind: {self.rotation_kind!r}")
         for name in ("max_layers", "patience", "seed"):
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 1 or self.max_layers < self.patience:
             raise ValueError("need max_layers >= patience >= 1")
         if not (_is_finite_number(self.tol_delta_t) and self.tol_delta_t > 0):
@@ -166,13 +167,23 @@ class FitConfig:
             object.__setattr__(self, "bins", int(self.bins))
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitConfig":
         """Rebuild a config from a dict holding exactly its field names."""
         _exact_keys(doc, [f.name for f in fields(cls)], "config")
         return cls(**doc)
+
+
+def _check_config_converged(record) -> None:
+    """Require a :class:`FitConfig` as ``record.config`` and a bool (numpy's
+    too) as ``record.converged``, stored as a bool."""
+    if not isinstance(record.config, FitConfig):
+        raise ValueError(f"config must be a FitConfig, got {reprlib.repr(record.config)}")
+    if not isinstance(record.converged, (bool, np.bool_)):
+        raise ValueError(f"converged must be true or false, got {reprlib.repr(record.converged)}")
+    object.__setattr__(record, "converged", bool(record.converged))
 
 
 def _exact_keys(doc, names, kind: str) -> None:
@@ -224,7 +235,8 @@ class GaussModel:
     ``rotation_entries[i]`` ((L, D, D)).  ``delta_t`` (L,) is each layer's
     drop in total correlation and ``rank_deficient`` (L,) flags a PCA
     rotation of a degenerate spectrum.  Every table has the probability
-    clamp ``clamp_eps`` and every rotation the kind ``config.rotation_kind``.
+    clamp ``clamp_eps``; ``config`` (a :class:`FitConfig`) holds the kind of
+    every rotation, and ``converged`` is stored as a bool.
 
     Construction checks each block's shape and finiteness once and keeps it
     as a read-only float64 array.  It then builds ``gaussianizers[i][j]``
@@ -250,6 +262,7 @@ class GaussModel:
     rotations: tuple[RotationMatrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_config_converged(self)
         lead, kp = np.shape(self.x_min), np.shape(self.knots_p)
         if len(lead) != 2 or min(lead) < 1:
             raise ValueError(f"x_min must have shape (L, D) with L, D >= 1, got {lead}")
@@ -300,9 +313,8 @@ class GaussModel:
             )
             for i in range(n_layers)
         )
-        kind = self.config.rotation_kind
         rotations = tuple(
-            _named(f"layer {i} rotation", RotationMatrix, entries, kind, bool(flag))
+            _named(f"layer {i} rotation", RotationMatrix, entries, bool(flag))
             for i, (entries, flag) in enumerate(zip(self.rotation_entries, deficient))
         )
         object.__setattr__(self, "gaussianizers", gaussianizers)
@@ -418,8 +430,8 @@ class GaussModel:
         The rows come back as :meth:`inverse` returns them, in
         column-contiguous (Fortran) order.
         """
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        if not (_is_integer(n) and n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {reprlib.repr(n)}")
         rng = np.random.default_rng(seed)
         return self.inverse(rng.standard_normal((n, self.dim)))
 
@@ -462,8 +474,6 @@ class GaussModel:
                 # int, is neither.
                 if type(doc[name]) is not int or doc[name] < least:
                     raise _malformed(name, f"an integer >= {least}", doc[name])
-            if type(doc["converged"]) is not bool:
-                raise _malformed("converged", "true or false", doc["converged"])
             shapes = _block_shapes(doc["n_layers"], doc["dim"], doc["resolved_bins"] + 3)
             return cls(
                 **{name: _array(doc[name], shape, name) for name, shape in shapes.items()},
@@ -549,8 +559,8 @@ def _validate_fit_input(data) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError("data must be a 2-D sample matrix (rows = observations)")
     n, d = x.shape
-    if n < 10 or d < 1:
-        raise ValueError(f"need at least 10 rows and 1 column, got {n} x {d}")
+    if n < MIN_ENTROPY_SAMPLES or d < 1:
+        raise ValueError(f"need at least {MIN_ENTROPY_SAMPLES} rows and 1 column, got {n} x {d}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("data contains NaN or infinite values")
     spans = x.max(axis=0) - x.min(axis=0)
@@ -582,8 +592,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     counts give its entropy, its KL to N(0, 1) (``non_gaussianity``) and,
     if the fit goes on, the next layer's table for that column.  The input
     is binned twice, once for ``marginal_entropies_input`` and once for the
-    first layer's tables.  The data needs at least 10 rows, the fewest an
-    entropy estimate takes, and 1 column.
+    first layer's tables.  The data needs at least ``MIN_ENTROPY_SAMPLES``
+    (10) rows, the fewest an entropy estimate takes, and 1 column.
     """
     x = _validate_fit_input(data)
     # Not held here, so an input no caller holds is freed with the first layer.
@@ -591,7 +601,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     if config is None:
         config = FitConfig()
     n, d = x.shape
-    if config.rotation_kind == KIND_PCA and n <= d:
+    if config.rotation_kind == "pca" and n <= d:
         raise ValueError("PCA rotations need more samples than dimensions")
     bins = config.bins if config.bins is not None else default_bins(n)
     clamp_eps = default_clamp_eps(n)
@@ -628,7 +638,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             # Two N x D arrays at most: the spent input goes before the PCA's
             # centered copy and the rotation's output, and z once it is rotated.
             del x
-            if config.rotation_kind == KIND_PCA:
+            if config.rotation_kind == "pca":
                 rotation = fit_pca_rotation(z)
             else:
                 rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))

@@ -34,6 +34,10 @@ LN2 = math.log(2.0)
 # Differential entropy of a standard normal, 0.5*log2(2*pi*e), in bits.
 GAUSS_ENTROPY_BITS = 0.5 * math.log2(2.0 * math.pi * math.e)
 
+# The fewest values a histogram entropy estimate takes, and so the fewest
+# rows a fit takes.
+MIN_ENTROPY_SAMPLES = 10
+
 # Pseudo-count added to every histogram bin (including the two support
 # extension bins) when fitting a uniformizer.  Keeps the fitted CDF strictly
 # increasing, so the log-derivative is finite everywhere inside the support
@@ -342,16 +346,9 @@ def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
     bins : int
         Number of histogram bins, at least 2.
     """
-    xs = _as_float_array(x).ravel()
-    if xs.size < 2:
-        raise ValueError("need at least two samples to fit a uniformizer")
+    xs, x_min, x_max = _sample_range(x, 2)
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    _require_finite(xs, "x")
-    x_min = float(xs.min())
-    x_max = float(xs.max())
-    if x_max == x_min:
-        raise DegenerateDimension("sample has zero range")
     knots_x = _knot_grid(x_min, x_max, bins)
     return _table(knots_x, _bin_counts(xs, knots_x), xs.size)
 
@@ -428,11 +425,12 @@ def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
     return counts, h, -float(np.sum(probs * log2_phi)) - h
 
 
-def _validate_entropy_input(x):
-    """The sample as a 1-D array, with its minimum and maximum."""
+def _sample_range(x, least: int):
+    """The sample, of at least ``least`` finite values and a positive
+    range, as a 1-D array, with its minimum and maximum."""
     xs = _as_float_array(x).ravel()
-    if xs.size < 10:
-        raise ValueError("need at least 10 samples for an entropy estimate")
+    if xs.size < least:
+        raise ValueError(f"need at least {least} samples, got {xs.size}")
     _require_finite(xs, "x")
     x_min = float(xs.min())
     x_max = float(xs.max())
@@ -457,7 +455,7 @@ def marginal_entropy(x, bins: int | None = None) -> float:
     ``H = -sum_k p_k log2(p_k / w_k) + (m - 1) / (2 N ln 2)`` where ``m``
     counts non-empty bins and ``w_k`` are bin widths.
     """
-    xs, x_min, x_max = _validate_entropy_input(x)
+    xs, x_min, x_max = _sample_range(x, MIN_ENTROPY_SAMPLES)
     if bins is None:
         bins = default_bins(xs.size)
     return _hist_entropy(xs, x_min, x_max, bins)[1]
@@ -470,7 +468,7 @@ def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
     centers) minus the histogram entropy estimate, sharing the bins with
     :func:`marginal_entropy`.
     """
-    xs, x_min, x_max = _validate_entropy_input(x)
+    xs, x_min, x_max = _sample_range(x, MIN_ENTROPY_SAMPLES)
     if bins is None:
         bins = default_bins(xs.size)
     return _hist_entropy(xs, x_min, x_max, bins)[2]

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import PairedLengthMismatch
-from .flow import FitConfig, GaussModel, _exact_keys, _is_finite_number, _is_integer, fit
+from .flow import FitConfig, GaussModel, fit
+from .flow import _check_config_converged, _exact_keys, _is_finite_number, _is_integer
 
 __all__ = [
     "ITReport",
@@ -74,23 +75,10 @@ class ITReport:
             if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {reprlib.repr(value)}")
             object.__setattr__(self, name, int(value))
-        if not isinstance(self.config, FitConfig):
-            raise ValueError(f"config must be a FitConfig, got {reprlib.repr(self.config)}")
-        if not isinstance(self.converged, (bool, np.bool_)):
-            raise ValueError(f"converged must be true or false, got {reprlib.repr(self.converged)}")
-        object.__setattr__(self, "converged", bool(self.converged))
+        _check_config_converged(self)
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "value_bits": self.value_bits,
-            "raw_value_bits": self.raw_value_bits,
-            "per_layer_delta_t": list(self.per_layer_delta_t),
-            "n_samples": self.n_samples,
-            "dim": self.dim,
-            "config": self.config.to_dict(),
-            "converged": self.converged,
-        }
+        return {**asdict(self), "per_layer_delta_t": list(self.per_layer_delta_t)}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
@@ -102,9 +90,7 @@ class ITReport:
         return cls(**{**doc, "config": FitConfig.from_dict(doc["config"])})
 
 
-def _report(
-    quantity: str, raw: float, model: GaussModel, n: int, dim: int, converged: bool
-) -> ITReport:
+def _report(quantity: str, raw: float, model: GaussModel, n: int, converged: bool) -> ITReport:
     clamp = quantity in (QUANTITY_TC, QUANTITY_MI)
     return ITReport(
         quantity=quantity,
@@ -112,7 +98,7 @@ def _report(
         raw_value_bits=raw,
         per_layer_delta_t=model.delta_t_trace.tolist(),
         n_samples=n,
-        dim=dim,
+        dim=model.dim,
         config=model.config,
         converged=converged,
     )
@@ -122,9 +108,7 @@ def total_correlation(data, config: FitConfig | None = None) -> ITReport:
     """Total correlation of a sample matrix, in bits (zero iff independent)."""
     x = np.asarray(data, dtype=float)
     model = fit(x, config)
-    return _report(
-        QUANTITY_TC, model.total_correlation, model, x.shape[0], x.shape[1], model.converged
-    )
+    return _report(QUANTITY_TC, model.total_correlation, model, x.shape[0], model.converged)
 
 
 def entropy(data, config: FitConfig | None = None) -> ITReport:
@@ -132,7 +116,7 @@ def entropy(data, config: FitConfig | None = None) -> ITReport:
     x = np.asarray(data, dtype=float)
     model = fit(x, config)
     raw = float(model.marginal_entropies_input.sum()) - model.total_correlation
-    return _report(QUANTITY_ENTROPY, raw, model, x.shape[0], x.shape[1], model.converged)
+    return _report(QUANTITY_ENTROPY, raw, model, x.shape[0], model.converged)
 
 
 def _as_columns(data) -> np.ndarray:
@@ -164,6 +148,4 @@ def mutual_information(x, y, config: FitConfig | None = None) -> ITReport:
     # joint fit's first layer: two N x (Dx + Dy) arrays at most.
     model = fit(np.hstack([gx.transform(xa)[0], gy.transform(ya)[0]]), config)
     converged = gx.converged and gy.converged and model.converged
-    return _report(
-        QUANTITY_MI, model.total_correlation, model, xa.shape[0], model.dim, converged
-    )
+    return _report(QUANTITY_MI, model.total_correlation, model, xa.shape[0], converged)

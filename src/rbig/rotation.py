@@ -17,9 +17,6 @@ __all__ = [
     "rotate_inverse",
 ]
 
-KIND_PCA = "pca"
-KIND_RANDOM = "random"
-
 _ORTHO_TOL = 1e-10
 _DET_TOL = 1e-8
 
@@ -34,7 +31,6 @@ class RotationMatrix:
     """
 
     entries: np.ndarray
-    kind: str
     rank_deficient: bool = False
 
     def __post_init__(self):
@@ -42,8 +38,6 @@ class RotationMatrix:
         object.__setattr__(self, "entries", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("rotation entries must form a square matrix")
-        if self.kind not in (KIND_PCA, KIND_RANDOM):
-            raise ValueError(f"unknown rotation kind: {self.kind!r}")
         if not np.all(np.isfinite(m)):
             raise ValueError("rotation entries must be finite")
         gram = m.T @ m
@@ -90,7 +84,7 @@ def fit_pca_rotation(data) -> RotationMatrix:
         warnings.warn(
             "sample covariance is numerically rank deficient", RankDeficientWarning
         )
-    return RotationMatrix(entries=rows, kind=KIND_PCA, rank_deficient=rank_deficient)
+    return RotationMatrix(entries=rows, rank_deficient=rank_deficient)
 
 
 def random_haar_rotation(dim: int, seed: int) -> RotationMatrix:
@@ -106,15 +100,13 @@ def random_haar_rotation(dim: int, seed: int) -> RotationMatrix:
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return RotationMatrix(entries=q * signs, kind=KIND_RANDOM)
+    return RotationMatrix(entries=q * signs)
 
 
 def _check_columns(rotation: RotationMatrix, data: np.ndarray) -> np.ndarray:
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != rotation.dim:
-        raise DimensionMismatch(
-            f"data has {x.shape[-1] if x.ndim else 0} columns, rotation expects {rotation.dim}"
-        )
+        raise DimensionMismatch(f"data must be N x {rotation.dim}, got shape {x.shape}")
     return x
 
 

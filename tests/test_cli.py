@@ -144,7 +144,18 @@ class TestFit:
         )
         assert code == 2
         assert out.exists()
-        assert "converge" in err
+        assert err == "warning: fit did not converge within the layer cap\n"
+        assert json.loads((tmp_path / "model.json.trace.json").read_text())["converged"] is False
+
+    @pytest.mark.parametrize("subcommand", ["fit", "tc", "entropy"])
+    def test_negative_seed_exit_1_names_seed(self, tmp_path, capsys, gauss_csv, subcommand):
+        code, out, err = run(
+            capsys, subcommand, "--input", str(gauss_csv), "--seed", "-3",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be >= 0, got -3\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_fit_on_cube_with_patch_flags(self, tmp_path, capsys):
         cube_path = tmp_path / "cube.bin"
@@ -435,6 +446,19 @@ class TestMeasures:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("subcommand", ["tc", "entropy", "mi"])
+    def test_unconverged_exit_2_report_printed(self, capsys, gauss_csv, subcommand):
+        inputs = ["--input", str(gauss_csv)]
+        if subcommand == "mi":
+            inputs = ["--x", str(gauss_csv), "--y", str(gauss_csv)]
+        code, out, err = run(
+            capsys, subcommand, *inputs, "--max-layers", "2", "--patience", "2", "--tol", "1e-9"
+        )
+        assert code == 2
+        assert ITReport.from_dict(json.loads(out)).converged is False
+        # One line: the fits' NotConvergedWarnings are not printed.
+        assert err == "warning: a fit did not converge within the layer cap\n"
 
     def test_mi_row_mismatch_exit_1(self, tmp_path, capsys):
         from rbig import save_csv

@@ -120,6 +120,20 @@ class TestExtractPatches:
         with pytest.raises(PatchLargerThanCube):
             extract_patches(cube, PatchConfig(spatial=1, temporal=4))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("spatial", 2.5), ("spatial", True), ("temporal", 0), ("stride_space", -1),
+         ("stride_time", 1.0), ("temporal", "2")],
+    )
+    def test_patch_config_names_bad_field(self, field, value):
+        # spatial=2.5 would give dim 6.25; True would pass for 1.
+        message = f"{field} must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PatchConfig(**{"spatial": 2, "temporal": 1, field: value})
+
+    def test_patch_config_accepts_numpy_integers(self):
+        assert PatchConfig(spatial=np.int64(3), temporal=np.int32(2)).dim == 18
+
 
 class TestRatioSweepConfigs:
     def test_budget_49_endpoints(self):
@@ -250,6 +264,38 @@ class TestCubeIO:
             save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11), fill_value=10**400)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "value, meta, options, message",
+        [
+            (1e300, None, {"dtype": "float32"},
+             "values[1][2][0] = 1e+300 is beyond the float32 range"),
+            (1.0, None, {"dtype": "float32", "fill_value": 1e39},
+             "fill_value = 1e+39 is beyond the float32 range"),
+            (1.0, None, {"fill_value": math.nan}, "fill_value must be finite, got nan"),
+            (1.0, None, {"fill_value": -math.inf}, "fill_value must be finite, got -inf"),
+            (1.0, GridMeta(lat_step=math.nan), {},
+             "grid_meta must be null or an object of GridMeta fields, each a finite"
+             " number or null, got {'lat_origin': None, 'lon_origin': None,"
+             " 'lat_step': nan, 'lon_step': None, 'time_step_days': None}"),
+        ],
+        ids=["float32-overflow", "float32-fill-overflow", "nan-fill", "inf-fill",
+             "nan-grid-meta"],
+    )
+    def test_save_refuses_what_load_would_refuse_or_alter(
+        self, tmp_path, value, meta, options, message
+    ):
+        # Each would write a cube that loads as other values (1e300 as inf, a
+        # NaN fill masking nothing) or not at all (NaN is not JSON).
+        path = tmp_path / "cube.bin"
+        save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11))
+        before = path.read_bytes(), (tmp_path / "cube.bin.json").read_bytes()
+        values = np.random.default_rng(14).standard_normal((4, 3, 3))
+        values[1, 2, 0] = value
+        values[3, 0, 0] = values[3, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_cube(path, DataCube(values, grid_meta=meta), **options)
+        assert (path.read_bytes(), (tmp_path / "cube.bin.json").read_bytes()) == before
+
     def test_sidecar_encoded_before_any_file_is_written(self, tmp_path):
         cube = DataCube(
             np.random.default_rng(13).standard_normal((4, 3, 3)),
@@ -274,6 +320,9 @@ class TestCubeIO:
             ("fill_value", "-9999", "fill_value must be a real number, got '-9999'"),
             ("fill_value", 10**400,
              f"fill_value {reprlib.repr(10**400)} is beyond the float range"),
+            # json.load reads NaN and Infinity; neither can mark a cell.
+            ("fill_value", math.nan, "fill_value must be finite, got nan"),
+            ("fill_value", math.inf, "fill_value must be finite, got inf"),
             ("grid_meta", [1, 2], f"{GRID_META_RULE}, got [1, 2]"),
             ("grid_meta", {"foo": 1}, f"{GRID_META_RULE}, got {{'foo': 1}}"),
             ("grid_meta", {"lat_origin": "north"},
@@ -281,7 +330,7 @@ class TestCubeIO:
         ],
         ids=[
             "int64-dtype", "fortran-order", "no-shape", "negative-size", "payload-size",
-            "bool-fill", "string-fill", "huge-int-fill", "list-grid-meta", "foreign-grid-meta-key",
+            "bool-fill", "string-fill", "huge-int-fill", "nan-fill", "inf-fill", "list-grid-meta", "foreign-grid-meta-key",
             "string-lat-origin",
         ],
     )
@@ -300,6 +349,16 @@ class TestCubeIO:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: cube sidecar {message}\n"
+
+    def test_fill_beyond_payload_dtype_rejected_on_load(self, tmp_path):
+        # In float32 it would round to inf and mask every inf cell.
+        path = tmp_path / "cube.bin"
+        save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11), dtype="float32", fill_value=-1.0)
+        sidecar = tmp_path / "cube.bin.json"
+        sidecar.write_text(sidecar.read_text().replace("-1.0", "1e39"))
+        message = "cube sidecar fill_value = 1e+39 is beyond the float32 range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_cube(path)
 
     def test_non_object_sidecar_rejected(self, tmp_path):
         path = tmp_path / "cube.bin"

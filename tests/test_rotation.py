@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestRandomHaarRotation:
 
 class TestRotate:
     def test_identity(self):
-        r = RotationMatrix(entries=np.eye(3), kind="pca")
+        r = RotationMatrix(entries=np.eye(3))
         data = np.random.default_rng(7).standard_normal((100, 3))
         assert np.array_equal(rotate(r, data), data)
 
@@ -117,7 +118,7 @@ class TestRotate:
         assert np.max(np.abs(back - data)) <= 1e-12
 
     def test_ninety_degrees(self):
-        r = RotationMatrix(entries=np.array([[0.0, -1.0], [1.0, 0.0]]), kind="pca")
+        r = RotationMatrix(entries=np.array([[0.0, -1.0], [1.0, 0.0]]))
         out = rotate(r, np.array([[1.0, 0.0]]))
         assert np.allclose(out, [[0.0, 1.0]])
 
@@ -135,6 +136,16 @@ class TestRotate:
         with pytest.raises(DimensionMismatch):
             rotate_inverse(r, np.zeros((10, 2)))
 
+    @pytest.mark.parametrize("apply", [rotate, rotate_inverse])
+    @pytest.mark.parametrize(
+        "shape", [(3,), (10, 4), (2, 5, 3)], ids=["one-row-1d", "wrong-columns", "3d"]
+    )
+    def test_mismatch_names_the_shape(self, apply, shape):
+        # A 1-D row of D values is not "D columns": it names its shape.
+        message = f"^data must be N x 3, got shape {re.escape(str(shape))}$"
+        with pytest.raises(DimensionMismatch, match=message):
+            apply(random_haar_rotation(3, 0), np.zeros(shape))
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_output_is_column_contiguous(self, order):
         r = random_haar_rotation(7, 12)
@@ -151,10 +162,10 @@ class TestRotate:
 
     def test_construction_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
-            RotationMatrix(entries=np.array([[1.0, 0.5], [0.0, 1.0]]), kind="pca")
+            RotationMatrix(entries=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_construction_rejects_non_finite(self, bad):
         # Checked before det, which warns on NaN (an error in this suite).
         with pytest.raises(ValueError, match="^rotation entries must be finite$"):
-            RotationMatrix(entries=np.array([[bad, 0.0], [0.0, 1.0]]), kind="pca")
+            RotationMatrix(entries=np.array([[bad, 0.0], [0.0, 1.0]]))

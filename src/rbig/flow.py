@@ -43,6 +43,7 @@ from .marginal import (
     default_clamp_eps,
     fit_gaussianizer,
     marginal_entropy,
+    probit,
     # Unused here, but the benchmark's tracer wraps it under this name.
     marginal_kl_to_standard_normal,  # noqa: F401
 )
@@ -120,6 +121,13 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _check_seed(seed) -> None:
+    """Refuse a negative integer seed by name; numpy's own error does not
+    name it."""
+    if _is_integer(seed) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of one fit; defaults follow the square-root bin rule.
@@ -152,8 +160,7 @@ class FitConfig:
             if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if self.patience < 1 or self.max_layers < self.patience:
             raise ValueError("need max_layers >= patience >= 1")
         if not (_is_finite_number(self.tol_delta_t) and self.tol_delta_t > 0):
@@ -427,11 +434,13 @@ class GaussModel:
     def sample(self, n: int, seed: int):
         """Draw n synthetic rows by inverting seeded N(0, I) samples.
 
-        The rows come back as :meth:`inverse` returns them, in
-        column-contiguous (Fortran) order.
+        ``seed`` is an integer >= 0, as in :class:`FitConfig`.  The rows
+        come back as :meth:`inverse` returns them, in column-contiguous
+        (Fortran) order.
         """
         if not (_is_integer(n) and n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {reprlib.repr(n)}")
+        _check_seed(seed)
         rng = np.random.default_rng(seed)
         return self.inverse(rng.standard_normal((n, self.dim)))
 
@@ -590,10 +599,17 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
 
     Each column of a layer's output is binned once, over its range: the
     counts give its entropy, its KL to N(0, 1) (``non_gaussianity``) and,
-    if the fit goes on, the next layer's table for that column.  The input
-    is binned twice, once for ``marginal_entropies_input`` and once for the
-    first layer's tables.  The data needs at least ``MIN_ENTROPY_SAMPLES``
-    (10) rows, the fewest an entropy estimate takes, and 1 column.
+    if the fit goes on, the next layer's table for that column.  When the
+    stopping rule cannot stop the fit after this layer (no degenerate
+    direction, fewer than ``patience - 1`` layers below tolerance so far and
+    ``max_layers`` not reached), the same column task also Gaussianizes the
+    column through its next table, from the knot segments the binning found:
+    the next layer's first pass searches no segment again and computes no
+    log-Jacobian.  The input is binned twice, once for
+    ``marginal_entropies_input`` and once for the first layer's tables, from
+    one contiguous copy of each column.  The data needs at least
+    ``MIN_ENTROPY_SAMPLES`` (10) rows, the fewest an entropy estimate takes,
+    and 1 column.
     """
     x = _validate_fit_input(data)
     # Not held here, so an input no caller holds is freed with the first layer.
@@ -610,11 +626,12 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     patience = config.patience if d > 1 else 1
 
     # Each layer's output counts, one row per column, read by the next
-    # layer's tables.  One block for the fit: small long-lived arrays made
-    # between the N x D matrices pin freed heap memory.
+    # layer's tables when its binning did not Gaussianize it.  One block for
+    # the fit: small long-lived arrays made between the N x D matrices pin
+    # freed heap memory.
     counts = np.empty((d, bins), dtype=np.intp)
+    h_input = np.empty(d)
     with _columns(n, d) as map_columns:
-        h_input = np.array(list(map_columns(lambda j: marginal_entropy(x[:, j], bins))))
         # Per layer: its D fitted tables, its rotation and its delta-T.
         layer_tables: list[list[MarginalUniformizer]] = []
         rotations: list[RotationMatrix] = []
@@ -622,19 +639,28 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         non_gauss: list[float] = []
         below = 0
         converged = False
+        # A layer's Gaussianized columns, with their tables in ``tables``,
+        # when the previous layer's binning made them.
+        z = None
         for layer in range(config.max_layers):
-            z = np.empty_like(x)
+            if z is None:
+                z = np.empty_like(x)
 
-            def gaussianize(j):
-                if layer == 0:
-                    g = fit_gaussianizer(x[:, j], bins)
-                else:
-                    grid = _knot_grid(float(lo[j]), float(hi[j]), bins)
-                    g = MarginalGaussianizer(_table(grid, counts[j], n))
-                z[:, j], _ = g.forward(x[:, j])
-                return g
+                def gaussianize(j):
+                    if layer == 0:
+                        # One contiguous copy of a strided input column feeds
+                        # its entropy, its table and its forward.
+                        col = np.ascontiguousarray(x[:, j])
+                        h_input[j] = marginal_entropy(col, bins)
+                        g = fit_gaussianizer(col, bins)
+                    else:
+                        col = x[:, j]
+                        grid = _knot_grid(float(lo[j]), float(hi[j]), bins)
+                        g = MarginalGaussianizer(_table(grid, counts[j], n))
+                    z[:, j], _ = g.forward(col)
+                    return g.uniformizer
 
-            tables = [g.uniformizer for g in map_columns(gaussianize)]
+                tables = list(map_columns(gaussianize))
             # Two N x D arrays at most: the spent input goes before the PCA's
             # centered copy and the rotation's output, and z once it is rotated.
             del x
@@ -653,26 +679,45 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             scale = max(np.abs(hi).max(), np.abs(lo).max())
             degenerate = hi - lo <= _DEGENERATE_SPAN * scale
             h_floor = math.log2(clamp_eps)
+            # Whatever this layer's delta-T, the stopping rule cannot stop the
+            # fit here: the binning then Gaussianizes the next layer too.
+            fused = (
+                not degenerate.any()
+                and below + 1 < patience
+                and layer + 1 < config.max_layers
+            )
+            z = np.empty_like(x) if fused else None
 
-            def entropy_and_kl(j):
+            def bin_column(j):
                 if degenerate[j]:
                     value = x[0, j]
                     cross = (0.5 * value * value + 0.5 * math.log(2 * math.pi)) / LN2
-                    return h_floor, cross - h_floor
+                    return h_floor, cross - h_floor, None
                 # Not checked for NaN or inf: the rotation's input holds
                 # probit values, all finite and bounded.
-                counts[j], h_j, kl_j = _hist_entropy(x[:, j], float(lo[j]), float(hi[j]), bins)
-                return h_j, kl_j
+                col = x[:, j]
+                grid, (counts_j, seg, left), h_j, kl_j = _hist_entropy(
+                    col, float(lo[j]), float(hi[j]), bins
+                )
+                if not fused:
+                    counts[j] = counts_j
+                    return h_j, kl_j, None
+                table = _table(grid, counts_j, n)
+                z[:, j] = probit(table._cdf(col, seg, left))
+                return h_j, kl_j, table
 
             delta_t = 0.0
             j_m = 0.0
-            for h_j, kl_j in map_columns(entropy_and_kl):
+            next_tables = []
+            for h_j, kl_j, table in map_columns(bin_column):
                 j_m += kl_j
                 delta_t += GAUSS_ENTROPY_BITS - h_j
+                next_tables.append(table)
             layer_tables.append(tables)
             rotations.append(rotation)
             deltas.append(delta_t)
             non_gauss.append(j_m)
+            tables = next_tables
             if degenerate.any():
                 converged = True
                 break

@@ -10,7 +10,7 @@ assembled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -107,24 +107,43 @@ def _segment(kx: np.ndarray, x: np.ndarray):
 _CELLS_PER_SEGMENT = 8
 
 
-def _p_segment(kp: np.ndarray, p: np.ndarray):
-    """Knot segment of each probability of 1-D ``p``, and its two knots.
-
-    CDF knots are not equal-width, so the guess comes from a table built
-    per call: the segment of the left edge of each of ``8 (K - 1)`` equal
-    cells over [0, 1], plus one entry for 1 itself.  A value's guess is its
-    cell's entry, which is right unless a knot lies between the cell's left
-    edge and the value (about 4% of values on a fitted table);
-    :func:`_checked_segment` checks it.
-    """
-    last = kp.size - 2
+def _p_guess_table(kp: np.ndarray) -> np.ndarray:
+    """Guess table of CDF knots ``kp``: the segment of the left edge of each
+    of ``8 (K - 1)`` equal cells over [0, 1], plus one entry for 1 itself."""
     cells = _CELLS_PER_SEGMENT * (kp.size - 1)
     table = np.searchsorted(kp, np.arange(cells + 1) / cells, side="right") - 1
-    np.clip(table, 0, last, out=table)
+    np.clip(table, 0, kp.size - 2, out=table)
+    return table
+
+
+def _p_segment(kp: np.ndarray, p: np.ndarray, table: np.ndarray | None = None):
+    """Knot segment of each probability of 1-D ``p``, and its two knots.
+
+    CDF knots are not equal-width, so the guess comes from a table of equal
+    cells over [0, 1] (:func:`_p_guess_table`, built here unless given).  A
+    value's guess is its cell's entry, which is right unless a knot lies
+    between the cell's left edge and the value (about 4% of values on a
+    fitted table); :func:`_checked_segment` checks it.
+    """
+    if table is None:
+        table = _p_guess_table(kp)
+    cells = table.size - 1
     guess = np.multiply(p, cells)
     np.fmax(guess, 0.0, out=guess)
     np.fmin(guess, cells, out=guess)
     return _checked_segment(kp, p, table[guess.astype(np.intp)])
+
+
+def _check_probabilities(p: np.ndarray) -> float:
+    """Raise unless every value of ``p`` lies strictly inside (0, 1); return
+    the smallest (0.5 for an empty ``p``).  min and max propagate NaN, so
+    NaN fails too."""
+    if p.size == 0:
+        return 0.5
+    p_min = p.min()
+    if not (p_min > 0.0 and p.max() < 1.0):
+        raise ProbabilityOutOfRange("p must lie strictly inside (0, 1)")
+    return p_min
 
 
 @dataclass(frozen=True)
@@ -146,6 +165,10 @@ class MarginalUniformizer:
     - every segment's slope is finite and positive both as dp/dx, which
       :meth:`forward` uses, and as dx/dp, which :meth:`inverse` uses.
 
+    The check's per-segment slopes are kept for the kernels, with the log of
+    dp/dx.  The inverse's guess table (:func:`_p_guess_table`) is built on
+    the first :meth:`inverse` call, so a fit or a load does not pay for it.
+
     Fitted tables pass unless N nears 4e12 or the data range exceeds about
     1.8e306 / N (an extension segment's dx/dp is about 100 * range * N).
 
@@ -163,6 +186,10 @@ class MarginalUniformizer:
     knots_x: np.ndarray
     knots_p: np.ndarray
     clamp_eps: float
+    _dpdx: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_dpdx: np.ndarray = field(init=False, repr=False, compare=False)
+    _dxdp: np.ndarray = field(init=False, repr=False, compare=False)
+    _p_guess: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         kx = _as_float_array(self.knots_x)
@@ -189,15 +216,20 @@ class MarginalUniformizer:
             )
         if not 0.0 < self.clamp_eps < 0.5:
             raise ValueError("clamp_eps must lie in (0, 0.5)")
-        kx.setflags(write=False)
-        kp.setflags(write=False)
+        for name, a in (
+            ("knots_x", kx), ("knots_p", kp),
+            ("_dpdx", dpdx), ("_log_dpdx", np.log(dpdx)), ("_dxdp", dxdp),
+        ):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def forward(self, x):
         """Map data values to probabilities.
 
         Each value's knot segment ``s`` is found once (:func:`_segment`).
-        Its slope gives both the CDF value, ``kp[s] + slope * (x - kx[s])``
-        (the arithmetic of ``np.interp``), and the log-derivative.
+        It gives both the CDF value, ``kp[s] + dpdx[s] * (x - kx[s])`` (the
+        arithmetic of ``np.interp``), and the log-derivative, both read from
+        per-segment tables.
 
         Parameters
         ----------
@@ -220,48 +252,46 @@ class MarginalUniformizer:
         # a view; a strided column is copied once, since contiguous passes
         # run faster.
         xs = xq.ravel()
-        kx, kp = self.knots_x, self.knots_p
-        seg, lo, hi = _segment(kx, xs)
-        # Past the knots p leaves [0, 1] (to +-inf far out) where np.interp
-        # holds the end value; the clamp maps both to one bound.  Slopes are
-        # per value: per-segment tables, small arrays freed between large
-        # ones, got reused by long-lived knot tables and pinned freed heap
-        # memory (peak RSS +12 MB on PW).
-        base = kp[seg]
-        slope = kp[1:][seg]
-        slope -= base
-        hi -= lo
-        slope /= hi
-        with np.errstate(over="ignore"):
-            p = xs - lo
-            p *= slope
-        p += base
-        logdpdx = np.log(slope)
-        np.clip(p, self.clamp_eps, 1.0 - self.clamp_eps, out=p)
+        seg, lo, _ = _segment(self.knots_x, xs)
+        p = self._cdf(xs, seg, lo)
+        logdpdx = self._log_dpdx[seg]
         if xq.ndim == 0:
             return float(p[0]), float(logdpdx[0])
         return p.reshape(xq.shape), logdpdx.reshape(xq.shape)
+
+    def _cdf(self, xs: np.ndarray, seg: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """The forward kernel: clamped CDF values of 1-D ``xs``, given each
+        value's knot segment ``seg`` and its left knot ``lo``."""
+        # Past the knots p leaves [0, 1] (to +-inf far out) where np.interp
+        # holds the end value; the clamp maps both to one bound.
+        with np.errstate(over="ignore"):
+            p = xs - lo
+            p *= self._dpdx[seg]
+        p += self.knots_p[seg]
+        np.clip(p, self.clamp_eps, 1.0 - self.clamp_eps, out=p)
+        return p
 
     def inverse(self, p):
         """Map probabilities in (0, 1) back to data values.
 
         Each value's CDF-knot segment ``s`` is found once
-        (:func:`_p_segment`: a guess from a per-call table of equal cells
-        over [0, 1], checked against the segment's two knots, with a binary
-        search only for misses).  The value is then
-        ``kx[s] + slope * (p - kp[s])`` in ``np.interp``'s order of
-        operations, so the result is bit-identical to ``np.interp``.
+        (:func:`_p_segment`: a guess from this table's cells over [0, 1],
+        checked against the segment's two knots, with a binary search only
+        for misses).  The value is then ``kx[s] + dxdp[s] * (p - kp[s])`` in
+        ``np.interp``'s order of operations, so the result is bit-identical
+        to ``np.interp``.
         """
         pq = _as_float_array(p)
-        # NaN fails both comparisons, so this also rejects non-finite input.
-        if not np.all((pq > 0.0) & (pq < 1.0)):
-            raise ProbabilityOutOfRange("p must lie strictly inside (0, 1)")
-        kx, kp = self.knots_x, self.knots_p
+        _check_probabilities(pq)
+        if self._p_guess is None:
+            # Concurrent first calls each build the same table; either may
+            # be kept.
+            object.__setattr__(self, "_p_guess", _p_guess_table(self.knots_p))
         ps = pq.ravel()
-        seg, lo, _ = _p_segment(kp, ps)
+        seg, lo, _ = _p_segment(self.knots_p, ps, self._p_guess)
         x = ps - lo
-        x *= (np.diff(kx) / np.diff(kp))[seg]
-        x += kx[seg]
+        x *= self._dxdp[seg]
+        x += self.knots_x[seg]
         if pq.ndim == 0:
             return float(x[0])
         return x.reshape(pq.shape)
@@ -313,19 +343,24 @@ def _knot_grid(x_min, x_max, bins: int) -> np.ndarray:
     return np.concatenate([lo, grid, hi], axis=-1)
 
 
-def _bin_counts(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Counts of 1-D ``x`` in the equal-width bins of a knot grid.
+def _bin_counts(x: np.ndarray, grid: np.ndarray):
+    """Counts of 1-D ``x`` in the equal-width bins of a knot grid, with each
+    value's knot segment and left knot.
 
     The bins are the grid's interior segments, from ``grid[1]`` to
     ``grid[-2]``; every value must lie in that range.  A value equal to its
-    upper end counts in the last bin.  The counts equal ``np.histogram(x,
-    bins, range=(grid[1], grid[-2]))[0]``, whose edges are the same
-    ``linspace``: both place a value between the two edges that bracket it.
+    upper end counts in the last bin, though its segment is the extension
+    segment after it, as in the table on ``grid``.  The counts equal
+    ``np.histogram(x, bins, range=(grid[1], grid[-2]))[0]``, whose edges
+    are the same ``linspace``: both place a value between the two edges that
+    bracket it.  The segments and left knots are those ``forward`` finds
+    for ``x`` on a table whose knots are ``grid``.
     """
     bins = grid.size - 3
-    seg, _, _ = _segment(grid, x)
-    np.minimum(seg, bins, out=seg)
-    return np.bincount(seg, minlength=bins + 1)[1:]
+    seg, lo, _ = _segment(grid, x)
+    counts = np.bincount(seg, minlength=bins + 2)
+    counts[bins] += counts[bins + 1]
+    return counts[1:-1], seg, lo
 
 
 def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
@@ -350,7 +385,7 @@ def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
     if bins < 2:
         raise ValueError("bins must be >= 2")
     knots_x = _knot_grid(x_min, x_max, bins)
-    return _table(knots_x, _bin_counts(xs, knots_x), xs.size)
+    return _table(knots_x, _bin_counts(xs, knots_x)[0], xs.size)
 
 
 def _table(knots_x: np.ndarray, counts: np.ndarray, n: int) -> MarginalUniformizer:
@@ -384,17 +419,16 @@ def probit(p):
     ``probit(1 - p) == -probit(p)`` holds exactly.
     """
     pq = _as_float_array(p)
-    # NaN fails both comparisons, so this also rejects non-finite input.
-    if not np.all((pq > 0.0) & (pq < 1.0)):
-        raise ProbabilityOutOfRange("p must lie strictly inside (0, 1)")
+    p_min = _check_probabilities(pq)
     # q = 1 - max(p, 1-p) is exact (Sterbenz): p and 1-p share q, and the
     # sign of p - 0.5 mirrors ndtri(q) <= 0 bit-exactly.  Where 1 - p rounds
-    # to 1, q falls back to p.
+    # to 1, which needs p <= 2**-53, q falls back to p.
     pa = np.atleast_1d(pq)
     q = np.subtract(1.0, pa)
     np.maximum(pa, q, out=q)
     np.subtract(1.0, q, out=q)
-    np.copyto(q, pa, where=q == 0.0)
+    if not p_min > 2.0**-53:
+        np.copyto(q, pa, where=q == 0.0)
     z = ndtri(q, out=q)
     np.copysign(z, np.subtract(pa, 0.5), out=z)
     if pq.ndim == 0:
@@ -403,9 +437,10 @@ def probit(p):
 
 
 def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
-    """Bin ``x`` over its range ``[x_min, x_max]`` once: the counts, the
-    entropy and the KL to N(0, 1), both in bits (see :func:`marginal_entropy`
-    and :func:`marginal_kl_to_standard_normal`)."""
+    """Bin ``x`` over its range ``[x_min, x_max]`` once: the knot grid of the
+    range, what :func:`_bin_counts` returns on it, the entropy and the KL to
+    N(0, 1), both in bits (see :func:`marginal_entropy` and
+    :func:`marginal_kl_to_standard_normal`)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     grid = _knot_grid(x_min, x_max, bins)
@@ -415,14 +450,14 @@ def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
         raise ValueError(
             f"cannot make {bins} bins of positive width over [{x_min!r}, {x_max!r}]"
         )
-    counts = _bin_counts(x, grid)
-    probs = counts / x.size
+    binned = _bin_counts(x, grid)
+    probs = binned[0] / x.size
     nz = probs > 0
     h = float(-np.sum(probs[nz] * np.log2(probs[nz] / widths[nz])))
     h += (int(np.count_nonzero(nz)) - 1) / (2.0 * x.size * LN2)
     centers = 0.5 * (edges[:-1] + edges[1:])
     log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
-    return counts, h, -float(np.sum(probs * log2_phi)) - h
+    return grid, binned, h, -float(np.sum(probs * log2_phi)) - h
 
 
 def _sample_range(x, least: int):
@@ -458,7 +493,7 @@ def marginal_entropy(x, bins: int | None = None) -> float:
     xs, x_min, x_max = _sample_range(x, MIN_ENTROPY_SAMPLES)
     if bins is None:
         bins = default_bins(xs.size)
-    return _hist_entropy(xs, x_min, x_max, bins)[1]
+    return _hist_entropy(xs, x_min, x_max, bins)[2]
 
 
 def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
@@ -471,4 +506,4 @@ def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
     xs, x_min, x_max = _sample_range(x, MIN_ENTROPY_SAMPLES)
     if bins is None:
         bins = default_bins(xs.size)
-    return _hist_entropy(xs, x_min, x_max, bins)[2]
+    return _hist_entropy(xs, x_min, x_max, bins)[3]

@@ -1,10 +1,15 @@
-"""Seeded synthetic datasets used by the CLI and the acceptance suite."""
+"""Seeded synthetic datasets used by the CLI and the acceptance suite.
+
+Every generator takes an integer ``seed`` >= 0 and refuses a negative one by
+name, as :class:`~rbig.flow.FitConfig` does.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .cube import DataCube
+from .flow import _check_seed
 
 __all__ = [
     "equicorrelated_gaussian",
@@ -26,6 +31,7 @@ def equicorrelated_gaussian(n: int, dim: int, rho: float, seed: int) -> np.ndarr
 
 def gaussian_from_correlation(n: int, corr, seed: int) -> np.ndarray:
     """Zero-mean Gaussian sample with the given correlation matrix."""
+    _check_seed(seed)
     c = np.asarray(corr, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("correlation matrix must be square")
@@ -42,6 +48,7 @@ def noisy_sine(n: int, seed: int, noise: float = 0.25) -> np.ndarray:
     t is uniform on [0, 2*pi]; the noise standard deviation grows linearly
     from 0.1 to 0.1 + noise across the abscissa.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 2.0 * np.pi, n)
     sigma = 0.1 + noise * t / (2.0 * np.pi)
@@ -51,6 +58,7 @@ def noisy_sine(n: int, seed: int, noise: float = 0.25) -> np.ndarray:
 
 def gaussian_mixture(n: int, seed: int, separation: float = 2.0) -> np.ndarray:
     """Two-component 2-D Gaussian mixture with opposite correlations."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     which = rng.random(n) < 0.5
     chol_a = np.linalg.cholesky([[1.0, 0.6], [0.6, 1.0]])
@@ -68,6 +76,7 @@ def ar1_cube(t_len: int, height: int, width: int, phi: float, seed: int) -> Data
     """
     if not -1.0 < phi < 1.0:
         raise ValueError("phi must lie in (-1, 1)")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(1.0 - phi * phi)
     values = np.empty((t_len, height, width))

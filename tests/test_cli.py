@@ -70,6 +70,16 @@ class TestSynth:
         assert code == 1
         assert "--rho or --corr" in err
 
+    def test_negative_seed_exit_1_names_seed(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        code, stdout, err = run(
+            capsys, "synth", "gauss", "--n", "30", "--rho", "0.5", "--seed", "-2",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: seed must be >= 0, got -2\n"
+        assert not out.exists()
+
     def test_seed_reproducibility_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -267,6 +277,17 @@ class TestTransformSample:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sample_negative_seed_exit_1_names_seed(self, tmp_path, capsys, gauss_csv):
+        model, out = tmp_path / "m.json", tmp_path / "s.csv"
+        run(capsys, "fit", "--input", str(gauss_csv), "--out", str(model))
+        code, stdout, err = run(
+            capsys, "sample", "--model", str(model), "--n", "3", "--seed", "-1",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, message",

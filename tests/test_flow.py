@@ -35,7 +35,13 @@ from rbig import (
     rotate,
 )
 from rbig import flow, marginal
-from rbig.synth import equicorrelated_gaussian, gaussian_mixture, noisy_sine
+from rbig.synth import (
+    ar1_cube,
+    equicorrelated_gaussian,
+    gaussian_from_correlation,
+    gaussian_mixture,
+    noisy_sine,
+)
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +347,28 @@ class TestSample:
     def test_accepts_numpy_count(self, sine_model):
         assert sine_model.sample(np.int64(3), seed=1).shape == (3, 2)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda model, seed: model.sample(3, seed),
+            lambda model, seed: equicorrelated_gaussian(10, 2, 0.5, seed),
+            lambda model, seed: gaussian_from_correlation(10, np.eye(2), seed),
+            lambda model, seed: noisy_sine(10, seed),
+            lambda model, seed: gaussian_mixture(10, seed),
+            lambda model, seed: ar1_cube(3, 2, 2, 0.5, seed),
+        ],
+        ids=[
+            "sample", "equicorrelated_gaussian", "gaussian_from_correlation",
+            "noisy_sine", "gaussian_mixture", "ar1_cube",
+        ],
+    )
+    def test_negative_seed_rejected_by_name(self, sine_model, draw):
+        # The message FitConfig gives; numpy's own does not name the seed.
+        for seed in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                draw(sine_model, seed)
+        draw(sine_model, 0)
+
     def test_moment_match_rho08(self):
         data = equicorrelated_gaussian(100000, 2, 0.8, 16)
         model = fit(data, FitConfig(seed=16))
@@ -371,41 +399,107 @@ def cubed_column(n):
     return np.random.default_rng(0).standard_normal((n, 1)) ** 3
 
 
+def check_layers_against_public_calls(x, model):
+    """Each layer's delta-T, non-Gaussianity and tables, and the input's
+    entropies, bit for bit as the public per-column calls give them."""
+    x = np.asarray(x, dtype=float)
+    bins = model.resolved_bins
+    inputs = [x, *post_rotation_columns(model, x)]
+    h_input = [marginal_entropy(x[:, j], bins) for j in range(model.dim)]
+    assert same_bits(model.marginal_entropies_input, np.array(h_input))
+    for i, gaussianizers in enumerate(model.gaussianizers):
+        for j, g in enumerate(gaussianizers):
+            table = fit_uniformizer(inputs[i][:, j], bins)
+            assert same_bits(g.uniformizer.knots_x, table.knots_x)
+            assert same_bits(g.uniformizer.knots_p, table.knots_p)
+        y = inputs[i + 1]
+        delta_t = non_gauss = 0.0
+        for j in range(model.dim):
+            delta_t += GAUSS_ENTROPY_BITS - marginal_entropy(y[:, j], bins)
+            non_gauss += marginal_kl_to_standard_normal(y[:, j], bins)
+        assert same_bits(model.delta_t[i], delta_t)
+        assert same_bits(model.non_gaussianity[i], non_gauss)
+
+
+def layers_by_public_forward(model):
+    """Layers whose columns the fit Gaussianizes with the public ``forward``:
+    the first, and each after a layer where the stopping rule could stop the
+    fit.  Every other layer is Gaussianized by the previous layer's binning."""
+    config = model.config
+    patience = config.patience if model.dim > 1 else 1
+    layers, below = 1, 0
+    for delta_t in model.delta_t[:-1]:
+        layers += below + 1 >= patience
+        below = below + 1 if delta_t < config.tol_delta_t else 0
+    return layers
+
+
+# name: (data, config, converged).
+CARRIED_CASES = {
+    "sine": (lambda: noisy_sine(10000, seed=7), FitConfig(seed=2), True),
+    "cubed": (lambda: cubed_column(20000), FitConfig(), True),
+    "random-3": (
+        lambda: equicorrelated_gaussian(5000, 3, 0.6, 48),
+        FitConfig(rotation_kind="random", seed=49),
+        True,
+    ),
+    # Every layer may be the last: no binning Gaussianizes the next layer.
+    "patience-1": (lambda: noisy_sine(10000, seed=7), FitConfig(patience=1, seed=2), True),
+    # Stopped by max_layers: the last layer's binning Gaussianizes nothing.
+    "max-layers": (lambda: skewed(5000, 50), FitConfig(max_layers=3, tol_delta_t=1e-9), False),
+}
+
+
 class TestCarriedHistogram:
     """One histogram per column-layer: a layer's output counts give its
     delta-T, its non-Gaussianity and the next layer's tables, bit for bit as
     the public per-column calls on that output would."""
 
-    @pytest.fixture(
-        params=["sine", "cubed", "random-3"],
-        scope="class",
-    )
-    def fitted(self, request, sine_data, sine_model):
-        if request.param == "sine":
-            return sine_data, sine_model
-        if request.param == "cubed":
-            x = cubed_column(20000)
-            return x, fit(x)
-        x = equicorrelated_gaussian(5000, 3, 0.6, 48)
-        return x, fit(x, FitConfig(rotation_kind="random", seed=49))
+    @pytest.fixture(params=sorted(CARRIED_CASES), scope="class")
+    def fitted(self, request):
+        """The case's data and model, the fit's calls of the public
+        ``forward`` and of the forward kernel, and the warnings it raised."""
+        make, config, _ = CARRIED_CASES[request.param]
+        x = make()
+        calls = {"forward": 0, "kernel": 0}
+        forward, kernel = MarginalGaussianizer.forward, marginal.MarginalUniformizer._cdf
+
+        def counted_forward(g, v):
+            calls["forward"] += 1
+            return forward(g, v)
+
+        def counted_kernel(u, *args):
+            calls["kernel"] += 1
+            return kernel(u, *args)
+
+        with pytest.MonkeyPatch.context() as m, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m.setattr(MarginalGaussianizer, "forward", counted_forward)
+            m.setattr(marginal.MarginalUniformizer, "_cdf", counted_kernel)
+            model = fit(x, config)
+        return request.param, x, model, calls, [w.category for w in caught]
 
     def test_layer_sums_and_next_tables_match_public_calls(self, fitted):
-        x, model = fitted
+        _, x, model, _, _ = fitted
         assert model.n_layers >= 2
-        bins = model.resolved_bins
-        outputs = post_rotation_columns(model, np.asarray(x, dtype=float))
-        for i, y in enumerate(outputs):
-            delta_t = non_gauss = 0.0
-            for j in range(model.dim):
-                delta_t += GAUSS_ENTROPY_BITS - marginal_entropy(y[:, j], bins)
-                non_gauss += marginal_kl_to_standard_normal(y[:, j], bins)
-            assert same_bits(model.delta_t[i], delta_t)
-            assert same_bits(model.non_gaussianity[i], non_gauss)
-            if i + 1 < model.n_layers:
-                for j, g in enumerate(model.gaussianizers[i + 1]):
-                    table = fit_uniformizer(y[:, j], bins)
-                    assert same_bits(g.uniformizer.knots_x, table.knots_x)
-                    assert same_bits(g.uniformizer.knots_p, table.knots_p)
+        check_layers_against_public_calls(x, model)
+
+    def test_each_layer_gaussianized_once(self, fitted):
+        name, _, model, calls, warned = fitted
+        converged = CARRIED_CASES[name][2]
+        assert model.converged is converged
+        assert warned == ([] if converged else [NotConvergedWarning])
+        # Once per column-layer, and never for a layer past the last.
+        assert calls["kernel"] == model.n_layers * model.dim
+        assert calls["forward"] == layers_by_public_forward(model) * model.dim
+
+    def test_pooled_fit_matches_public_calls(self, both):
+        # 2**15 rows: flow._POOL_MIN_ROWS, from which a fit pools unforced.
+        x = skewed(2**15, 51)
+        serial, pooled = both(lambda: fit(x))
+        assert serial.to_dict() == pooled.to_dict()
+        assert layers_by_public_forward(pooled) < pooled.n_layers
+        check_layers_against_public_calls(x, pooled)
 
 
 class TestNonGaussianityTrace:

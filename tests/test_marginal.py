@@ -160,7 +160,11 @@ class TestBinCounts:
             return
         grid = _knot_grid(lo, hi, bins)
         counts, edges = np.histogram(x, bins, range=(lo, hi))
-        assert np.array_equal(_bin_counts(x, grid), counts)
+        binned, seg, lo = _bin_counts(x, grid)
+        assert np.array_equal(binned, counts)
+        # The segments and left knots forward finds on a table of this grid.
+        assert np.array_equal(seg, reference_segment(grid, x))
+        assert np.array_equal(lo, grid[seg])
         assert np.array_equal(grid[1:-1], edges)
         assert np.array_equal(np.histogram(x, bins)[1], edges)
 

@@ -2,14 +2,17 @@
 
 Every subcommand is deterministic given its inputs, flags, and seed; each
 file-producing run also writes a ``<out>.run.json`` record with input
-digests and timing (the record itself is the only non-reproducible output).
-Exit codes: 0 success, 1 input or configuration error, 2 finished with a
-convergence warning.
+digests, timing and the resolved flags under their ``FitConfig`` and
+``PatchConfig`` field names (the record itself is the only
+non-reproducible output).  Exit codes: 0 success, 1 input or configuration
+error (one ``error:`` line; a read error names its file, and a CSV with no
+data rows after its header is one), 2 finished with a convergence warning.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -61,10 +64,14 @@ class _Parser(argparse.ArgumentParser):
 def _fit_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per ``FitConfig`` field, with the field's default."""
     default = FitConfig()
-    parser.add_argument("--rotation", choices=["pca", "random"], default=default.rotation_kind)
+    parser.add_argument(
+        "--rotation", dest="rotation_kind", choices=["pca", "random"], default=default.rotation_kind
+    )
     parser.add_argument("--bins", type=int, default=default.bins)
     parser.add_argument("--max-layers", type=int, default=default.max_layers)
-    parser.add_argument("--tol", type=float, default=default.tol_delta_t)
+    parser.add_argument(
+        "--tol", dest="tol_delta_t", metavar="TOL", type=float, default=default.tol_delta_t
+    )
     parser.add_argument("--patience", type=int, default=default.patience)
     parser.add_argument("--seed", type=int, default=default.seed)
 
@@ -76,34 +83,31 @@ def _patch_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stride-time", type=int, default=1)
 
 
-def _config_from_args(args) -> FitConfig:
-    return FitConfig(
-        rotation_kind=args.rotation,
-        bins=args.bins,
-        max_layers=args.max_layers,
-        tol_delta_t=args.tol,
-        patience=args.patience,
-        seed=args.seed,
-    )
+def _config(cls, args):
+    """``cls`` built from the flags stored under its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _patch_config_from_args(args, path: str) -> PatchConfig:
     if args.spatial is None or args.temporal is None:
         raise _CliInputError(f"{path} is a cube; --spatial and --temporal are required")
-    return PatchConfig(
-        spatial=args.spatial,
-        temporal=args.temporal,
-        stride_space=args.stride_space,
-        stride_time=args.stride_time,
-    )
+    return _config(PatchConfig, args)
+
+
+def _read(loader, path):
+    """``loader(path)``, with its ``ValueError`` re-raised as ``<path>: <message>``."""
+    try:
+        return loader(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_samples(path: str, args) -> np.ndarray:
     """CSV paths load directly; anything else is a cube needing patch flags."""
     if path.endswith(".csv"):
-        return load_csv(path)
+        return _read(load_csv, path)
     cfg = _patch_config_from_args(args, path)
-    samples, _ = extract_patches(load_cube(path), cfg)
+    samples, _ = extract_patches(_read(load_cube, path), cfg)
     return samples
 
 
@@ -115,15 +119,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_run_record(subcommand, args, inputs, outputs, started) -> None:
+def _write_run_record(args, inputs, outputs, wall_time_s) -> None:
     record = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand + (f"-{args.kind}" if args.subcommand == "synth" else ""),
         "config": {
             k: v for k, v in vars(args).items() if k not in ("func", "subcommand", "kind")
         },
         "inputs": {path: _sha256(path) for path in inputs},
         "outputs": [str(p) for p in outputs],
-        "wall_time_s": time.monotonic() - started,
+        "wall_time_s": wall_time_s,
         "version": __version__,
     }
     path = Path(str(outputs[0]) + ".run.json")
@@ -132,10 +136,11 @@ def _write_run_record(subcommand, args, inputs, outputs, started) -> None:
         fh.write("\n")
 
 
-def _cmd_fit(args) -> int:
-    started = time.monotonic()
+# Each command returns (exit code, input paths, output paths); main writes
+# the run record of a command with outputs.
+def _cmd_fit(args) -> tuple[int, list, list]:
     data = _load_samples(args.input, args)
-    config = _config_from_args(args)
+    config = _config(FitConfig, args)
     # Kept off stderr: the exit code and one line below report non-convergence.
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
@@ -152,41 +157,35 @@ def _cmd_fit(args) -> int:
     with open(trace_path, "w") as fh:
         json.dump(trace, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_run_record("fit", args, [args.input], [args.out, trace_path], started)
     if not model.converged:
         print("warning: fit did not converge within the layer cap", file=sys.stderr)
-        return EXIT_WARNINGS
-    return EXIT_OK
+    code = EXIT_OK if model.converged else EXIT_WARNINGS
+    return code, [args.input], [args.out, trace_path]
 
 
-def _cmd_transform(args) -> int:
-    started = time.monotonic()
-    model = GaussModel.load(args.model)
-    data = load_csv(args.input)
+def _cmd_transform(args) -> tuple[int, list, list]:
+    model = _read(GaussModel.load, args.model)
+    data = _read(load_csv, args.input)
     z, logjac = model.transform(data)
     header = [f"z{j}" for j in range(z.shape[1])] + ["logjac"]
     save_csv(args.out, np.column_stack([z, logjac]), header)
-    _write_run_record("transform", args, [args.model, args.input], [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [args.model, args.input], [args.out]
 
 
-def _cmd_sample(args) -> int:
-    started = time.monotonic()
-    model = GaussModel.load(args.model)
+def _cmd_sample(args) -> tuple[int, list, list]:
+    model = _read(GaussModel.load, args.model)
     x = model.sample(args.n, args.seed)
     save_csv(args.out, x)
-    _write_run_record("sample", args, [args.model], [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [args.model], [args.out]
 
 
-def _cmd_measure(args) -> int:
-    started = time.monotonic()
-    config = _config_from_args(args)
+def _cmd_measure(args) -> tuple[int, list, list]:
+    config = _config(FitConfig, args)
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
         if args.subcommand == "mi":
-            x = load_csv(args.x)
-            y = load_csv(args.y)
+            x = _read(load_csv, args.x)
+            y = _read(load_csv, args.y)
             report = mutual_information(x, y, config)
             inputs = [args.x, args.y]
         else:
@@ -202,18 +201,16 @@ def _cmd_measure(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
             fh.write("\n")
-        _write_run_record(args.subcommand, args, inputs, [args.out], started)
     if not report.converged:
         print("warning: a fit did not converge within the layer cap", file=sys.stderr)
-        return EXIT_WARNINGS
-    return EXIT_OK
+    code = EXIT_OK if report.converged else EXIT_WARNINGS
+    return code, inputs, [args.out] if args.out else []
 
 
-def _cmd_synth(args) -> int:
-    started = time.monotonic()
+def _cmd_synth(args) -> tuple[int, list, list]:
     if args.kind == "gauss":
         if args.corr is not None:
-            data = gaussian_from_correlation(args.n, load_csv(args.corr), args.seed)
+            data = gaussian_from_correlation(args.n, _read(load_csv, args.corr), args.seed)
         else:
             if args.rho is None:
                 raise _CliInputError("synth gauss needs --rho or --corr")
@@ -228,14 +225,12 @@ def _cmd_synth(args) -> int:
     else:  # ar1-cube
         cube = ar1_cube(args.t, args.height, args.width, args.phi, args.seed)
         save_cube(args.out, cube)
-    _write_run_record(f"synth-{args.kind}", args, [], [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [], [args.out]
 
 
-def _cmd_info_map(args) -> int:
-    started = time.monotonic()
-    model = GaussModel.load(args.model)
-    cube = load_cube(args.cube)
+def _cmd_info_map(args) -> tuple[int, list, list]:
+    model = _read(GaussModel.load, args.model)
+    cube = _read(load_cube, args.cube)
     cfg = _patch_config_from_args(args, args.cube)
     if model.dim != cfg.dim:
         raise DimensionMismatch(
@@ -244,14 +239,9 @@ def _cmd_info_map(args) -> int:
     samples, anchors = extract_patches(cube, cfg)
     info = model.information(samples)
     grid = np.full(patch_grid_shape(cube.shape, cfg), np.nan)
-    grid[
-        anchors[:, 0] // cfg.stride_time,
-        anchors[:, 1] // cfg.stride_space,
-        anchors[:, 2] // cfg.stride_space,
-    ] = info
+    grid[tuple((anchors // (cfg.stride_time, cfg.stride_space, cfg.stride_space)).T)] = info
     save_cube(args.out, DataCube(values=grid))
-    _write_run_record("info-map", args, [args.model, args.cube], [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [args.model, args.cube], [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,30 +293,24 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--rho", type=float, default=None)
     k.add_argument("--corr", default=None, help="CSV file with a correlation matrix")
     k.add_argument("--dim", type=int, default=2)
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--out", required=True)
 
     k = kinds.add_parser("sine")
     k.add_argument("--n", type=int, required=True)
     k.add_argument("--noise", type=float, default=0.25)
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--out", required=True)
 
     k = kinds.add_parser("mixture")
     k.add_argument("--n", type=int, required=True)
     k.add_argument("--separation", type=float, default=2.0)
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--out", required=True)
 
     k = kinds.add_parser("ar1-cube")
     k.add_argument("--t", type=int, required=True)
     k.add_argument("--height", type=int, required=True)
     k.add_argument("--width", type=int, required=True)
     k.add_argument("--phi", type=float, required=True)
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--out", required=True)
 
     for k in kinds.choices.values():
+        k.add_argument("--seed", type=int, default=0)
+        k.add_argument("--out", required=True)
         k.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("info-map", help="per-patch information map over a cube")
@@ -343,7 +327,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.monotonic()
+        code, inputs, outputs = args.func(args)
+        if outputs:
+            _write_run_record(args, inputs, outputs, time.monotonic() - started)
+        return code
     except (_CliInputError, RbigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

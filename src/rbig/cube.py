@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import reprlib
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -353,5 +354,14 @@ def save_csv(path, data, header: list[str] | None = None) -> None:
 
 
 def load_csv(path) -> np.ndarray:
-    """Load an N x D sample matrix from CSV with a one-line header."""
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Load an N x D sample matrix from CSV with a one-line header.
+
+    A file with no data rows after its header raises a ``ValueError``.
+    """
+    with warnings.catch_warnings():
+        # numpy warns of an empty file before returning it; the error below says it.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0:
+        raise ValueError("no data rows after the header")
+    return data

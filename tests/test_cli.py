@@ -1,13 +1,19 @@
+import argparse
 import base64
+import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from rbig import DataCube, ITReport, fit, load_csv, load_cube, load_model, save_csv, save_cube
-from rbig.cli import main
+from rbig import (
+    DataCube, FitConfig, ITReport, PatchConfig, fit, load_csv, load_cube, load_model, save_csv,
+    save_cube,
+)
+from rbig.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -587,7 +593,7 @@ class TestInfoMap:
             "--spatial", "1", "--temporal", "1", "--out", str(out),
         )
         assert code == 1
-        assert err == f"error: {message}\n"
+        assert err == f"error: {cube_path}: {message}\n"
         assert not out.exists()
 
     def test_model_patch_dim_mismatch_exit_1(self, tmp_path, capsys, gauss_csv):
@@ -621,3 +627,98 @@ class TestCliContract:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_each_config_field_has_one_flag_stored_under_its_name(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for config, commands in [(FitConfig, ["fit", "entropy", "tc", "mi"]),
+                                 (PatchConfig, ["fit", "entropy", "tc", "info-map"])]:
+            for command in commands:
+                for field in dataclasses.fields(config):
+                    flags = [a for a in sub.choices[command]._actions if a.dest == field.name]
+                    assert len(flags) == 1 and flags[0].option_strings, (command, field.name)
+
+    def test_run_record_config_holds_field_names(self, tmp_path, capsys, gauss_csv):
+        out = tmp_path / "m.json"
+        code, _, _ = run(
+            capsys, "fit", "--input", str(gauss_csv), "--rotation", "random", "--tol", "0.05",
+            "--out", str(out),
+        )
+        assert code == 0
+        config = json.loads((tmp_path / "m.json.run.json").read_text())["config"]
+        assert "rotation" not in config and "tol" not in config
+        fit_fields = {f.name: config[f.name] for f in dataclasses.fields(FitConfig)}
+        assert fit_fields == load_model(out).config.to_dict()
+        assert (fit_fields["rotation_kind"], fit_fields["tol_delta_t"]) == ("random", 0.05)
+        assert {f.name for f in dataclasses.fields(PatchConfig)} <= set(config)
+
+
+def model_and_csv(tmp_path):
+    """A fitted 2-column model file and a CSV it reads."""
+    data = np.random.default_rng(21).standard_normal((300, 2))
+    csv = tmp_path / "x.csv"
+    save_csv(csv, data)
+    model = tmp_path / "m.json"
+    fit(data).save(model)
+    return model, csv
+
+
+def assert_one_error_naming(err, path, message):
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert err.count("\n") == 1
+
+
+class TestReadErrors:
+    @pytest.mark.parametrize("command", ["fit", "tc", "transform", "synth-corr"])
+    def test_header_only_csv_exit_1_one_line(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("a,b\n")
+        model, _ = model_and_csv(tmp_path)
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "fit": ["fit", "--input", str(empty), "--out", out],
+            "tc": ["tc", "--input", str(empty)],
+            "transform": ["transform", "--model", str(model), "--input", str(empty), "--out", out],
+            "synth-corr": ["synth", "gauss", "--n", "10", "--corr", str(empty), "--out", out],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {empty}: no data rows after the header\n"
+
+    @pytest.mark.parametrize("command", ["sample", "transform", "info-map"])
+    def test_non_json_model_names_the_file(self, tmp_path, capsys, command):
+        _, csv = model_and_csv(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        cube_path = tmp_path / "c.bin"
+        save_cube(cube_path, DataCube(np.random.default_rng(22).standard_normal((4, 4, 4))))
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "sample": ["sample", "--model", str(bad), "--n", "3", "--out", out],
+            "transform": ["transform", "--model", str(bad), "--input", str(csv), "--out", out],
+            "info-map": ["info-map", "--model", str(bad), "--cube", str(cube_path),
+                         "--spatial", "1", "--temporal", "1", "--out", out],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert_one_error_naming(err, bad, "Expecting value")
+
+    @pytest.mark.parametrize("command", ["fit", "tc", "mi-x", "mi-y", "transform"])
+    def test_non_numeric_cell_names_the_file(self, tmp_path, capsys, command):
+        model, csv = model_and_csv(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n3,x\n")
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "fit": ["fit", "--input", str(bad), "--out", out],
+            "tc": ["tc", "--input", str(bad)],
+            "mi-x": ["mi", "--x", str(bad), "--y", str(csv)],
+            "mi-y": ["mi", "--x", str(csv), "--y", str(bad)],
+            "transform": ["transform", "--model", str(model), "--input", str(bad), "--out", out],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert_one_error_naming(err, bad, "could not convert string 'x'")

@@ -348,7 +348,7 @@ class TestCubeIO:
                      "--out", str(tmp_path / "m.json")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == f"error: cube sidecar {message}\n"
+        assert err == f"error: {path}: cube sidecar {message}\n"
 
     def test_fill_beyond_payload_dtype_rejected_on_load(self, tmp_path):
         # In float32 it would round to inf and mask every inf cell.
@@ -374,6 +374,15 @@ class TestCubeIO:
         back = load_csv(path)
         assert np.array_equal(back, data)
         assert path.read_text().splitlines()[0] == "a,b,c"
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "", "a,b\n\n\n"],
+                             ids=["header", "header-no-newline", "empty-file", "blank-rows"])
+    def test_csv_without_data_rows_rejected(self, tmp_path, text):
+        # numpy's "input contained no data" warning would fail this test.
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^no data rows after the header$"):
+            load_csv(path)
 
 
 class TestSweepEntropyProperty:

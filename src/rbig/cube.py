@@ -356,12 +356,40 @@ def save_csv(path, data, header: list[str] | None = None) -> None:
 def load_csv(path) -> np.ndarray:
     """Load an N x D sample matrix from CSV with a one-line header.
 
-    A file with no data rows after its header raises a ``ValueError``.
+    A file with no data rows after its header, or with a row whose number of
+    columns differs from the first row's, raises a ``ValueError``; the
+    latter names the row's line in the file.
     """
     with warnings.catch_warnings():
         # numpy warns of an empty file before returning it; the error below says it.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            # numpy's message counts data rows and advises an argument of its own.
+            if "number of columns changed" not in str(exc):
+                raise
+            raise ValueError(_ragged_row(path)) from None
     if data.shape[0] == 0:
         raise ValueError("no data rows after the header")
     return data
+
+
+def _ragged_row(path) -> str:
+    """Name the first line of a CSV file, after its header, whose number of
+    columns differs from the first data row's.  As in ``np.loadtxt``, a line
+    that is empty once its ``#`` comment is cut is not a row."""
+    first = None
+    with open(path) as fh:
+        next(fh, None)
+        for number, line in enumerate(fh, start=2):
+            row = line.rstrip("\n").split("#", 1)[0]
+            if not row:
+                continue
+            columns = row.count(",") + 1
+            if first is None:
+                first = number, columns
+            elif columns != first[1]:
+                noun = "column" if columns == 1 else "columns"
+                return f"line {number} has {columns} {noun}, line {first[0]} has {first[1]}"
+    return "rows differ in their number of columns"

@@ -38,6 +38,7 @@ from .marginal import (
     MarginalUniformizer,
     _hist_entropy,
     _knot_grid,
+    _segment,
     _table,
     default_bins,
     default_clamp_eps,
@@ -501,7 +502,8 @@ class GaussModel:
         reproduces transform outputs bit for bit.  The document is streamed
         into a temporary file beside ``path``, which then replaces ``path``:
         a failure while encoding or writing leaves any earlier file there as
-        it was and removes the temporary file.
+        it was and removes the temporary file.  An ``OSError`` names
+        ``path``, not the temporary file.
         """
         path = os.fsdecode(path)
         # Unique per thread, so concurrent saves to one path do not collide.
@@ -510,9 +512,11 @@ class GaussModel:
             with open(tmp, "w") as fh:
                 json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
             os.replace(tmp, path)
-        except BaseException:
+        except BaseException as exc:
             with contextlib.suppress(OSError):  # open itself may have failed
                 os.remove(tmp)
+            if isinstance(exc, OSError):
+                raise OSError(exc.errno, exc.strerror, path) from None
             raise
 
     @classmethod
@@ -598,16 +602,17 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     of the input.
 
     Each column of a layer's output is binned once, over its range: the
-    counts give its entropy, its KL to N(0, 1) (``non_gaussianity``) and,
-    if the fit goes on, the next layer's table for that column.  When the
+    counts give its entropy, its KL to N(0, 1) (``non_gaussianity``) and
+    the next layer's table.  A later layer Gaussianizes the column in one
+    private step, the table's forward kernel then the probit.  When the
     stopping rule cannot stop the fit after this layer (no degenerate
     direction, fewer than ``patience - 1`` layers below tolerance so far and
-    ``max_layers`` not reached), the same column task also Gaussianizes the
-    column through its next table, from the knot segments the binning found:
-    the next layer's first pass searches no segment again and computes no
-    log-Jacobian.  The input is binned twice, once for
-    ``marginal_entropies_input`` and once for the first layer's tables, from
-    one contiguous copy of each column.  The data needs at least
+    ``max_layers`` not reached), the binning task takes that step from the
+    knot segments it found; else the next layer searches them once.  The
+    input is binned twice, once for ``marginal_entropies_input`` and once
+    for the first layer's tables, from one contiguous copy of each column,
+    which the public ``forward`` Gaussianizes; a column that fails there
+    raises a ``ValueError`` naming it.  The data needs at least
     ``MIN_ENTROPY_SAMPLES`` (10) rows, the fewest an entropy estimate takes,
     and 1 column.
     """
@@ -625,12 +630,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     # A 1 x 1 rotation is +-1: no later 1-D layer can undo a low delta-T.
     patience = config.patience if d > 1 else 1
 
-    # Each layer's output counts, one row per column, read by the next
-    # layer's tables when its binning did not Gaussianize it.  One block for
-    # the fit: small long-lived arrays made between the N x D matrices pin
-    # freed heap memory.
-    counts = np.empty((d, bins), dtype=np.intp)
     h_input = np.empty(d)
+    h_floor = math.log2(clamp_eps)
     with _columns(n, d) as map_columns:
         # Per layer: its D fitted tables, its rotation and its delta-T.
         layer_tables: list[list[MarginalUniformizer]] = []
@@ -639,24 +640,24 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         non_gauss: list[float] = []
         below = 0
         converged = False
-        # A layer's Gaussianized columns, with their tables in ``tables``,
-        # when the previous layer's binning made them.
+        # From the second layer on, ``tables`` holds the tables the previous
+        # binning made, and ``z`` the columns it Gaussianized, if it did.
         z = None
         for layer in range(config.max_layers):
             if z is None:
                 z = np.empty_like(x)
 
                 def gaussianize(j):
-                    if layer == 0:
-                        # One contiguous copy of a strided input column feeds
-                        # its entropy, its table and its forward.
-                        col = np.ascontiguousarray(x[:, j])
-                        h_input[j] = marginal_entropy(col, bins)
-                        g = fit_gaussianizer(col, bins)
-                    else:
+                    if layer > 0:
                         col = x[:, j]
-                        grid = _knot_grid(float(lo[j]), float(hi[j]), bins)
-                        g = MarginalGaussianizer(_table(grid, counts[j], n))
+                        seg, left, _ = _segment(tables[j].knots_x, col)
+                        z[:, j] = probit(tables[j]._cdf(col, seg, left))
+                        return tables[j]
+                    # One contiguous copy of a strided input column feeds its
+                    # entropy, its table and its forward.
+                    col = np.ascontiguousarray(x[:, j])
+                    h_input[j] = _named(f"column {j}", marginal_entropy, col, bins)
+                    g = _named(f"column {j}", fit_gaussianizer, col, bins)
                     z[:, j], _ = g.forward(col)
                     return g.uniformizer
 
@@ -678,7 +679,6 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             hi, lo = x.max(axis=0), x.min(axis=0)
             scale = max(np.abs(hi).max(), np.abs(lo).max())
             degenerate = hi - lo <= _DEGENERATE_SPAN * scale
-            h_floor = math.log2(clamp_eps)
             # Whatever this layer's delta-T, the stopping rule cannot stop the
             # fit here: the binning then Gaussianizes the next layer too.
             fused = (
@@ -696,14 +696,12 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                 # Not checked for NaN or inf: the rotation's input holds
                 # probit values, all finite and bounded.
                 col = x[:, j]
-                grid, (counts_j, seg, left), h_j, kl_j = _hist_entropy(
+                grid, (counts, seg, left), h_j, kl_j = _hist_entropy(
                     col, float(lo[j]), float(hi[j]), bins
                 )
-                if not fused:
-                    counts[j] = counts_j
-                    return h_j, kl_j, None
-                table = _table(grid, counts_j, n)
-                z[:, j] = probit(table._cdf(col, seg, left))
+                table = _table(grid, counts, n)
+                if fused:
+                    z[:, j] = probit(table._cdf(col, seg, left))
                 return h_j, kl_j, table
 
             delta_t = 0.0

@@ -440,7 +440,9 @@ def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
     """Bin ``x`` over its range ``[x_min, x_max]`` once: the knot grid of the
     range, what :func:`_bin_counts` returns on it, the entropy and the KL to
     N(0, 1), both in bits (see :func:`marginal_entropy` and
-    :func:`marginal_kl_to_standard_normal`)."""
+    :func:`marginal_kl_to_standard_normal`).  The KL is ``inf``, without a
+    warning, where a non-empty bin's center squared overflows (|x| beyond
+    about 1.3e154)."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     grid = _knot_grid(x_min, x_max, bins)
@@ -455,9 +457,14 @@ def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
     nz = probs > 0
     h = float(-np.sum(probs[nz] * np.log2(probs[nz] / widths[nz])))
     h += (int(np.count_nonzero(nz)) - 1) / (2.0 * x.size * LN2)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
-    return grid, binned, h, -float(np.sum(probs * log2_phi)) - h
+    # Empty bins' terms are zeroed in place, not dropped, so the sum adds in
+    # the same order; where a center's log-density overflows to -inf, their
+    # product would be NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
+        cross = -float(np.sum(np.where(nz, probs * log2_phi, 0.0)))
+    return grid, binned, h, cross - h
 
 
 def _sample_range(x, least: int):
@@ -501,7 +508,8 @@ def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
 
     Histogram cross-entropy against the standard normal (evaluated at bin
     centers) minus the histogram entropy estimate, sharing the bins with
-    :func:`marginal_entropy`.
+    :func:`marginal_entropy`.  ``inf`` for a sample reaching beyond about
+    +-1.3e154, where the normal log-density at a bin center overflows.
     """
     xs, x_min, x_max = _sample_range(x, MIN_ENTROPY_SAMPLES)
     if bins is None:

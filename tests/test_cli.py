@@ -3,6 +3,7 @@ import base64
 import dataclasses
 import json
 import math
+import os
 import re
 import warnings
 
@@ -722,3 +723,34 @@ class TestReadErrors:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert_one_error_naming(err, bad, "could not convert string 'x'")
+
+    @pytest.mark.parametrize("command", ["fit", "tc", "mi-x", "transform"])
+    def test_ragged_csv_names_the_line(self, tmp_path, capsys, command):
+        model, csv = model_and_csv(tmp_path)
+        rag = tmp_path / "rag.csv"
+        rag.write_text("a,b\n1,2\n3,4,5\n")
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "fit": ["fit", "--input", str(rag), "--out", out],
+            "tc": ["tc", "--input", str(rag)],
+            "mi-x": ["mi", "--x", str(rag), "--y", str(csv)],
+            "transform": ["transform", "--model", str(model), "--input", str(rag), "--out", out],
+        }[command]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {rag}: line 3 has 3 columns, line 2 has 2\n"
+
+
+class TestWriteErrors:
+    @pytest.mark.parametrize("target", ["missing/m.json", "dir.json"])
+    def test_fit_out_unwritable_names_the_target(self, tmp_path, capsys, target):
+        _, csv = model_and_csv(tmp_path)
+        (tmp_path / "dir.json").mkdir()
+        out = tmp_path / target
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, err = run(capsys, "fit", "--input", str(csv), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(out)!r}\n")
+        assert err.count("\n") == 1 and ".tmp" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(tmp_path / "dir.json") == []

@@ -384,6 +384,23 @@ class TestCubeIO:
         with pytest.raises(ValueError, match="^no data rows after the header$"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n3,4,5\n", "line 3 has 3 columns, line 2 has 2"),
+            ("a,b\n\n1,2\n# note\n3\n", "line 5 has 1 column, line 3 has 2"),
+            ("a,b\r\n1,2 # x,y\r\n3,4\r\n  # c\r\n", "line 4 has 1 column, line 2 has 2"),
+        ],
+        ids=["longer", "after-blank-and-comment", "crlf-whitespace-row"],
+    )
+    def test_ragged_csv_names_the_line(self, tmp_path, text, message):
+        # Blank and comment-only lines are not rows, but a whitespace one is.
+        path = tmp_path / "rag.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == message
+
 
 class TestSweepEntropyProperty:
     def test_ar1_temporal_lower_than_spatial(self):

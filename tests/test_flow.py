@@ -211,6 +211,25 @@ class TestFit:
         assert model.n_layers >= patience
         assert np.all(model.delta_t_trace[-patience:] < model.config.tol_delta_t)
 
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            # Three integers 4 apart at 2**53: no 14 equal-width bins fit.
+            (2.0**53 + 4.0 * (np.arange(200) % 3), "cannot make 14 bins of positive width "),
+            # 1e305 wide: an extension segment's dx/dp overflows.
+            (np.linspace(-0.5e305, 0.5e305, 200), "knot segment 0 "),
+        ],
+        ids=["bins", "table"],
+    )
+    def test_first_layer_error_names_the_column(self, column, message):
+        x = np.random.default_rng(41).standard_normal((200, 3))
+        x[:, 2] = column
+        with pytest.raises(ValueError) as info:
+            fit(x)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"column 2: {message}")
+        assert "\n" not in str(info.value)
+
 
 class TestTransform:
     def test_gaussian_input_stays_gaussian(self):
@@ -421,19 +440,6 @@ def check_layers_against_public_calls(x, model):
         assert same_bits(model.non_gaussianity[i], non_gauss)
 
 
-def layers_by_public_forward(model):
-    """Layers whose columns the fit Gaussianizes with the public ``forward``:
-    the first, and each after a layer where the stopping rule could stop the
-    fit.  Every other layer is Gaussianized by the previous layer's binning."""
-    config = model.config
-    patience = config.patience if model.dim > 1 else 1
-    layers, below = 1, 0
-    for delta_t in model.delta_t[:-1]:
-        layers += below + 1 >= patience
-        below = below + 1 if delta_t < config.tol_delta_t else 0
-    return layers
-
-
 # name: (data, config, converged).
 CARRIED_CASES = {
     "sine": (lambda: noisy_sine(10000, seed=7), FitConfig(seed=2), True),
@@ -489,16 +495,18 @@ class TestCarriedHistogram:
         converged = CARRIED_CASES[name][2]
         assert model.converged is converged
         assert warned == ([] if converged else [NotConvergedWarning])
-        # Once per column-layer, and never for a layer past the last.
+        # The public forward for the first layer only; the forward kernel
+        # once per column-layer, and never for a layer past the last.
+        assert calls["forward"] == model.dim
         assert calls["kernel"] == model.n_layers * model.dim
-        assert calls["forward"] == layers_by_public_forward(model) * model.dim
 
     def test_pooled_fit_matches_public_calls(self, both):
         # 2**15 rows: flow._POOL_MIN_ROWS, from which a fit pools unforced.
         x = skewed(2**15, 51)
         serial, pooled = both(lambda: fit(x))
         assert serial.to_dict() == pooled.to_dict()
-        assert layers_by_public_forward(pooled) < pooled.n_layers
+        # Every layer after the first runs through the private column step.
+        assert pooled.n_layers - 1 >= 2
         check_layers_against_public_calls(x, pooled)
 
 
@@ -721,6 +729,17 @@ class TestSerialization:
         assert [f.size for f in files] == [room]
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.json"]
+
+    @pytest.mark.parametrize("target", ["missing/model.json", "dir.json"])
+    def test_failed_save_names_the_target(self, sine_model, tmp_path, target):
+        (tmp_path / "dir.json").mkdir()
+        path = tmp_path / target
+        with pytest.raises(OSError) as info:
+            sine_model.save(path)
+        assert str(info.value).endswith(f": {str(path)!r}")
+        assert ".tmp" not in str(info.value) and "\n" not in str(info.value)
+        assert sorted(os.listdir(tmp_path)) == ["dir.json"]
+        assert os.listdir(tmp_path / "dir.json") == []
 
     def test_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -946,7 +965,8 @@ class TestColumnPool:
         serial, pooled = both(error)
         assert serial == pooled == (
             ValueError,
-            "cannot make 3 bins of positive width over [9007199254740992.0, 9007199254740996.0]",
+            "column 1: cannot make 3 bins of positive width"
+            " over [9007199254740992.0, 9007199254740996.0]",
         )
 
     def test_first_failing_column_raises_and_pending_columns_are_cancelled(

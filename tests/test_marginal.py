@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from rbig import (
     MarginalUniformizer,
     NonFiniteInput,
     ProbabilityOutOfRange,
+    entropy,
+    fit,
     fit_gaussianizer,
     fit_uniformizer,
     marginal_entropy,
@@ -545,3 +548,15 @@ class TestMarginalKL:
     def test_uniform_positive(self):
         x = np.random.default_rng(20).uniform(-1, 1, 50000)
         assert marginal_kl_to_standard_normal(x) > 0.1
+
+    def test_column_past_square_overflow_is_inf_without_warning(self):
+        # A bin center beyond about 1.3e154 squares to inf: its normal
+        # log-density is -inf, and only the KL sees it.
+        x = np.random.default_rng(21).standard_normal((2000, 2))
+        x[:, 1] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert marginal_kl_to_standard_normal(x[:, 1]) == math.inf
+            assert math.isfinite(marginal_entropy(x[:, 1]))
+            fit(x)
+            assert math.isfinite(entropy(x).value_bits)

@@ -188,15 +188,16 @@ def lag_embed(series, lags: int) -> np.ndarray:
     """Stack a 1-D series with its own delayed copies.
 
     Row i holds ``(x_i, x_{i-1}, ..., x_{i-lags+1})``; the output has
-    ``N - lags + 1`` rows and ``lags`` columns.
+    ``N - lags + 1`` rows and ``lags`` columns.  ``lags`` is an integer >= 1
+    (numpy's too), never a bool.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim == 2 and x.shape[1] == 1:
         x = x[:, 0]
     if x.ndim != 1:
         raise ValueError("series must be 1-D (or a single-column matrix)")
-    if lags < 1:
-        raise ValueError("lags must be >= 1")
+    if not (_is_integer(lags) and lags >= 1):
+        raise ValueError(f"lags must be an integer >= 1, got {reprlib.repr(lags)}")
     n = x.size
     if n <= lags:
         raise SeriesTooShort(f"series of length {n} cannot embed {lags} lags")
@@ -356,29 +357,33 @@ def save_csv(path, data, header: list[str] | None = None) -> None:
 def load_csv(path) -> np.ndarray:
     """Load an N x D sample matrix from CSV with a one-line header.
 
-    A file with no data rows after its header, or with a row whose number of
-    columns differs from the first row's, raises a ``ValueError``; the
-    latter names the row's line in the file.
+    A file with no data rows after its header raises a ``ValueError``, and
+    so does a row that ``np.loadtxt`` cannot read, named by its line in the
+    file (:func:`_bad_line`).
     """
     with warnings.catch_warnings():
         # numpy warns of an empty file before returning it; the error below says it.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            # numpy's message counts data rows and advises an argument of its own.
-            if "number of columns changed" not in str(exc):
+        except ValueError:
+            # numpy's messages count data rows, not lines, and advise an
+            # argument of its own.
+            bad = _bad_line(path)
+            if bad is None:
                 raise
-            raise ValueError(_ragged_row(path)) from None
+            raise ValueError(bad) from None
     if data.shape[0] == 0:
         raise ValueError("no data rows after the header")
     return data
 
 
-def _ragged_row(path) -> str:
+def _bad_line(path) -> str | None:
     """Name the first line of a CSV file, after its header, whose number of
-    columns differs from the first data row's.  As in ``np.loadtxt``, a line
-    that is empty once its ``#`` comment is cut is not a row."""
+    columns differs from the first data row's or which holds a cell that is
+    not a number (:func:`_is_number`); None if there is none.  As in
+    ``np.loadtxt``, a line that is empty once its ``#`` comment is cut is
+    not a row."""
     first = None
     with open(path) as fh:
         next(fh, None)
@@ -386,10 +391,30 @@ def _ragged_row(path) -> str:
             row = line.rstrip("\n").split("#", 1)[0]
             if not row:
                 continue
-            columns = row.count(",") + 1
+            cells = row.split(",")
             if first is None:
-                first = number, columns
-            elif columns != first[1]:
-                noun = "column" if columns == 1 else "columns"
-                return f"line {number} has {columns} {noun}, line {first[0]} has {first[1]}"
-    return "rows differ in their number of columns"
+                first = number, len(cells)
+            elif len(cells) != first[1]:
+                noun = "column" if len(cells) == 1 else "columns"
+                return f"line {number} has {len(cells)} {noun}, line {first[0]} has {first[1]}"
+            for k, cell in enumerate(cells, start=1):
+                if not _is_number(cell):
+                    return (
+                        f"line {number}, column {k}:"
+                        f" could not convert string {cell!r} to float64"
+                    )
+    return None
+
+
+def _is_number(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` as a float: Python's ``float``
+    syntax, whitespace around it allowed, with no underscore or non-ASCII
+    digit."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True

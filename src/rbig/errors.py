@@ -4,7 +4,6 @@ __all__ = [
     "RbigError",
     "NonFiniteInput",
     "DegenerateDimension",
-    "ProbabilityOutOfRange",
     "DimensionMismatch",
     "PairedLengthMismatch",
     "PatchLargerThanCube",
@@ -25,10 +24,6 @@ class NonFiniteInput(RbigError):
 
 class DegenerateDimension(RbigError):
     """A data dimension has zero range (constant column)."""
-
-
-class ProbabilityOutOfRange(RbigError):
-    """A probability argument fell outside the open interval (0, 1)."""
 
 
 class DimensionMismatch(RbigError):

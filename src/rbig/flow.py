@@ -36,6 +36,7 @@ from .marginal import (
     MIN_ENTROPY_SAMPLES,
     MarginalGaussianizer,
     MarginalUniformizer,
+    _check_clamp_eps,
     _hist_entropy,
     _knot_grid,
     _segment,
@@ -243,8 +244,10 @@ class GaussModel:
     ``rotation_entries[i]`` ((L, D, D)).  ``delta_t`` (L,) is each layer's
     drop in total correlation and ``rank_deficient`` (L,) flags a PCA
     rotation of a degenerate spectrum.  Every table has the probability
-    clamp ``clamp_eps``; ``config`` (a :class:`FitConfig`) holds the kind of
-    every rotation, and ``converged`` is stored as a bool.
+    clamp ``clamp_eps``, at least ``MIN_CLAMP_EPS`` (1e-7), which keeps
+    every probability the column kernels see inside (0, 1); ``config`` (a
+    :class:`FitConfig`) holds the kind of every rotation, and ``converged``
+    is stored as a bool.
 
     Construction checks each block's shape and finiteness once and keeps it
     as a read-only float64 array.  It then builds ``gaussianizers[i][j]``
@@ -296,10 +299,8 @@ class GaussModel:
             )
         deficient.setflags(write=False)
         object.__setattr__(self, "rank_deficient", deficient)
-        eps = self.clamp_eps
-        if not (_is_finite_number(eps) and 0 < eps < 0.5):
-            raise ValueError(f"clamp_eps must be a number in (0, 0.5), got {reprlib.repr(eps)}")
-        object.__setattr__(self, "clamp_eps", float(eps))
+        _check_clamp_eps(self.clamp_eps)
+        object.__setattr__(self, "clamp_eps", float(self.clamp_eps))
         # Filled layer by layer: computed at once, the grid's (L, D, K)
         # temporaries split the heap beside the long-lived block (patch-query
         # peak RSS 173 MB against 161 MB).  A range near the float limit
@@ -352,6 +353,8 @@ class GaussModel:
         return float(self.delta_t.sum())
 
     def _check(self, data) -> np.ndarray:
+        """The one check of a query's shape and finiteness: the column
+        kernels check nothing."""
         x = np.asarray(data, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionMismatch(
@@ -611,8 +614,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     knot segments it found; else the next layer searches them once.  The
     input is binned twice, once for ``marginal_entropies_input`` and once
     for the first layer's tables, from one contiguous copy of each column,
-    which the public ``forward`` Gaussianizes; a column that fails there
-    raises a ``ValueError`` naming it.  The data needs at least
+    which ``MarginalGaussianizer.forward`` Gaussianizes; a column that fails
+    there raises a ``ValueError`` naming it.  The data needs at least
     ``MIN_ENTROPY_SAMPLES`` (10) rows, the fewest an entropy estimate takes,
     and 1 column.
     """

@@ -5,26 +5,28 @@ The one-dimensional building blocks: a piecewise-linear empirical-CDF map to
 composition (which sends any marginal to a standard normal), and the histogram
 entropy estimator from which every information measure in this package is
 assembled.
+
+The column kernels (the two classes' ``forward``/``inverse``, ``probit`` and
+``normal_cdf``) are internal: they take and return 1-D float64 columns and
+check nothing per call.  ``GaussModel`` and ``fit`` check their input's
+finiteness once, and the probability clamp, at least ``MIN_CLAMP_EPS``,
+keeps every probability the kernels see inside (0, 1).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateDimension, NonFiniteInput, ProbabilityOutOfRange
+from .errors import DegenerateDimension, NonFiniteInput
 
 __all__ = [
     "GAUSS_ENTROPY_BITS",
-    "MarginalUniformizer",
-    "MarginalGaussianizer",
-    "fit_uniformizer",
-    "fit_gaussianizer",
-    "probit",
-    "normal_cdf",
     "marginal_entropy",
     "marginal_kl_to_standard_normal",
 ]
@@ -51,14 +53,10 @@ HIST_SMOOTHING = 1e-3
 # points outside the training range keep a finite density.
 TAIL_FRACTION = 0.1
 
-
-def _as_float_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
-
-
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput(f"{what} contains NaN or infinite values")
+# The smallest probability clamp a table takes, and the one of a fit of more
+# than 5e6 rows.  1 - p is then below 1 for every clamped p, so the probit's
+# mirror needs no repair.
+MIN_CLAMP_EPS = 1e-7
 
 
 def _checked_segment(knots: np.ndarray, v: np.ndarray, seg: np.ndarray):
@@ -134,18 +132,6 @@ def _p_segment(kp: np.ndarray, p: np.ndarray, table: np.ndarray | None = None):
     return _checked_segment(kp, p, table[guess.astype(np.intp)])
 
 
-def _check_probabilities(p: np.ndarray) -> float:
-    """Raise unless every value of ``p`` lies strictly inside (0, 1); return
-    the smallest (0.5 for an empty ``p``).  min and max propagate NaN, so
-    NaN fails too."""
-    if p.size == 0:
-        return 0.5
-    p_min = p.min()
-    if not (p_min > 0.0 and p.max() < 1.0):
-        raise ProbabilityOutOfRange("p must lie strictly inside (0, 1)")
-    return p_min
-
-
 @dataclass(frozen=True)
 class MarginalUniformizer:
     """Invertible piecewise-linear map from data space to (0, 1).
@@ -179,8 +165,8 @@ class MarginalUniformizer:
     knots_p : ndarray
         Strictly increasing CDF values at ``knots_x``; first element 0, last 1.
     clamp_eps : float
-        Probability clamp in (0, 0.5) keeping forward outputs away from
-        exactly 0 and 1.
+        Probability clamp in ``[MIN_CLAMP_EPS, 0.5)`` keeping forward
+        outputs away from exactly 0 and 1.
     """
 
     knots_x: np.ndarray
@@ -192,8 +178,8 @@ class MarginalUniformizer:
     _p_guess: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        kx = _as_float_array(self.knots_x)
-        kp = _as_float_array(self.knots_p)
+        kx = np.asarray(self.knots_x, dtype=float)
+        kp = np.asarray(self.knots_p, dtype=float)
         object.__setattr__(self, "knots_x", kx)
         object.__setattr__(self, "knots_p", kp)
         if kx.ndim != 1 or kx.shape != kp.shape or kx.size < 2:
@@ -214,8 +200,7 @@ class MarginalUniformizer:
                 f"knot segment {i} (x {kx[i:i + 2].tolist()}, p {kp[i:i + 2].tolist()})"
                 " must rise on both axes with finite, positive slopes"
             )
-        if not 0.0 < self.clamp_eps < 0.5:
-            raise ValueError("clamp_eps must lie in (0, 0.5)")
+        _check_clamp_eps(self.clamp_eps)
         for name, a in (
             ("knots_x", kx), ("knots_p", kp),
             ("_dpdx", dpdx), ("_log_dpdx", np.log(dpdx)), ("_dxdp", dxdp),
@@ -223,41 +208,21 @@ class MarginalUniformizer:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    def forward(self, x):
-        """Map data values to probabilities.
+    def forward(self, x: np.ndarray):
+        """Map a 1-D column of finite data values to probabilities.
 
         Each value's knot segment ``s`` is found once (:func:`_segment`).
         It gives both the CDF value, ``kp[s] + dpdx[s] * (x - kx[s])`` (the
-        arithmetic of ``np.interp``), and the log-derivative, both read from
-        per-segment tables.
-
-        Parameters
-        ----------
-        x : array_like
-            Finite data values, any shape.
-
-        Returns
-        -------
-        p : ndarray or float
-            Interpolated CDF values clamped into
-            ``(clamp_eps, 1 - clamp_eps)``.
-        logdpdx : ndarray or float
-            Natural log of the local CDF slope (the histogram density).
-            Out-of-support points get the slope of the nearest extension
-            segment.
+        arithmetic of ``np.interp``), clamped into
+        ``(clamp_eps, 1 - clamp_eps)``, and the natural log of the local CDF
+        slope (the histogram density), both read from per-segment tables.
+        Out-of-support points get the slope of the nearest extension segment.
         """
-        xq = _as_float_array(x)
-        _require_finite(xq, "x")
-        # Columns of every layer after the first are contiguous and ravel is
-        # a view; a strided column is copied once, since contiguous passes
-        # run faster.
-        xs = xq.ravel()
-        seg, lo, _ = _segment(self.knots_x, xs)
-        p = self._cdf(xs, seg, lo)
-        logdpdx = self._log_dpdx[seg]
-        if xq.ndim == 0:
-            return float(p[0]), float(logdpdx[0])
-        return p.reshape(xq.shape), logdpdx.reshape(xq.shape)
+        # A strided column (the first layer's, from a row-major input) is
+        # copied once, since contiguous passes run faster.
+        x = np.ascontiguousarray(x)
+        seg, lo, _ = _segment(self.knots_x, x)
+        return self._cdf(x, seg, lo), self._log_dpdx[seg]
 
     def _cdf(self, xs: np.ndarray, seg: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """The forward kernel: clamped CDF values of 1-D ``xs``, given each
@@ -271,8 +236,8 @@ class MarginalUniformizer:
         np.clip(p, self.clamp_eps, 1.0 - self.clamp_eps, out=p)
         return p
 
-    def inverse(self, p):
-        """Map probabilities in (0, 1) back to data values.
+    def inverse(self, p: np.ndarray) -> np.ndarray:
+        """Map a 1-D column of probabilities in (0, 1) back to data values.
 
         Each value's CDF-knot segment ``s`` is found once
         (:func:`_p_segment`: a guess from this table's cells over [0, 1],
@@ -281,20 +246,15 @@ class MarginalUniformizer:
         ``np.interp``'s order of operations, so the result is bit-identical
         to ``np.interp``.
         """
-        pq = _as_float_array(p)
-        _check_probabilities(pq)
         if self._p_guess is None:
             # Concurrent first calls each build the same table; either may
             # be kept.
             object.__setattr__(self, "_p_guess", _p_guess_table(self.knots_p))
-        ps = pq.ravel()
-        seg, lo, _ = _p_segment(self.knots_p, ps, self._p_guess)
-        x = ps - lo
+        seg, lo, _ = _p_segment(self.knots_p, p, self._p_guess)
+        x = p - lo
         x *= self._dxdp[seg]
         x += self.knots_x[seg]
-        if pq.ndim == 0:
-            return float(x[0])
-        return x.reshape(pq.shape)
+        return x
 
 
 @dataclass(frozen=True)
@@ -303,28 +263,34 @@ class MarginalGaussianizer:
 
     uniformizer: MarginalUniformizer
 
-    def forward(self, x):
-        """Return ``(z, logjac)`` with z standard-normal distributed.
+    def forward(self, x: np.ndarray):
+        """Return ``(z, logjac)`` for a 1-D column of finite data values, with
+        z standard-normal distributed.
 
         ``logjac`` is the natural log-derivative of the full map,
         ``log u'(x) - log phi(z)``, finite for all finite inputs.
         """
-        p, logdpdx = self.uniformizer.forward(x)
+        p, logjac = self.uniformizer.forward(x)
         z = probit(p)
-        zq = np.asarray(z, dtype=float)
-        logjac = logdpdx + 0.5 * zq * zq + 0.5 * math.log(2.0 * math.pi)
-        if zq.ndim == 0:
-            return float(z), float(logjac)
+        logjac += 0.5 * z * z
+        logjac += 0.5 * math.log(2.0 * math.pi)
         return z, logjac
 
-    def inverse(self, z):
-        """Map standard-normal values back to data space."""
-        zq = _as_float_array(z)
-        _require_finite(zq, "z")
+    def inverse(self, z: np.ndarray) -> np.ndarray:
+        """Map a 1-D column of standard-normal values back to data space."""
         eps = self.uniformizer.clamp_eps
-        p = np.asarray(normal_cdf(zq))
+        p = normal_cdf(z)
         np.clip(p, eps, 1.0 - eps, out=p)
         return self.uniformizer.inverse(p)
+
+
+def _check_clamp_eps(eps) -> None:
+    """Refuse a probability clamp outside ``[MIN_CLAMP_EPS, 0.5)`` with a
+    one-line ``ValueError``; NaN, bools and non-numbers fail too."""
+    if not (isinstance(eps, numbers.Real) and MIN_CLAMP_EPS <= eps < 0.5):
+        raise ValueError(
+            f"clamp_eps must be a number in [{MIN_CLAMP_EPS:g}, 0.5), got {reprlib.repr(eps)}"
+        )
 
 
 def _knot_grid(x_min, x_max, bins: int) -> np.ndarray:
@@ -363,8 +329,8 @@ def _bin_counts(x: np.ndarray, grid: np.ndarray):
     return counts[1:-1], seg, lo
 
 
-def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
-    """Fit a piecewise-linear empirical CDF to a 1-D sample.
+def fit_gaussianizer(x, bins: int) -> MarginalGaussianizer:
+    """Fit the probit-of-empirical-CDF map for one dimension.
 
     The CDF is the cumulative normalized histogram of ``x`` over the
     observed range, extended by ``TAIL_FRACTION`` of the range on each
@@ -385,7 +351,7 @@ def fit_uniformizer(x, bins: int) -> MarginalUniformizer:
     if bins < 2:
         raise ValueError("bins must be >= 2")
     knots_x = _knot_grid(x_min, x_max, bins)
-    return _table(knots_x, _bin_counts(xs, knots_x)[0], xs.size)
+    return MarginalGaussianizer(_table(knots_x, _bin_counts(xs, knots_x)[0], xs.size))
 
 
 def _table(knots_x: np.ndarray, counts: np.ndarray, n: int) -> MarginalUniformizer:
@@ -398,41 +364,27 @@ def _table(knots_x: np.ndarray, counts: np.ndarray, n: int) -> MarginalUniformiz
     return MarginalUniformizer(knots_x=knots_x, knots_p=knots_p, clamp_eps=default_clamp_eps(n))
 
 
-def fit_gaussianizer(x, bins: int) -> MarginalGaussianizer:
-    """Fit the probit-of-empirical-CDF map for one dimension."""
-    return MarginalGaussianizer(fit_uniformizer(x, bins))
+def normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of a 1-D column, ``scipy.special.ndtr``,
+    accurate in both tails."""
+    return ndtr(z)
 
 
-def normal_cdf(z):
-    """Standard normal CDF, ``scipy.special.ndtr``, accurate in both tails."""
-    zq = _as_float_array(z)
-    out = ndtr(zq)
-    if zq.ndim == 0:
-        return float(out)
-    return out
-
-
-def probit(p):
-    """Inverse standard normal CDF, ``scipy.special.ndtri``.
+def probit(p: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF, ``scipy.special.ndtri``, of a 1-D column
+    of clamped probabilities, each in ``[MIN_CLAMP_EPS, 1 - MIN_CLAMP_EPS]``.
 
     Evaluated on ``q = min(p, 1-p)`` and mirrored, so
     ``probit(1 - p) == -probit(p)`` holds exactly.
     """
-    pq = _as_float_array(p)
-    p_min = _check_probabilities(pq)
     # q = 1 - max(p, 1-p) is exact (Sterbenz): p and 1-p share q, and the
-    # sign of p - 0.5 mirrors ndtri(q) <= 0 bit-exactly.  Where 1 - p rounds
-    # to 1, which needs p <= 2**-53, q falls back to p.
-    pa = np.atleast_1d(pq)
-    q = np.subtract(1.0, pa)
-    np.maximum(pa, q, out=q)
+    # sign of p - 0.5 mirrors ndtri(q) <= 0 bit-exactly.  The clamp keeps
+    # 1 - p below 1, so q is never 0.
+    q = np.subtract(1.0, p)
+    np.maximum(p, q, out=q)
     np.subtract(1.0, q, out=q)
-    if not p_min > 2.0**-53:
-        np.copyto(q, pa, where=q == 0.0)
     z = ndtri(q, out=q)
-    np.copysign(z, np.subtract(pa, 0.5), out=z)
-    if pq.ndim == 0:
-        return float(z[0])
+    np.copysign(z, np.subtract(p, 0.5), out=z)
     return z
 
 
@@ -470,10 +422,11 @@ def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
 def _sample_range(x, least: int):
     """The sample, of at least ``least`` finite values and a positive
     range, as a 1-D array, with its minimum and maximum."""
-    xs = _as_float_array(x).ravel()
+    xs = np.asarray(x, dtype=float).ravel()
     if xs.size < least:
         raise ValueError(f"need at least {least} samples, got {xs.size}")
-    _require_finite(xs, "x")
+    if not np.all(np.isfinite(xs)):
+        raise NonFiniteInput("x contains NaN or infinite values")
     x_min = float(xs.min())
     x_max = float(xs.max())
     if x_max == x_min:
@@ -487,8 +440,9 @@ def default_bins(n: int) -> int:
 
 
 def default_clamp_eps(n: int) -> float:
-    """Probability clamp of a table fitted to ``n`` values, ``max(1/(2n), 1e-7)``."""
-    return max(1.0 / (2.0 * n), 1e-7)
+    """Probability clamp of a table fitted to ``n`` values,
+    ``max(1/(2n), MIN_CLAMP_EPS)``."""
+    return max(1.0 / (2.0 * n), MIN_CLAMP_EPS)
 
 
 def marginal_entropy(x, bins: int | None = None) -> float:

@@ -1,15 +1,20 @@
 """Seeded synthetic datasets used by the CLI and the acceptance suite.
 
 Every generator takes an integer ``seed`` >= 0 and refuses a negative one by
-name, as :class:`~rbig.flow.FitConfig` does.
+name, as :class:`~rbig.flow.FitConfig` does.  It refuses, with a one-line
+``ValueError`` naming the CLI flag, a size below 1 (a file with no rows,
+columns or time steps, which no reader takes) and a non-finite shape
+parameter (a file of non-finite values, which no fit takes).
 """
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 from .cube import DataCube
-from .flow import _check_seed
+from .flow import _check_seed, _is_finite_number, _is_integer
 
 __all__ = [
     "equicorrelated_gaussian",
@@ -20,8 +25,19 @@ __all__ = [
 ]
 
 
+def _check_size(name: str, value) -> None:
+    if not (_is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {reprlib.repr(value)}")
+
+
+def _check_finite(name: str, value) -> None:
+    if not _is_finite_number(value):
+        raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+
+
 def equicorrelated_gaussian(n: int, dim: int, rho: float, seed: int) -> np.ndarray:
     """Zero-mean unit-variance Gaussian sample with equicorrelation rho."""
+    _check_size("dim", dim)
     if not -1.0 / max(dim - 1, 1) < rho < 1.0:
         raise ValueError(f"rho={rho} is not a valid equicorrelation for dim={dim}")
     corr = np.full((dim, dim), rho)
@@ -31,6 +47,7 @@ def equicorrelated_gaussian(n: int, dim: int, rho: float, seed: int) -> np.ndarr
 
 def gaussian_from_correlation(n: int, corr, seed: int) -> np.ndarray:
     """Zero-mean Gaussian sample with the given correlation matrix."""
+    _check_size("n", n)
     _check_seed(seed)
     c = np.asarray(corr, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -48,6 +65,8 @@ def noisy_sine(n: int, seed: int, noise: float = 0.25) -> np.ndarray:
     t is uniform on [0, 2*pi]; the noise standard deviation grows linearly
     from 0.1 to 0.1 + noise across the abscissa.
     """
+    _check_size("n", n)
+    _check_finite("noise", noise)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -58,6 +77,8 @@ def noisy_sine(n: int, seed: int, noise: float = 0.25) -> np.ndarray:
 
 def gaussian_mixture(n: int, seed: int, separation: float = 2.0) -> np.ndarray:
     """Two-component 2-D Gaussian mixture with opposite correlations."""
+    _check_size("n", n)
+    _check_finite("separation", separation)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     which = rng.random(n) < 0.5
@@ -72,8 +93,11 @@ def gaussian_mixture(n: int, seed: int, separation: float = 2.0) -> np.ndarray:
 def ar1_cube(t_len: int, height: int, width: int, phi: float, seed: int) -> DataCube:
     """Cube of per-pixel AR(1) time series with unit stationary variance.
 
-    Pixels are spatially independent; ``phi = 0`` gives iid noise.
+    Pixels are spatially independent; ``phi = 0`` gives iid noise.  The
+    series length ``t_len`` is named ``t``, as the CLI's flag.
     """
+    for name, size in (("t", t_len), ("height", height), ("width", width)):
+        _check_size(name, size)
     if not -1.0 < phi < 1.0:
         raise ValueError("phi must lie in (-1, 1)")
     _check_seed(seed)

@@ -87,6 +87,34 @@ class TestSynth:
         assert err == "error: seed must be >= 0, got -2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ar1-cube", "--t", "0", "--height", "3", "--width", "3", "--phi", "0.5"],
+             "t must be an integer >= 1, got 0"),
+            (["ar1-cube", "--t", "3", "--height", "0", "--width", "3", "--phi", "0.5"],
+             "height must be an integer >= 1, got 0"),
+            (["gauss", "--n", "0", "--rho", "0.5"], "n must be an integer >= 1, got 0"),
+            (["gauss", "--n", "-2", "--rho", "0.5"], "n must be an integer >= 1, got -2"),
+            (["gauss", "--n", "5", "--dim", "0", "--rho", "0.5"],
+             "dim must be an integer >= 1, got 0"),
+            (["sine", "--n", "0"], "n must be an integer >= 1, got 0"),
+            (["mixture", "--n", "0"], "n must be an integer >= 1, got 0"),
+            (["sine", "--n", "5", "--noise", "nan"], "noise must be a finite number, got nan"),
+            (["mixture", "--n", "5", "--separation", "inf"],
+             "separation must be a finite number, got inf"),
+        ],
+        ids=["cube-t-0", "cube-height-0", "gauss-n-0", "gauss-n-negative", "gauss-dim-0",
+             "sine-n-0", "mixture-n-0", "sine-noise-nan", "mixture-separation-inf"],
+    )
+    def test_unreadable_output_exit_1_names_the_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "synth", *argv, "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_seed_reproducibility_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -302,7 +330,9 @@ class TestTransformSample:
             (without("n_layers"), "malformed model document: model field n_layers is missing"),
             (lambda doc: [doc], "not a serialized model document"),
             (edited(["clamp_eps"], None),
-             "malformed model document: clamp_eps must be a number in (0, 0.5), got None"),
+             "malformed model document: clamp_eps must be a number in [1e-07, 0.5), got None"),
+            (edited(["clamp_eps"], 5e-8),
+             "malformed model document: clamp_eps must be a number in [1e-07, 0.5), got 5e-08"),
             (decoded_edit(KNOTS_P, lambda a: item(2, a[1])(a)),
              "malformed model document: layer 0 column 0: knot segment 1 "),
             (edited(["version"], 1), "unsupported model version: 1"),
@@ -345,7 +375,7 @@ class TestTransformSample:
              " float64 values (24 characters), got '"),
             # One clamp per layer: the model has one for all of them.
             (edited(["clamp_eps"], [0.001] * 3),
-             "malformed model document: clamp_eps must be a number in (0, 0.5),"
+             "malformed model document: clamp_eps must be a number in [1e-07, 0.5),"
              " got [0.001, 0.001, 0.001]"),
             # One kind per layer: every rotation is of the config's kind.
             (edited(["kind"], ["random"] * 3),
@@ -384,7 +414,8 @@ class TestTransformSample:
              " values (64 characters), got '"),
         ],
         ids=[
-            "no-layers", "json-array", "null-clamp-eps", "flat-cdf-segment", "version-1",
+            "no-layers", "json-array", "null-clamp-eps", "below-floor-clamp-eps",
+            "flat-cdf-segment", "version-1",
             "version-2", "version-3", "version-4", "null-delta-t", "string-converged",
             "null-resolved-bins", "float-resolved-bins", "no-dim", "bool-dim", "zero-layers",
             "bool-seed", "huge-tol", "string-tol", "huge-resolved-bins", "absurd-resolved-bins",
@@ -720,9 +751,9 @@ class TestReadErrors:
             "mi-y": ["mi", "--x", str(csv), "--y", str(bad)],
             "transform": ["transform", "--model", str(model), "--input", str(bad), "--out", out],
         }[command]
-        code, _, err = run(capsys, *argv)
-        assert code == 1
-        assert_one_error_naming(err, bad, "could not convert string 'x'")
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {bad}: line 3, column 2: could not convert string 'x' to float64\n"
 
     @pytest.mark.parametrize("command", ["fit", "tc", "mi-x", "transform"])
     def test_ragged_csv_names_the_line(self, tmp_path, capsys, command):

@@ -181,6 +181,16 @@ class TestLagEmbed:
         with pytest.raises(SeriesTooShort):
             lag_embed(np.arange(3.0), 3)
 
+    @pytest.mark.parametrize("lags", [2.5, 2.0, True, False, 0, -1, "2", None])
+    def test_non_integer_or_small_lags_rejected(self, lags):
+        message = f"^lags must be an integer >= 1, got {re.escape(repr(lags))}$"
+        with pytest.raises(ValueError, match=message):
+            lag_embed(np.arange(10.0), lags)
+
+    def test_numpy_integer_lags_accepted(self):
+        x = np.arange(5.0)
+        assert np.array_equal(lag_embed(x, np.int64(2)), lag_embed(x, 2))
+
     def test_iid_embedding_entropy_matches_marginal(self):
         x = np.random.default_rng(5).standard_normal(60000)
         embedded = lag_embed(x, 3)
@@ -400,6 +410,35 @@ class TestCubeIO:
         with pytest.raises(ValueError) as info:
             load_csv(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n3,x\n", "line 3, column 2: could not convert string 'x' to float64"),
+            ("a,b\n# c\n1,2\n\n3,4\n5,\n",
+             "line 6, column 2: could not convert string '' to float64"),
+            # Python's float reads both; np.loadtxt reads neither.
+            ("a,b\n1,2\n1_0,3\n", "line 3, column 1: could not convert string '1_0' to float64"),
+            ("a,b\n1,\u0663\n", "line 2, column 2: could not convert string '\u0663' to float64"),
+            # The first bad line, ragged or not.
+            ("a,b\n1,2\n3\n4,y\n", "line 3 has 1 column, line 2 has 2"),
+            ("a,b\n1,2\n4,y\n3\n", "line 3, column 2: could not convert string 'y' to float64"),
+        ],
+        ids=["letter", "empty-after-comment-and-blank", "underscore", "non-ascii-digit",
+             "ragged-first", "cell-first"],
+    )
+    def test_unreadable_cell_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == message
+
+    def test_csv_numbers_with_spaces_and_specials_read(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("a,b\n 1 , 2e3\n-inf,nan\n")
+        back = load_csv(path)
+        assert np.array_equal(back, [[1.0, 2e3], [-np.inf, np.nan]], equal_nan=True)
 
 
 class TestSweepEntropyProperty:

@@ -25,16 +25,16 @@ from rbig import (
     FitConfig,
     GAUSS_ENTROPY_BITS,
     GaussModel,
-    MarginalGaussianizer,
+    NonFiniteInput,
     NotConvergedWarning,
     fit,
-    fit_uniformizer,
     marginal_entropy,
     marginal_kl_to_standard_normal,
     mutual_information,
     rotate,
 )
 from rbig import flow, marginal
+from rbig.marginal import MarginalGaussianizer, fit_gaussianizer
 from rbig.synth import (
     ar1_cube,
     equicorrelated_gaussian,
@@ -349,6 +349,26 @@ class TestInformation:
         assert np.mean(uniform2d_model.information(pts)) == pytest.approx(0.0, abs=0.15)
 
 
+# Each entry point checks its input once; the column kernels check nothing.
+ENTRY_POINTS = {
+    "fit": lambda model, x: fit(x),
+    "transform": lambda model, x: model.transform(x),
+    "inverse": lambda model, x: model.inverse(x),
+    "log_density": lambda model, x: model.log_density(x),
+    "information": lambda model, x: model.information(x),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", sorted(ENTRY_POINTS))
+    def test_entry_point_raises(self, sine_model, sine_data, call, bad):
+        x = sine_data[:200].copy()
+        x[137, 1] = bad
+        with pytest.raises(NonFiniteInput, match="^data contains NaN or infinite values$"):
+            ENTRY_POINTS[call](sine_model, x)
+
+
 class TestSample:
     def test_seed_determinism(self, sine_model):
         a = sine_model.sample(1000, seed=42)
@@ -420,7 +440,7 @@ def cubed_column(n):
 
 def check_layers_against_public_calls(x, model):
     """Each layer's delta-T, non-Gaussianity and tables, and the input's
-    entropies, bit for bit as the public per-column calls give them."""
+    entropies, bit for bit as the standalone per-column calls give them."""
     x = np.asarray(x, dtype=float)
     bins = model.resolved_bins
     inputs = [x, *post_rotation_columns(model, x)]
@@ -428,7 +448,7 @@ def check_layers_against_public_calls(x, model):
     assert same_bits(model.marginal_entropies_input, np.array(h_input))
     for i, gaussianizers in enumerate(model.gaussianizers):
         for j, g in enumerate(gaussianizers):
-            table = fit_uniformizer(inputs[i][:, j], bins)
+            table = fit_gaussianizer(inputs[i][:, j], bins).uniformizer
             assert same_bits(g.uniformizer.knots_x, table.knots_x)
             assert same_bits(g.uniformizer.knots_p, table.knots_p)
         y = inputs[i + 1]
@@ -459,12 +479,13 @@ CARRIED_CASES = {
 class TestCarriedHistogram:
     """One histogram per column-layer: a layer's output counts give its
     delta-T, its non-Gaussianity and the next layer's tables, bit for bit as
-    the public per-column calls on that output would."""
+    the standalone per-column calls on that output would."""
 
     @pytest.fixture(params=sorted(CARRIED_CASES), scope="class")
     def fitted(self, request):
-        """The case's data and model, the fit's calls of the public
-        ``forward`` and of the forward kernel, and the warnings it raised."""
+        """The case's data and model, the fit's calls of
+        ``MarginalGaussianizer.forward`` and of the forward kernel, and the
+        warnings it raised."""
         make, config, _ = CARRIED_CASES[request.param]
         x = make()
         calls = {"forward": 0, "kernel": 0}
@@ -495,7 +516,7 @@ class TestCarriedHistogram:
         converged = CARRIED_CASES[name][2]
         assert model.converged is converged
         assert warned == ([] if converged else [NotConvergedWarning])
-        # The public forward for the first layer only; the forward kernel
+        # MarginalGaussianizer.forward for the first layer only; the forward kernel
         # once per column-layer, and never for a layer past the last.
         assert calls["forward"] == model.dim
         assert calls["kernel"] == model.n_layers * model.dim
@@ -616,8 +637,12 @@ class TestSerialization:
              "knots_p must have shape (L, D, K) with K >= 5, got (3, 2, 4)"),
             ({"rank_deficient": [False]}, "rank_deficient must be {L} booleans, got [False]"),
             ({"rank_deficient": "no"}, "rank_deficient must be {L} booleans, got 'no'"),
-            ({"clamp_eps": 0.5}, "clamp_eps must be a number in (0, 0.5), got 0.5"),
-            ({"clamp_eps": None}, "clamp_eps must be a number in (0, 0.5), got None"),
+            ({"clamp_eps": 0.5}, "clamp_eps must be a number in [1e-07, 0.5), got 0.5"),
+            ({"clamp_eps": None}, "clamp_eps must be a number in [1e-07, 0.5), got None"),
+            # Below the floor, 1 - clamp_eps can round to 1 and send a
+            # query's probit to inf.
+            ({"clamp_eps": 5e-8}, "clamp_eps must be a number in [1e-07, 0.5), got 5e-08"),
+            ({"clamp_eps": 1e-20}, "clamp_eps must be a number in [1e-07, 0.5), got 1e-20"),
             # Each would build a model whose save or load fails.
             ({"converged": "yes"}, "converged must be true or false, got 'yes'"),
             ({"converged": 1}, "converged must be true or false, got 1"),
@@ -625,8 +650,8 @@ class TestSerialization:
             ({"config": {"seed": 2}}, "config must be a FitConfig, got {'seed': 2}"),
         ],
         ids=["flat-x-min", "four-knots", "short-rank-deficient", "string-rank-deficient",
-             "half-clamp", "null-clamp", "string-converged", "int-converged", "null-config",
-             "dict-config"],
+             "half-clamp", "null-clamp", "below-floor-clamp", "tiny-clamp", "string-converged",
+             "int-converged", "null-config", "dict-config"],
     )
     def test_model_rejects_bad_fields(self, sine_model, change, message):
         message = message.replace("{L}", str(sine_model.n_layers))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,25 +11,39 @@ from scipy.special import ndtri
 from rbig import (
     GAUSS_ENTROPY_BITS,
     DegenerateDimension,
-    MarginalGaussianizer,
-    MarginalUniformizer,
     NonFiniteInput,
-    ProbabilityOutOfRange,
     entropy,
     fit,
-    fit_gaussianizer,
-    fit_uniformizer,
     marginal_entropy,
     marginal_kl_to_standard_normal,
+)
+from rbig.marginal import (
+    MIN_CLAMP_EPS,
+    MarginalGaussianizer,
+    MarginalUniformizer,
+    _bin_counts,
+    _knot_grid,
+    _p_segment,
+    _segment,
+    default_bins,
+    fit_gaussianizer,
     normal_cdf,
     probit,
 )
-from rbig.marginal import _bin_counts, _knot_grid, _p_segment, _segment, default_bins
 
 
 def erf_cdf(z):
     # Independent oracle for the standard normal CDF.
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def col(*values):
+    """A 1-D float64 column: the column kernels take nothing else."""
+    return np.array(values, dtype=float)
+
+
+def fit_table(x, bins):
+    return fit_gaussianizer(x, bins).uniformizer
 
 
 def identity_uniformizer():
@@ -42,32 +57,32 @@ def identity_uniformizer():
 class TestFitUniformizer:
     def test_uniform_data_has_identity_cdf(self):
         x = np.random.default_rng(0).uniform(0, 1, 10000)
-        u = fit_uniformizer(x, bins=100)
-        p, _ = u.forward(0.5)
+        u = fit_table(x, bins=100)
+        (p,), _ = u.forward(col(0.5))
         assert 0.48 <= p <= 0.52
 
     def test_symmetric_four_points(self):
-        u = fit_uniformizer(np.array([1.0, 2.0, 3.0, 4.0]), bins=2)
-        p, _ = u.forward(2.5)
+        u = fit_table(np.array([1.0, 2.0, 3.0, 4.0]), bins=2)
+        (p,), _ = u.forward(col(2.5))
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_normal_cdf_value(self):
         x = np.random.default_rng(1).standard_normal(50000)
-        u = fit_uniformizer(x, bins=223)
-        p, _ = u.forward(1.0)
+        u = fit_table(x, bins=223)
+        (p,), _ = u.forward(col(1.0))
         assert p == pytest.approx(erf_cdf(1.0), abs=0.01)
 
     def test_zero_range_raises(self):
         with pytest.raises(DegenerateDimension):
-            fit_uniformizer(np.full(100, 3.0), bins=10)
+            fit_table(np.full(100, 3.0), bins=10)
 
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteInput):
-            fit_uniformizer(np.array([1.0, np.nan, 2.0]), bins=2)
+            fit_table(np.array([1.0, np.nan, 2.0]), bins=2)
 
     def test_knot_invariants(self):
         x = np.random.default_rng(2).standard_normal(5000)
-        u = fit_uniformizer(x, bins=70)
+        u = fit_table(x, bins=70)
         assert np.all(np.diff(u.knots_x) > 0)
         assert np.all(np.diff(u.knots_p) >= 0)
         assert u.knots_p[0] == 0.0 and u.knots_p[-1] == 1.0
@@ -103,10 +118,22 @@ class TestFitUniformizer:
                 clamp_eps=1e-6,
             )
 
+    @pytest.mark.parametrize(
+        "eps", [0.0, float(np.nextafter(MIN_CLAMP_EPS, 0.0)), 0.5, math.nan, True, None],
+        ids=["zero", "below-floor", "half", "nan", "bool", "none"],
+    )
+    def test_clamp_outside_floor_and_half_rejected(self, eps):
+        # The clamp keeps every probability the kernels see inside (0, 1),
+        # so a table may not clamp below the floor.
+        message = rf"^clamp_eps must be a number in \[1e-07, 0\.5\), got {re.escape(repr(eps))}$"
+        with pytest.raises(ValueError, match=message):
+            MarginalUniformizer(knots_x=col(0.0, 1.0), knots_p=col(0.0, 1.0), clamp_eps=eps)
+        assert MarginalUniformizer(col(0.0, 1.0), col(0.0, 1.0), MIN_CLAMP_EPS)
+
     def test_extension_knot_rounding_onto_range_end_rejected(self):
         # 2**53 + 4 + 0.8 rounds back to 2**53 + 4: a zero-width extension.
         with pytest.raises(ValueError, match="^knot segment 3 "):
-            fit_uniformizer(np.array([2.0**53 - 4, 2.0**53, 2.0**53 + 4]), 2)
+            fit_table(np.array([2.0**53 - 4, 2.0**53, 2.0**53 + 4]), 2)
 
     # ``ties``: the fraction of the sample replaced by its median.  The grid
     # depends on the range alone, so an atom inside it leaves the knots be.
@@ -125,7 +152,7 @@ class TestFitUniformizer:
         x = draw(np.random.default_rng(23))
         x[: int(ties * x.size)] = np.median(x)
         bins = default_bins(x.size)
-        u = fit_uniformizer(x, bins)
+        u = fit_table(x, bins)
         lo, hi = x.min(), x.max()
         _, ref = np.histogram(x, bins, range=(lo, hi))
         ref = np.concatenate([[lo - 0.1 * (hi - lo)], ref, [hi + 0.1 * (hi - lo)]])
@@ -175,29 +202,33 @@ class TestBinCounts:
 class TestUniformizeForward:
     def test_identity_cdf_unit_slope(self):
         u = identity_uniformizer()
-        p, logdpdx = u.forward(0.25)
+        (p,), (logdpdx,) = u.forward(col(0.25))
         assert p == pytest.approx(0.25)
         assert logdpdx == pytest.approx(0.0)
 
     def test_clamp_beyond_support(self):
         x = np.random.default_rng(3).standard_normal(1000)
-        u = fit_uniformizer(x, bins=30)
-        p, logdpdx = u.forward(u.knots_x[-1] + 10.0)
+        u = fit_table(x, bins=30)
+        (p,), (logdpdx,) = u.forward(col(u.knots_x[-1] + 10.0))
         assert p == 1.0 - u.clamp_eps
         assert np.isfinite(logdpdx)
 
     def test_log_slope_matches_normal_pdf(self):
         x = np.random.default_rng(4).standard_normal(100000)
-        u = fit_uniformizer(x, bins=316)
-        _, logdpdx = u.forward(0.0)
+        u = fit_table(x, bins=316)
+        _, (logdpdx,) = u.forward(col(0.0))
         assert logdpdx == pytest.approx(math.log(1.0 / math.sqrt(2 * math.pi)), abs=0.05)
 
     def test_finite_log_slope_inside_support(self):
         x = np.random.default_rng(5).standard_normal(2000)
-        u = fit_uniformizer(x, bins=40)
+        u = fit_table(x, bins=40)
         grid = np.linspace(u.knots_x[0] + 1e-9, u.knots_x[-1] - 1e-9, 500)
         _, logdpdx = u.forward(grid)
         assert np.all(np.isfinite(logdpdx))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def reference_segment(kx, x):
@@ -232,7 +263,7 @@ def check_segment(kx, x):
 
 
 fitted_tables = st.builds(
-    lambda seed, n, bins, scale: fit_uniformizer(
+    lambda seed, n, bins, scale: fit_table(
         scale * np.random.default_rng(seed).standard_normal(n), bins
     ),
     seed=st.integers(0, 2**32 - 1),
@@ -269,7 +300,9 @@ class TestSegmentLookup:
         assert np.array_equal(p, p_ref)
         assert np.array_equal(logdpdx, logdpdx_ref)
         for i in range(0, x.size, max(1, x.size // 8)):
-            assert u.forward(float(x[i])) == (p_ref[i], logdpdx_ref[i])
+            p1, logdpdx1 = u.forward(x[i : i + 1])
+            assert same_bits(p1, p_ref[i : i + 1])
+            assert same_bits(logdpdx1, logdpdx_ref[i : i + 1])
 
     @settings(deadline=None)
     @given(u=fitted_tables, draws=draws)
@@ -279,13 +312,16 @@ class TestSegmentLookup:
         assert np.all((p >= u.clamp_eps) & (p <= 1.0 - u.clamp_eps))
 
     def test_shape_preserved(self):
-        u = fit_uniformizer(np.random.default_rng(21).standard_normal(500), bins=20)
-        x = np.random.default_rng(22).standard_normal((3, 4, 5))
+        # A strided column, as the first layer of a row-major input gives:
+        # one value per row, the bits of its contiguous copy.
+        u = fit_table(np.random.default_rng(21).standard_normal(500), bins=20)
+        x = np.random.default_rng(22).standard_normal((60, 5))[:, 3]
+        assert not x.flags.contiguous
         p, logdpdx = u.forward(x)
-        p_ref, logdpdx_ref = reference_forward(u, x.ravel())
+        p_ref, logdpdx_ref = reference_forward(u, x.copy())
         assert p.shape == logdpdx.shape == x.shape
-        assert np.array_equal(p.ravel(), p_ref)
-        assert np.array_equal(logdpdx.ravel(), logdpdx_ref)
+        assert same_bits(p, p_ref)
+        assert same_bits(logdpdx, logdpdx_ref)
 
 
 def reference_inverse(u, p):
@@ -326,7 +362,7 @@ def tiny_mass_table(weights):
     return MarginalUniformizer(
         knots_x=np.arange(kp.size, dtype=float),
         knots_p=kp,
-        clamp_eps=1e-9,
+        clamp_eps=MIN_CLAMP_EPS,
     )
 
 
@@ -360,7 +396,7 @@ class TestProbabilitySegmentLookup:
         ref = reference_inverse(u, p)
         assert np.array_equal(u.inverse(p), ref)
         for i in range(0, p.size, max(1, p.size // 8)):
-            assert u.inverse(float(p[i])) == ref[i]
+            assert same_bits(u.inverse(p[i : i + 1]), ref[i : i + 1])
 
     @settings(deadline=None)
     @given(u=tiny_mass_tables, draws=p_draws)
@@ -369,21 +405,23 @@ class TestProbabilitySegmentLookup:
         assert np.array_equal(u.inverse(p), reference_inverse(u, p))
 
     def test_shape_preserved(self):
-        u = fit_uniformizer(np.random.default_rng(23).standard_normal(500), bins=20)
-        p = np.random.default_rng(24).uniform(0.01, 0.99, (3, 4, 5))
+        # A strided column: one value per row, bit-identical to np.interp.
+        u = fit_table(np.random.default_rng(23).standard_normal(500), bins=20)
+        p = np.random.default_rng(24).uniform(0.01, 0.99, (60, 5))[:, 2]
+        assert not p.flags.contiguous
         x = u.inverse(p)
         assert x.shape == p.shape
-        assert np.array_equal(x.ravel(), reference_inverse(u, p.ravel()))
+        assert same_bits(x, reference_inverse(u, p))
 
 
 class TestUniformizeInverse:
     def test_identity_inverse(self):
         u = identity_uniformizer()
-        assert u.inverse(0.75) == pytest.approx(0.75)
+        assert u.inverse(col(0.75)) == pytest.approx([0.75])
 
     def test_forward_inverse_roundtrip(self):
         x = np.random.default_rng(6).standard_normal(20000)
-        u = fit_uniformizer(x, bins=140)
+        u = fit_table(x, bins=140)
         p, _ = u.forward(x)
         back = u.inverse(p)
         lo, hi = np.percentile(x, [0.5, 99.5])
@@ -393,30 +431,23 @@ class TestUniformizeInverse:
 
     def test_inverse_forward_roundtrip_on_probabilities(self):
         x = np.random.default_rng(7).standard_normal(5000)
-        u = fit_uniformizer(x, bins=70)
+        u = fit_table(x, bins=70)
         p = np.linspace(u.clamp_eps, 1 - u.clamp_eps, 1000)
         p2, _ = u.forward(u.inverse(p))
         assert np.max(np.abs(p2 - p)) <= 1e-9
 
     def test_normal_quantile(self):
         x = np.random.default_rng(8).standard_normal(100000)
-        u = fit_uniformizer(x, bins=316)
-        assert u.inverse(0.9772) == pytest.approx(ndtri(0.9772), abs=0.05)
-
-    def test_out_of_range_raises(self):
-        u = identity_uniformizer()
-        for bad in (0.0, 1.0, -0.1, 1.1, np.nan):
-            with pytest.raises(ProbabilityOutOfRange):
-                u.inverse(bad)
+        u = fit_table(x, bins=316)
+        assert u.inverse(col(0.9772)) == pytest.approx([ndtri(0.9772)], abs=0.05)
 
 
 class TestProbit:
     def test_median(self):
-        assert probit(0.5) == 0.0
+        assert same_bits(probit(col(0.5)), col(0.0))
 
     def test_oracle_values(self):
-        assert probit(0.8413) == pytest.approx(1.0, abs=1e-3)
-        assert probit(0.0013499) == pytest.approx(-3.0, abs=1e-3)
+        assert probit(col(0.8413, 0.0013499)) == pytest.approx([1.0, -3.0], abs=1e-3)
 
     def test_symmetry_bit_exact_on_grid(self):
         grid = np.arange(1, 10000) / 10000.0
@@ -433,16 +464,11 @@ class TestProbit:
         grid = np.arange(1, 2000) / 2000.0
         assert np.max(np.abs(probit(grid) - ndtri(grid))) < 1e-12
 
-    def test_out_of_range_raises(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ProbabilityOutOfRange):
-                probit(bad)
-
 
 class TestMarginalGaussianize:
     def test_identity_cdf_at_midpoint(self):
         g = MarginalGaussianizer(identity_uniformizer())
-        z, logjac = g.forward(0.5)
+        (z,), (logjac,) = g.forward(col(0.5))
         assert z == pytest.approx(0.0, abs=1e-12)
         # log-Jacobian is -log phi(0) for a unit-slope CDF
         assert logjac == pytest.approx(0.9189385332046727, abs=1e-9)
@@ -450,13 +476,13 @@ class TestMarginalGaussianize:
     def test_median_maps_near_zero(self):
         x = np.random.default_rng(9).gamma(2.0, size=10000)
         g = fit_gaussianizer(x, bins=100)
-        z, _ = g.forward(float(np.median(x)))
+        (z,), _ = g.forward(col(np.median(x)))
         assert abs(z) <= 0.1
 
     def test_gaussian_data_near_identity(self):
         x = np.random.default_rng(10).standard_normal(100000)
         g = fit_gaussianizer(x, bins=316)
-        z, _ = g.forward(1.5)
+        (z,), _ = g.forward(col(1.5))
         assert z == pytest.approx(1.5, abs=0.1)
 
     def test_monotonicity(self):
@@ -468,12 +494,6 @@ class TestMarginalGaussianize:
         inside = (p > u.clamp_eps) & (p < 1 - u.clamp_eps)  # clamp flattens the tails
         z, _ = g.forward(grid[inside])
         assert np.all(np.diff(z) > 0)
-
-    def test_inverse_nonfinite_raises(self):
-        g = MarginalGaussianizer(identity_uniformizer())
-        for bad in (np.nan, np.inf):
-            with pytest.raises(NonFiniteInput):
-                g.inverse(np.array([0.0, bad]))
 
     def test_roundtrip_central_support(self):
         x = np.random.default_rng(12).lognormal(size=20000)

@@ -38,9 +38,10 @@ from .flow import FitConfig, GaussModel, fit
 from .measures import entropy as entropy_measure
 from .measures import mutual_information, total_correlation
 from .synth import (
+    _cholesky,
+    _gaussian,
     ar1_cube,
     equicorrelated_gaussian,
-    gaussian_from_correlation,
     gaussian_mixture,
     noisy_sine,
 )
@@ -210,7 +211,9 @@ def _cmd_measure(args) -> tuple[int, list, list]:
 def _cmd_synth(args) -> tuple[int, list, list]:
     if args.kind == "gauss":
         if args.corr is not None:
-            data = gaussian_from_correlation(args.n, _read(load_csv, args.corr), args.seed)
+            # The matrix's errors name its file, as read errors do.
+            chol = _read(lambda path: _cholesky(load_csv(path)), args.corr)
+            data = _gaussian(args.n, chol, args.seed)
         else:
             if args.rho is None:
                 raise _CliInputError("synth gauss needs --rho or --corr")

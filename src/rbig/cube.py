@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import reprlib
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleBudget, PatchLargerThanCube, SeriesTooShort
-from .flow import _exact_keys, _is_finite_number, _is_integer
+from .flow import _exact_keys, _finite, _integer
 
 __all__ = [
     "GridMeta",
@@ -38,13 +39,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridMeta:
-    """Optional georeferencing: degree origin/step and time step in days."""
+    """Optional georeferencing: degree origin/step and time step in days.
+
+    Each field is None or a finite real number (numpy's too), never a bool,
+    stored as a Python ``float``; else a one-line ``ValueError`` names it.
+    """
 
     lat_origin: float | None = None
     lon_origin: float | None = None
     lat_step: float | None = None
     lon_step: float | None = None
     time_step_days: float | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                object.__setattr__(self, f.name, _finite(f.name, value))
 
 
 @dataclass(frozen=True)
@@ -78,9 +89,7 @@ class PatchConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (_is_integer(value) and value >= 1):
-                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name), 1))
 
     @property
     def dim(self) -> int:
@@ -196,8 +205,7 @@ def lag_embed(series, lags: int) -> np.ndarray:
         x = x[:, 0]
     if x.ndim != 1:
         raise ValueError("series must be 1-D (or a single-column matrix)")
-    if not (_is_integer(lags) and lags >= 1):
-        raise ValueError(f"lags must be an integer >= 1, got {reprlib.repr(lags)}")
+    lags = _integer("lags", lags, 1)
     n = x.size
     if n <= lags:
         raise SeriesTooShort(f"series of length {n} cannot embed {lags} lags")
@@ -205,9 +213,15 @@ def lag_embed(series, lags: int) -> np.ndarray:
     return x[idx]
 
 
-def _fill_float(value, what: str) -> float:
-    """A fill value as a float; a bool, a non-real or a non-finite number
-    raises a one-line ``ValueError`` naming it ``what``."""
+# The payload's little-endian numpy dtype for each sidecar dtype.
+_PAYLOAD_DTYPES = {"float32": "<f4", "float64": "<f8"}
+
+
+def _fill(value, dtype: str):
+    """A sidecar's fill value in the payload dtype, in which cells are
+    compared with it; a bool, a non-real or a non-finite value, or one beyond
+    the range of ``dtype``, raises a one-line ``ValueError``."""
+    what = "cube sidecar fill_value"
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     try:
@@ -216,97 +230,53 @@ def _fill_float(value, what: str) -> float:
         raise ValueError(f"{what} {reprlib.repr(value)} is beyond the float range") from None
     if not math.isfinite(fill):
         raise ValueError(f"{what} must be finite, got {fill!r}")
-    return fill
-
-
-def _check_grid_meta(meta, what: str) -> None:
-    """Require null or a dict of :class:`GridMeta` fields, each a finite
-    number or null, else a one-line ``ValueError`` naming it ``what``."""
-    names = {f.name for f in fields(GridMeta)}
-    if meta is not None and not (
-        isinstance(meta, dict)
-        and set(meta) <= names
-        and all(v is None or _is_finite_number(v) for v in meta.values())
-    ):
-        raise ValueError(
-            f"{what} must be null or an object of GridMeta fields,"
-            f" each a finite number or null, got {meta!r}"
-        )
-
-
-# The payload's little-endian numpy dtype for each sidecar dtype.
-_PAYLOAD_DTYPES = {"float32": "<f4", "float64": "<f8"}
-
-
-def _payload(values, dtype: str, what: str) -> np.ndarray:
-    """``values`` in the payload dtype; a finite value beyond its range
-    raises a one-line ``ValueError`` naming the first, ``what[i][j]...``."""
-    values = np.asarray(values)
     with np.errstate(over="ignore"):
-        stored = values.astype(_PAYLOAD_DTYPES[dtype])
-    overflow = np.isinf(stored) & np.isfinite(values)
-    if overflow.any():
-        index = np.unravel_index(np.argmax(overflow), overflow.shape)
-        item = what + "".join(f"[{i}]" for i in index)
-        raise ValueError(f"{item} = {float(values[index])!r} is beyond the {dtype} range")
+        stored = np.array(fill).astype(_PAYLOAD_DTYPES[dtype])
+    if np.isinf(stored):
+        raise ValueError(f"{what} = {fill!r} is beyond the {dtype} range")
     return stored
 
 
 # Every sidecar holds exactly these keys: one lost (fill_value, say) would
 # load its cube differently (the fill sentinel as data).
 _SIDECAR_KEYS = ("shape", "dtype", "fill_value", "order", "grid_meta")
+_GRID_META_FIELDS = {f.name for f in fields(GridMeta)}
 
 
 def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def save_cube(path, cube: DataCube, dtype: str = "float64", fill_value: float | None = None) -> None:
-    """Write a cube as flat little-endian floats plus a JSON sidecar.
+def save_cube(path, cube: DataCube) -> None:
+    """Write a cube as flat little-endian float64 in C order, NaN kept as
+    NaN, plus a JSON sidecar whose ``fill_value`` is null.
 
-    ``fill_value``, when given, replaces NaN in the binary payload and is
-    recorded in the sidecar, as a float, so loading restores the NaNs.
-    Whatever ``load_cube`` would refuse or alter raises a one-line
-    ``ValueError`` before either file is written: a fill value that is not
-    a finite real number (a bool included) or equals a data value in
-    ``dtype``, a finite value beyond the range of ``dtype``, or a
-    ``grid_meta`` field that is not a finite number or None.
+    The sidecar's text is encoded before either file is written.
     """
-    if dtype not in _PAYLOAD_DTYPES:
-        raise ValueError("dtype must be 'float32' or 'float64'")
-    meta = asdict(cube.grid_meta) if cube.grid_meta else None
-    _check_grid_meta(meta, "grid_meta")
-    stored = _payload(cube.values, dtype, "values")
-    if fill_value is not None:
-        fill_value = _fill_float(fill_value, "fill_value")
-        fill = _payload(fill_value, dtype, "fill_value")
-        if np.any(stored == fill):
-            raise ValueError(f"fill_value {fill_value!r} equals a data value in {dtype}")
-        stored[np.isnan(stored)] = fill
     sidecar = {
         "shape": list(cube.shape),
-        "dtype": dtype,
-        "fill_value": fill_value,
+        "dtype": "float64",
+        "fill_value": None,
         "order": "C",
-        "grid_meta": meta,
+        "grid_meta": asdict(cube.grid_meta) if cube.grid_meta else None,
     }
-    text = json.dumps(sidecar, sort_keys=True, indent=2, allow_nan=False)
-    stored.tofile(path)
+    text = json.dumps(sidecar, sort_keys=True, indent=2)
+    np.asarray(cube.values, dtype="<f8").tofile(path)
     with open(_sidecar_path(path), "w") as fh:
         fh.write(text)
 
 
 def load_cube(path) -> DataCube:
-    """Load a cube written by :func:`save_cube` (binary + JSON sidecar).
+    """Load a flat float32 or float64 payload and its JSON sidecar, as
+    :func:`save_cube` and outside products write them; cells equal to the
+    ``fill_value`` in the payload dtype load as NaN.
 
-    A sidecar that is not a JSON object holding exactly the keys
-    ``shape``, ``dtype``, ``fill_value``, ``order`` and ``grid_meta``, whose
-    ``shape`` is not a list of sizes holding as many values as the payload,
-    whose ``dtype`` is not ``float32``/``float64``, whose ``order`` is not
-    ``"C"``, whose ``fill_value`` is not null or a finite real number within
-    the range of ``dtype``, or whose ``grid_meta`` is not null or an object of
-    :class:`GridMeta` fields holding finite numbers or null raises
-    ``ValueError``.
+    A sidecar that is not a JSON object holding exactly the keys ``shape``,
+    ``dtype``, ``fill_value``, ``order`` and ``grid_meta``, or whose values
+    are not a list of sizes, ``float32``/``float64``, null or a fill value
+    (:func:`_fill`), ``"C"`` and null or an object of :class:`GridMeta`
+    fields, or a payload whose byte length differs from the ``shape``'s,
+    raises a one-line ``ValueError``.
     """
     with open(_sidecar_path(path)) as fh:
         sidecar = json.load(fh)
@@ -321,22 +291,25 @@ def load_cube(path) -> DataCube:
         raise ValueError(f"cube sidecar order must be 'C', got {order!r}")
     fill = sidecar["fill_value"]
     if fill is not None:
-        # Mask in the stored dtype: save_cube rounded the fill value to it.
-        what = "cube sidecar fill_value"
-        fill = _payload(_fill_float(fill, what), dtype, what)
+        fill = _fill(fill, dtype)
     meta = sidecar["grid_meta"]
-    _check_grid_meta(meta, "cube sidecar grid_meta")
-    stored = np.fromfile(path, dtype=_PAYLOAD_DTYPES[dtype])
-    size = math.prod(shape)
-    if stored.size != size:
+    try:
+        if not (meta is None or isinstance(meta, dict) and set(meta) <= _GRID_META_FIELDS):
+            raise ValueError(f"must be null or an object of GridMeta fields, got {meta!r}")
+        meta = GridMeta(**meta) if meta else None
+    except ValueError as exc:
+        raise ValueError(f"cube sidecar grid_meta {exc}") from None
+    payload = np.dtype(_PAYLOAD_DTYPES[dtype])
+    size, length = math.prod(shape) * payload.itemsize, os.path.getsize(path)
+    if length != size:
         raise ValueError(
-            f"cube sidecar shape {shape} holds {size} values, the payload {stored.size}"
+            f"cube sidecar shape {shape} holds {size} bytes of {dtype}, the payload {length}"
         )
-    stored = stored.reshape(shape)
+    stored = np.fromfile(path, dtype=payload).reshape(shape)
     values = stored.astype(float)
     if fill is not None:
         values[stored == fill] = np.nan
-    return DataCube(values=values, grid_meta=GridMeta(**meta) if meta else None)
+    return DataCube(values=values, grid_meta=meta)
 
 
 def save_csv(path, data, header: list[str] | None = None) -> None:

@@ -123,6 +123,23 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an ``int`` if it is an integer (numpy's too, never a
+    bool) >= ``least``, else a one-line ``ValueError`` naming it ``name``."""
+    if not (_is_integer(value) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a ``float`` if it is a finite number
+    (:func:`_is_finite_number`), else a one-line ``ValueError`` naming it
+    ``name``."""
+    if not _is_finite_number(value):
+        raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+    return float(value)
+
+
 def _check_seed(seed) -> None:
     """Refuse a negative integer seed by name; numpy's own error does not
     name it."""
@@ -171,9 +188,7 @@ class FitConfig:
             )
         object.__setattr__(self, "tol_delta_t", float(self.tol_delta_t))
         if self.bins is not None:
-            if not (_is_integer(self.bins) and self.bins >= 2):
-                raise ValueError(f"bins must be an integer >= 2, got {self.bins!r}")
-            object.__setattr__(self, "bins", int(self.bins))
+            object.__setattr__(self, "bins", _integer("bins", self.bins, 2))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -442,8 +457,7 @@ class GaussModel:
         come back as :meth:`inverse` returns them, in column-contiguous
         (Fortran) order.
         """
-        if not (_is_integer(n) and n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {reprlib.repr(n)}")
+        n = _integer("n", n, 1)
         _check_seed(seed)
         rng = np.random.default_rng(seed)
         return self.inverse(rng.standard_normal((n, self.dim)))
@@ -482,12 +496,11 @@ class GaussModel:
         try:
             _exact_keys(doc, _DOC_FIELDS, "model")
             config = _named("config", FitConfig.from_dict, doc["config"])
-            for name, least in (("n_layers", 1), ("dim", 1), ("resolved_bins", 2)):
-                # JSON numbers load as int or float; bool, a subclass of
-                # int, is neither.
-                if type(doc[name]) is not int or doc[name] < least:
-                    raise _malformed(name, f"an integer >= {least}", doc[name])
-            shapes = _block_shapes(doc["n_layers"], doc["dim"], doc["resolved_bins"] + 3)
+            n_layers, dim, bins = (
+                _integer(name, doc[name], least)
+                for name, least in (("n_layers", 1), ("dim", 1), ("resolved_bins", 2))
+            )
+            shapes = _block_shapes(n_layers, dim, bins + 3)
             return cls(
                 **{name: _array(doc[name], shape, name) for name, shape in shapes.items()},
                 rank_deficient=doc["rank_deficient"],

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PairedLengthMismatch
 from .flow import FitConfig, GaussModel, fit
-from .flow import _check_config_converged, _exact_keys, _is_finite_number, _is_integer
+from .flow import _check_config_converged, _exact_keys, _finite, _integer, _is_finite_number
 
 __all__ = [
     "ITReport",
@@ -60,10 +60,7 @@ class ITReport:
         if self.quantity not in (QUANTITY_ENTROPY, QUANTITY_TC, QUANTITY_MI):
             raise ValueError(f"unknown quantity: {reprlib.repr(self.quantity)}")
         for name in ("value_bits", "raw_value_bits"):
-            value = getattr(self, name)
-            if not _is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         trace = self.per_layer_delta_t
         if not (isinstance(trace, (list, tuple)) and all(map(_is_finite_number, trace))):
             raise ValueError(
@@ -71,10 +68,7 @@ class ITReport:
             )
         object.__setattr__(self, "per_layer_delta_t", tuple(map(float, trace)))
         for name in ("n_samples", "dim"):
-            value = getattr(self, name)
-            if not (_is_integer(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {reprlib.repr(value)}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         _check_config_converged(self)
 
     def to_dict(self) -> dict:

@@ -9,12 +9,10 @@ parameter (a file of non-finite values, which no fit takes).
 
 from __future__ import annotations
 
-import reprlib
-
 import numpy as np
 
 from .cube import DataCube
-from .flow import _check_seed, _is_finite_number, _is_integer
+from .flow import _check_seed, _finite, _integer
 
 __all__ = [
     "equicorrelated_gaussian",
@@ -25,19 +23,9 @@ __all__ = [
 ]
 
 
-def _check_size(name: str, value) -> None:
-    if not (_is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {reprlib.repr(value)}")
-
-
-def _check_finite(name: str, value) -> None:
-    if not _is_finite_number(value):
-        raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
-
-
 def equicorrelated_gaussian(n: int, dim: int, rho: float, seed: int) -> np.ndarray:
     """Zero-mean unit-variance Gaussian sample with equicorrelation rho."""
-    _check_size("dim", dim)
+    _integer("dim", dim, 1)
     if not -1.0 / max(dim - 1, 1) < rho < 1.0:
         raise ValueError(f"rho={rho} is not a valid equicorrelation for dim={dim}")
     corr = np.full((dim, dim), rho)
@@ -47,16 +35,30 @@ def equicorrelated_gaussian(n: int, dim: int, rho: float, seed: int) -> np.ndarr
 
 def gaussian_from_correlation(n: int, corr, seed: int) -> np.ndarray:
     """Zero-mean Gaussian sample with the given correlation matrix."""
-    _check_size("n", n)
-    _check_seed(seed)
+    return _gaussian(n, _cholesky(corr), seed)
+
+
+def _cholesky(corr) -> np.ndarray:
+    """The Cholesky factor of a correlation matrix; a matrix that is not
+    square, symmetric with unit diagonal and positive definite raises a
+    one-line ``ValueError``."""
     c = np.asarray(corr, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("correlation matrix must be square")
     if not np.allclose(c, c.T) or not np.allclose(np.diag(c), 1.0):
         raise ValueError("correlation matrix must be symmetric with unit diagonal")
-    chol = np.linalg.cholesky(c)
+    try:
+        return np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        raise ValueError("correlation matrix must be positive definite") from None
+
+
+def _gaussian(n: int, chol: np.ndarray, seed: int) -> np.ndarray:
+    """Zero-mean Gaussian sample with covariance ``chol @ chol.T``."""
+    _integer("n", n, 1)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, c.shape[0])) @ chol.T
+    return rng.standard_normal((n, chol.shape[0])) @ chol.T
 
 
 def noisy_sine(n: int, seed: int, noise: float = 0.25) -> np.ndarray:
@@ -65,8 +67,8 @@ def noisy_sine(n: int, seed: int, noise: float = 0.25) -> np.ndarray:
     t is uniform on [0, 2*pi]; the noise standard deviation grows linearly
     from 0.1 to 0.1 + noise across the abscissa.
     """
-    _check_size("n", n)
-    _check_finite("noise", noise)
+    _integer("n", n, 1)
+    _finite("noise", noise)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -77,8 +79,8 @@ def noisy_sine(n: int, seed: int, noise: float = 0.25) -> np.ndarray:
 
 def gaussian_mixture(n: int, seed: int, separation: float = 2.0) -> np.ndarray:
     """Two-component 2-D Gaussian mixture with opposite correlations."""
-    _check_size("n", n)
-    _check_finite("separation", separation)
+    _integer("n", n, 1)
+    _finite("separation", separation)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     which = rng.random(n) < 0.5
@@ -97,7 +99,7 @@ def ar1_cube(t_len: int, height: int, width: int, phi: float, seed: int) -> Data
     series length ``t_len`` is named ``t``, as the CLI's flag.
     """
     for name, size in (("t", t_len), ("height", height), ("width", width)):
-        _check_size(name, size)
+        _integer(name, size, 1)
     if not -1.0 < phi < 1.0:
         raise ValueError("phi must lie in (-1, 1)")
     _check_seed(seed)

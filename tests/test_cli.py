@@ -77,6 +77,25 @@ class TestSynth:
         assert code == 1
         assert "--rho or --corr" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n2,1\n", "correlation matrix must be positive definite"),
+            ("a,b\n1,0.5\n0.4,1\n", "correlation matrix must be symmetric with unit diagonal"),
+            ("a,b\n1,0\n", "correlation matrix must be square"),
+        ],
+        ids=["not-positive-definite", "not-symmetric", "not-square"],
+    )
+    def test_bad_correlation_matrix_exit_1_names_the_file(self, tmp_path, capsys, text, message):
+        corr = tmp_path / "c.csv"
+        corr.write_text(text)
+        out = tmp_path / "g.csv"
+        code, stdout, err = run(
+            capsys, "synth", "gauss", "--n", "5", "--corr", str(corr), "--out", str(out)
+        )
+        assert (code, stdout, err) == (1, "", f"error: {corr}: {message}\n")
+        assert not out.exists()
+
     def test_negative_seed_exit_1_names_seed(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         code, stdout, err = run(
@@ -603,12 +622,12 @@ class TestInfoMap:
         + [(lambda doc: doc.update(nodata=-9999), "nodata is not a cube sidecar field")],
         ids=["no-shape", "no-dtype", "no-fill-value", "no-order", "no-grid-meta", "unknown-key"],
     )
-    def test_sidecar_keys_checked_exit_1(self, tmp_path, capsys, edit, message):
+    def test_sidecar_keys_checked_exit_1(self, tmp_path, capsys, outside_cube, edit, message):
         # Without its fill_value, the -9999 sentinel would load as data.
         values = np.random.default_rng(14).standard_normal((6, 8, 8))
         values[2, 3, 3] = np.nan
         cube_path = tmp_path / "c.bin"
-        save_cube(cube_path, DataCube(values), fill_value=-9999)
+        outside_cube(cube_path, values, fill_value=-9999)
         model = tmp_path / "m.json"
         code, _, _ = run(
             capsys, "fit", "--input", str(cube_path), "--spatial", "1", "--temporal", "1",

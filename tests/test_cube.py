@@ -5,6 +5,9 @@ import reprlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rbig import (
     DataCube,
@@ -132,7 +135,9 @@ class TestExtractPatches:
             PatchConfig(**{"spatial": 2, "temporal": 1, field: value})
 
     def test_patch_config_accepts_numpy_integers(self):
-        assert PatchConfig(spatial=np.int64(3), temporal=np.int32(2)).dim == 18
+        cfg = PatchConfig(spatial=np.int64(3), temporal=np.int32(2))
+        assert cfg.dim == 18
+        assert type(cfg.spatial) is type(cfg.temporal) is int
 
 
 class TestRatioSweepConfigs:
@@ -199,9 +204,14 @@ class TestLagEmbed:
         assert per_feature == pytest.approx(GAUSS_ENTROPY_BITS, abs=0.1)
 
 
-GRID_META_RULE = (
-    "grid_meta must be null or an object of GridMeta fields, each a finite number or null"
+GRID_META_RULE = "grid_meta must be null or an object of GridMeta fields"
+
+# +-NaN, +-inf, +-0.0 and subnormals, and any 64-bit pattern: NaN payloads too.
+cube_cells = st.one_of(
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308]),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
 )
+grid_meta_fields = st.none() | st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestCubeIO:
@@ -212,105 +222,78 @@ class TestCubeIO:
         back = load_cube(path)
         assert np.array_equal(back.values, cube.values)
 
-    def test_roundtrip_float32_with_fill(self, tmp_path):
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        values=hnp.arrays(np.float64, st.tuples(*[st.integers(1, 4)] * 3), elements=cube_cells),
+        finite=st.floats(allow_nan=False, allow_infinity=False),
+        meta=st.none() | st.builds(GridMeta, *[grid_meta_fields] * 5),
+    )
+    def test_roundtrip_keeps_every_bit(self, tmp_path, values, finite, meta):
+        values[0, 0, 0] = finite  # a cube holds at least one finite value
+        cube = DataCube(values, grid_meta=meta)
+        path = tmp_path / "cube.bin"
+        save_cube(path, cube)
+        back = load_cube(path)
+        assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+        assert np.array_equal(np.isnan(back.values), np.isnan(values))
+        assert np.array_equal(np.signbit(back.values), np.signbit(values))
+        assert back.grid_meta == meta
+
+    def test_save_writes_float64_with_nan_and_no_fill(self, tmp_path):
         values = np.random.default_rng(7).standard_normal((4, 3, 3))
         values[2, 1, 0] = np.nan
-        cube = DataCube(values, grid_meta=GridMeta(lat_origin=40.0, lat_step=0.25))
+        path = tmp_path / "cube.bin"
+        save_cube(path, DataCube(values))
+        assert np.array_equal(np.fromfile(path, "<f8"), values.ravel(), equal_nan=True)
+        sidecar = json.loads((tmp_path / "cube.bin.json").read_text())
+        assert sidecar == {"shape": [4, 3, 3], "dtype": "float64", "fill_value": None,
+                           "order": "C", "grid_meta": None}
+
+    def test_roundtrip_float32_with_fill(self, tmp_path, outside_cube):
+        values = np.random.default_rng(7).standard_normal((4, 3, 3))
+        values[2, 1, 0] = np.nan
         path = tmp_path / "cube32.bin"
-        save_cube(path, cube, dtype="float32", fill_value=-9999.0)
+        outside_cube(path, values, "float32", -9999.0, {"lat_origin": 40, "lat_step": 0.25})
         back = load_cube(path)
         assert np.isnan(back.values[2, 1, 0])
         finite = ~np.isnan(values)
         assert np.allclose(back.values[finite], values[finite], atol=1e-6)
-        assert back.grid_meta.lat_origin == 40.0
+        assert back.grid_meta == GridMeta(lat_origin=40.0, lat_step=0.25)
+        assert type(back.grid_meta.lat_origin) is float
 
     @pytest.mark.parametrize("fill", [0.1, 1e20])
-    def test_roundtrip_float32_fill_not_representable(self, tmp_path, fill):
+    def test_roundtrip_float32_fill_not_representable(self, tmp_path, outside_cube, fill):
         # float32(fill) != fill: the missing-value mask must be built in the
         # stored dtype, not after up-casting.
         values = np.random.default_rng(9).standard_normal((4, 3, 3))
         values[1, 2, 2] = values[3, 0, 1] = np.nan
         path = tmp_path / "cube32.bin"
-        save_cube(path, DataCube(values), dtype="float32", fill_value=fill)
+        outside_cube(path, values, "float32", fill)
         back = load_cube(path)
         assert np.array_equal(np.isnan(back.values), np.isnan(values))
         finite = ~np.isnan(values)
         assert np.array_equal(back.values[finite], values[finite].astype(np.float32))
 
-    @pytest.mark.parametrize(
-        "dtype, value, fill", [("float64", 5.0, 5.0), ("float32", 0.1000000001, 0.1)]
-    )
-    def test_fill_value_equal_to_data_raises(self, tmp_path, dtype, value, fill):
-        # Loading would turn the data value into NaN along with the fill.
-        values = np.random.default_rng(10).standard_normal((4, 3, 3))
-        values[0, 0, 0] = np.nan
-        values[1, 1, 1] = value
-        path = tmp_path / "cube.bin"
-        with pytest.raises(ValueError, match="fill_value"):
-            save_cube(path, DataCube(values), dtype=dtype, fill_value=fill)
-        assert not path.exists()
-
-    @pytest.mark.parametrize("fill", [np.float32(-9999), np.int16(-9999)], ids=["float32", "int16"])
-    def test_numpy_scalar_fill_value(self, tmp_path, fill):
-        values = np.random.default_rng(12).standard_normal((4, 3, 3))
-        values[2, 0, 1] = np.nan
-        path = tmp_path / "cube32.bin"
-        save_cube(path, DataCube(values), dtype="float32", fill_value=fill)
-        sidecar = json.loads((tmp_path / "cube32.bin.json").read_text())
-        assert sidecar["fill_value"] == -9999.0
-        assert np.array_equal(np.isnan(load_cube(path).values), np.isnan(values))
-
-    @pytest.mark.parametrize("fill", [True, "-9999", 1 + 2j], ids=["bool", "str", "complex"])
-    def test_non_real_fill_value_rejected(self, tmp_path, fill):
-        path = tmp_path / "cube.bin"
-        with pytest.raises(ValueError, match="^fill_value must be a real number, got "):
-            save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11), fill_value=fill)
-        assert not path.exists()
-
-    def test_fill_value_beyond_float_range_rejected(self, tmp_path):
-        path = tmp_path / "cube.bin"
-        message = f"fill_value {reprlib.repr(10**400)} is beyond the float range"
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, True, "40"],
+                             ids=["nan", "inf", "bool", "str"])
+    def test_grid_meta_refuses_non_finite_or_non_number(self, value):
+        message = f"lat_step must be a finite number, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11), fill_value=10**400)
-        assert not path.exists()
+            GridMeta(lat_origin=40.0, lat_step=value)
 
-    @pytest.mark.parametrize(
-        "value, meta, options, message",
-        [
-            (1e300, None, {"dtype": "float32"},
-             "values[1][2][0] = 1e+300 is beyond the float32 range"),
-            (1.0, None, {"dtype": "float32", "fill_value": 1e39},
-             "fill_value = 1e+39 is beyond the float32 range"),
-            (1.0, None, {"fill_value": math.nan}, "fill_value must be finite, got nan"),
-            (1.0, None, {"fill_value": -math.inf}, "fill_value must be finite, got -inf"),
-            (1.0, GridMeta(lat_step=math.nan), {},
-             "grid_meta must be null or an object of GridMeta fields, each a finite"
-             " number or null, got {'lat_origin': None, 'lon_origin': None,"
-             " 'lat_step': nan, 'lon_step': None, 'time_step_days': None}"),
-        ],
-        ids=["float32-overflow", "float32-fill-overflow", "nan-fill", "inf-fill",
-             "nan-grid-meta"],
-    )
-    def test_save_refuses_what_load_would_refuse_or_alter(
-        self, tmp_path, value, meta, options, message
-    ):
-        # Each would write a cube that loads as other values (1e300 as inf, a
-        # NaN fill masking nothing) or not at all (NaN is not JSON).
+    def test_grid_meta_stores_numpy_scalars_as_float(self, tmp_path):
+        meta = GridMeta(lat_origin=np.float32(40.0), time_step_days=np.int16(8))
+        assert (meta.lat_origin, meta.time_step_days) == (40.0, 8.0)
+        assert type(meta.lat_origin) is type(meta.time_step_days) is float
         path = tmp_path / "cube.bin"
-        save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11))
-        before = path.read_bytes(), (tmp_path / "cube.bin.json").read_bytes()
-        values = np.random.default_rng(14).standard_normal((4, 3, 3))
-        values[1, 2, 0] = value
-        values[3, 0, 0] = values[3, 1, 1] = np.nan
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            save_cube(path, DataCube(values, grid_meta=meta), **options)
-        assert (path.read_bytes(), (tmp_path / "cube.bin.json").read_bytes()) == before
+        save_cube(path, DataCube(np.ones((2, 2, 2)), grid_meta=meta))
+        assert load_cube(path).grid_meta == meta
 
     def test_sidecar_encoded_before_any_file_is_written(self, tmp_path):
-        cube = DataCube(
-            np.random.default_rng(13).standard_normal((4, 3, 3)),
-            grid_meta=GridMeta(lat_origin=np.float32(40.0)),
-        )
+        meta = GridMeta()
+        object.__setattr__(meta, "lat_origin", np.float32(40.0))  # past the field check
+        cube = DataCube(np.random.default_rng(13).standard_normal((4, 3, 3)), grid_meta=meta)
         path = tmp_path / "cube.bin"
         with pytest.raises(TypeError, match="not JSON serializable"):
             save_cube(path, cube)
@@ -324,7 +307,7 @@ class TestCubeIO:
             ("order", "F", "order must be 'C', got 'F'"),
             ("shape", None, "shape must be a list of sizes, got None"),
             ("shape", [4, 3, -1], "shape must be a list of sizes, got [4, 3, -1]"),
-            ("shape", [2, 3, 5], "shape [2, 3, 5] holds 30 values, the payload 36"),
+            ("shape", [2, 3, 5], "shape [2, 3, 5] holds 240 bytes of float64, the payload 288"),
             # true would mask every 1.0 cell.
             ("fill_value", True, "fill_value must be a real number, got True"),
             ("fill_value", "-9999", "fill_value must be a real number, got '-9999'"),
@@ -336,7 +319,7 @@ class TestCubeIO:
             ("grid_meta", [1, 2], f"{GRID_META_RULE}, got [1, 2]"),
             ("grid_meta", {"foo": 1}, f"{GRID_META_RULE}, got {{'foo': 1}}"),
             ("grid_meta", {"lat_origin": "north"},
-             f"{GRID_META_RULE}, got {{'lat_origin': 'north'}}"),
+             "grid_meta lat_origin must be a finite number, got 'north'"),
         ],
         ids=[
             "int64-dtype", "fortran-order", "no-shape", "negative-size", "payload-size",
@@ -360,10 +343,23 @@ class TestCubeIO:
         assert code == 1
         assert err == f"error: {path}: cube sidecar {message}\n"
 
-    def test_fill_beyond_payload_dtype_rejected_on_load(self, tmp_path):
+    def test_payload_with_trailing_bytes_rejected(self, tmp_path, capsys):
+        # np.fromfile drops a partial item: 291 bytes would load as 36 values.
+        path = tmp_path / "cube.bin"
+        save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 3)
+        message = "cube sidecar shape [4, 3, 3] holds 288 bytes of float64, the payload 291"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_cube(path)
+        code = main(["fit", "--input", str(path), "--spatial", "1", "--temporal", "1",
+                     "--out", str(tmp_path / "m.json")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {path}: {message}\n")
+
+    def test_fill_beyond_payload_dtype_rejected_on_load(self, tmp_path, outside_cube):
         # In float32 it would round to inf and mask every inf cell.
         path = tmp_path / "cube.bin"
-        save_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11), dtype="float32", fill_value=-1.0)
+        outside_cube(path, ar1_cube(4, 3, 3, phi=0.5, seed=11).values, "float32", -1.0)
         sidecar = tmp_path / "cube.bin.json"
         sidecar.write_text(sidecar.read_text().replace("-1.0", "1e39"))
         message = "cube sidecar fill_value = 1e+39 is beyond the float32 range"

@@ -28,6 +28,10 @@ REFUSED = {
     "corr-n-0": (
         lambda: gaussian_from_correlation(0, np.eye(2), 1), "n must be an integer >= 1, got 0"
     ),
+    "corr-not-positive-definite": (
+        lambda: gaussian_from_correlation(5, [[1.0, 2.0], [2.0, 1.0]], 1),
+        "correlation matrix must be positive definite",
+    ),
     "sine-n-0": (lambda: noisy_sine(0, 1), "n must be an integer >= 1, got 0"),
     "sine-noise-nan": (
         lambda: noisy_sine(5, 1, math.nan), "noise must be a finite number, got nan"

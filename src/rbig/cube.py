@@ -10,17 +10,21 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
-import reprlib
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleBudget, PatchLargerThanCube, SeriesTooShort
-from .flow import _exact_keys, _finite, _integer
+from .errors import (
+    InfeasibleBudget,
+    PatchLargerThanCube,
+    SeriesTooShort,
+    _exact_keys,
+    _finite,
+    _integer,
+)
 
 __all__ = [
     "GridMeta",
@@ -41,8 +45,8 @@ __all__ = [
 class GridMeta:
     """Optional georeferencing: degree origin/step and time step in days.
 
-    Each field is None or a finite real number (numpy's too), never a bool,
-    stored as a Python ``float``; else a one-line ``ValueError`` names it.
+    Each field is None or follows the number rule of :mod:`rbig.errors`,
+    stored as a Python ``float``.
     """
 
     lat_origin: float | None = None
@@ -153,12 +157,12 @@ def ratio_sweep_configs(
     ``budget`` (the fully-temporal endpoint is capped at the cube length),
     ordered by ratio from 0 (tau = 1) to 1 (s = 1); the two endpoints are
     always included and interior configs are chosen nearest to evenly
-    spaced target ratios.
+    spaced target ratios.  ``budget`` (>= 4), ``n_ratios`` (>= 2) and the
+    cube's sizes ``t``, ``h`` and ``w`` (>= 1) follow the integer rule.
     """
-    if budget < 4:
-        raise ValueError("budget must be >= 4")
-    if n_ratios < 2:
-        raise ValueError("n_ratios must be >= 2")
+    budget = _integer("budget", budget, 4)
+    n_ratios = _integer("n_ratios", n_ratios, 2)
+    t, h, w = (_integer(name, size, 1) for name, size in (("t", t), ("h", h), ("w", w)))
     lo, hi = 0.8 * budget, 1.2 * budget
     s_spatial = min(round(math.sqrt(budget)), min(h, w))
     if s_spatial < 2:
@@ -219,21 +223,13 @@ _PAYLOAD_DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 def _fill(value, dtype: str):
     """A sidecar's fill value in the payload dtype, in which cells are
-    compared with it; a bool, a non-real or a non-finite value, or one beyond
-    the range of ``dtype``, raises a one-line ``ValueError``."""
-    what = "cube sidecar fill_value"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    try:
-        fill = float(value)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError(f"{what} {reprlib.repr(value)} is beyond the float range") from None
-    if not math.isfinite(fill):
-        raise ValueError(f"{what} must be finite, got {fill!r}")
+    compared with it; a value that breaks the number rule, or one beyond the
+    range of ``dtype``, raises a one-line ``ValueError``."""
+    fill = _finite("cube sidecar fill_value", value)
     with np.errstate(over="ignore"):
         stored = np.array(fill).astype(_PAYLOAD_DTYPES[dtype])
     if np.isinf(stored):
-        raise ValueError(f"{what} = {fill!r} is beyond the {dtype} range")
+        raise ValueError(f"cube sidecar fill_value = {fill!r} is beyond the {dtype} range")
     return stored
 
 
@@ -306,7 +302,8 @@ def load_cube(path) -> DataCube:
             f"cube sidecar shape {shape} holds {size} bytes of {dtype}, the payload {length}"
         )
     stored = np.fromfile(path, dtype=payload).reshape(shape)
-    values = stored.astype(float)
+    # A float64 payload is kept as it is read: one array, not two.
+    values = stored.astype(float, copy=False)
     if fill is not None:
         values[stored == fill] = np.nan
     return DataCube(values=values, grid_meta=meta)

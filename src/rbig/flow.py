@@ -14,7 +14,6 @@ import base64
 import contextlib
 import json
 import math
-import numbers
 import os
 import reprlib
 import threading
@@ -29,6 +28,9 @@ from .errors import (
     DimensionMismatch,
     NonFiniteInput,
     NotConvergedWarning,
+    _exact_keys,
+    _finite,
+    _integer,
 )
 from .marginal import (
     GAUSS_ENTROPY_BITS,
@@ -108,45 +110,6 @@ def _columns(n_rows: int, n_cols: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _is_integer(value) -> bool:
-    """True for an int (numpy's too), never for a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    """True for a finite int or float (numpy's too), never for a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an ``int`` if it is an integer (numpy's too, never a
-    bool) >= ``least``, else a one-line ``ValueError`` naming it ``name``."""
-    if not (_is_integer(value) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {reprlib.repr(value)}")
-    return int(value)
-
-
-def _finite(name: str, value) -> float:
-    """``value`` as a ``float`` if it is a finite number
-    (:func:`_is_finite_number`), else a one-line ``ValueError`` naming it
-    ``name``."""
-    if not _is_finite_number(value):
-        raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
-    return float(value)
-
-
-def _check_seed(seed) -> None:
-    """Refuse a negative integer seed by name; numpy's own error does not
-    name it."""
-    if _is_integer(seed) and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of one fit; defaults follow the square-root bin rule.
@@ -160,8 +123,10 @@ class FitConfig:
     or more columns, so that a rotation which leaves delta-T low by chance
     for one layer is waited out.  A one-column fit stops at its first layer
     below tolerance: its rotation is +-1, so there is nothing to wait out.
-    ``seed`` is an integer >= 0.  Numpy scalars are stored as Python
-    ``int``/``float``, so every config serializes to JSON.
+    ``bins`` (None or >= 2), ``max_layers``, ``patience`` (>= 1) and
+    ``seed`` (>= 0) follow the integer rule of :mod:`rbig.errors` and
+    ``tol_delta_t`` (> 0) its number rule, so numpy scalars are stored as
+    Python ``int``/``float`` and every config serializes to JSON.
     """
 
     rotation_kind: str = "pca"
@@ -174,19 +139,16 @@ class FitConfig:
     def __post_init__(self):
         if self.rotation_kind not in ("pca", "random"):
             raise ValueError(f"unknown rotation kind: {self.rotation_kind!r}")
-        for name in ("max_layers", "patience", "seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        _check_seed(self.seed)
-        if self.patience < 1 or self.max_layers < self.patience:
-            raise ValueError("need max_layers >= patience >= 1")
-        if not (_is_finite_number(self.tol_delta_t) and self.tol_delta_t > 0):
+        for name, least in (("max_layers", 1), ("patience", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        if self.max_layers < self.patience:
             raise ValueError(
-                f"tol_delta_t must be finite and > 0, got {self.tol_delta_t!r}"
+                f"max_layers must be >= patience ({self.patience}), got {self.max_layers}"
             )
-        object.__setattr__(self, "tol_delta_t", float(self.tol_delta_t))
+        tol = _finite("tol_delta_t", self.tol_delta_t)
+        if tol <= 0:
+            raise ValueError(f"tol_delta_t must be > 0, got {tol!r}")
+        object.__setattr__(self, "tol_delta_t", tol)
         if self.bins is not None:
             object.__setattr__(self, "bins", _integer("bins", self.bins, 2))
 
@@ -208,19 +170,6 @@ def _check_config_converged(record) -> None:
     if not isinstance(record.converged, (bool, np.bool_)):
         raise ValueError(f"converged must be true or false, got {reprlib.repr(record.converged)}")
     object.__setattr__(record, "converged", bool(record.converged))
-
-
-def _exact_keys(doc, names, kind: str) -> None:
-    """Require a dict holding exactly the keys ``names``, else a one-line
-    ``ValueError`` calling it a ``kind``."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{kind} must be a JSON object, got {reprlib.repr(doc)}")
-    for name in names:
-        if name not in doc:
-            raise ValueError(f"{kind} field {name} is missing")
-    for key in doc:
-        if key not in names:
-            raise ValueError(f"{key} is not a {kind} field")
 
 
 # A model's float64 blocks and the axes of each: L layers, D columns and K
@@ -314,8 +263,7 @@ class GaussModel:
             )
         deficient.setflags(write=False)
         object.__setattr__(self, "rank_deficient", deficient)
-        _check_clamp_eps(self.clamp_eps)
-        object.__setattr__(self, "clamp_eps", float(self.clamp_eps))
+        object.__setattr__(self, "clamp_eps", _check_clamp_eps(self.clamp_eps))
         # Filled layer by layer: computed at once, the grid's (L, D, K)
         # temporaries split the heap beside the long-lived block (patch-query
         # peak RSS 173 MB against 161 MB).  A range near the float limit
@@ -453,13 +401,12 @@ class GaussModel:
     def sample(self, n: int, seed: int):
         """Draw n synthetic rows by inverting seeded N(0, I) samples.
 
-        ``seed`` is an integer >= 0, as in :class:`FitConfig`.  The rows
-        come back as :meth:`inverse` returns them, in column-contiguous
-        (Fortran) order.
+        ``n`` (>= 1) and ``seed`` (>= 0) follow the integer rule, as in
+        :class:`FitConfig`.  The rows come back as :meth:`inverse` returns
+        them, in column-contiguous (Fortran) order.
         """
         n = _integer("n", n, 1)
-        _check_seed(seed)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_integer("seed", seed, 0))
         return self.inverse(rng.standard_normal((n, self.dim)))
 
     def to_dict(self) -> dict:
@@ -628,7 +575,9 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     input is binned twice, once for ``marginal_entropies_input`` and once
     for the first layer's tables, from one contiguous copy of each column,
     which ``MarginalGaussianizer.forward`` Gaussianizes; a column that fails
-    there raises a ``ValueError`` naming it.  The data needs at least
+    there raises a ``ValueError`` naming it.  Each input column is scanned
+    for NaN and inf twice, here and by ``marginal_entropy``:
+    ``fit_gaussianizer`` checks nothing.  The data needs at least
     ``MIN_ENTROPY_SAMPLES`` (10) rows, the fewest an entropy estimate takes,
     and 1 column.
     """

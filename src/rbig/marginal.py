@@ -16,14 +16,12 @@ keeps every probability the kernels see inside (0, 1).
 from __future__ import annotations
 
 import math
-import numbers
-import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DegenerateDimension, NonFiniteInput
+from .errors import DegenerateDimension, NonFiniteInput, _finite, _integer
 
 __all__ = [
     "GAUSS_ENTROPY_BITS",
@@ -200,7 +198,7 @@ class MarginalUniformizer:
                 f"knot segment {i} (x {kx[i:i + 2].tolist()}, p {kp[i:i + 2].tolist()})"
                 " must rise on both axes with finite, positive slopes"
             )
-        _check_clamp_eps(self.clamp_eps)
+        object.__setattr__(self, "clamp_eps", _check_clamp_eps(self.clamp_eps))
         for name, a in (
             ("knots_x", kx), ("knots_p", kp),
             ("_dpdx", dpdx), ("_log_dpdx", np.log(dpdx)), ("_dxdp", dxdp),
@@ -284,13 +282,13 @@ class MarginalGaussianizer:
         return self.uniformizer.inverse(p)
 
 
-def _check_clamp_eps(eps) -> None:
-    """Refuse a probability clamp outside ``[MIN_CLAMP_EPS, 0.5)`` with a
-    one-line ``ValueError``; NaN, bools and non-numbers fail too."""
-    if not (isinstance(eps, numbers.Real) and MIN_CLAMP_EPS <= eps < 0.5):
-        raise ValueError(
-            f"clamp_eps must be a number in [{MIN_CLAMP_EPS:g}, 0.5), got {reprlib.repr(eps)}"
-        )
+def _check_clamp_eps(eps) -> float:
+    """A probability clamp as a ``float``: a finite number (the number rule)
+    in ``[MIN_CLAMP_EPS, 0.5)``, else a one-line ``ValueError``."""
+    eps = _finite("clamp_eps", eps)
+    if not MIN_CLAMP_EPS <= eps < 0.5:
+        raise ValueError(f"clamp_eps must be a number in [{MIN_CLAMP_EPS:g}, 0.5), got {eps!r}")
+    return eps
 
 
 def _knot_grid(x_min, x_max, bins: int) -> np.ndarray:
@@ -329,7 +327,7 @@ def _bin_counts(x: np.ndarray, grid: np.ndarray):
     return counts[1:-1], seg, lo
 
 
-def fit_gaussianizer(x, bins: int) -> MarginalGaussianizer:
+def fit_gaussianizer(x: np.ndarray, bins: int) -> MarginalGaussianizer:
     """Fit the probit-of-empirical-CDF map for one dimension.
 
     The CDF is the cumulative normalized histogram of ``x`` over the
@@ -340,18 +338,19 @@ def fit_gaussianizer(x, bins: int) -> MarginalGaussianizer:
     range's end (a range of a few ulps of the data's magnitude), the table
     has a zero-width segment and is rejected with ``ValueError``.
 
+    Nothing else is checked: :func:`rbig.flow.fit`, its caller, has checked
+    ``x`` and ``bins``.
+
     Parameters
     ----------
-    x : array_like
-        Training sample, at least two finite values.
+    x : ndarray
+        Training sample: a 1-D float64 column of finite values with a
+        positive range.
     bins : int
         Number of histogram bins, at least 2.
     """
-    xs, x_min, x_max = _sample_range(x, 2)
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
-    knots_x = _knot_grid(x_min, x_max, bins)
-    return MarginalGaussianizer(_table(knots_x, _bin_counts(xs, knots_x)[0], xs.size))
+    knots_x = _knot_grid(float(x.min()), float(x.max()), bins)
+    return MarginalGaussianizer(_table(knots_x, _bin_counts(x, knots_x)[0], x.size))
 
 
 def _table(knots_x: np.ndarray, counts: np.ndarray, n: int) -> MarginalUniformizer:
@@ -395,8 +394,6 @@ def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
     :func:`marginal_kl_to_standard_normal`).  The KL is ``inf``, without a
     warning, where a non-empty bin's center squared overflows (|x| beyond
     about 1.3e154)."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     grid = _knot_grid(x_min, x_max, bins)
     edges = grid[1:-1]
     widths = np.diff(edges)
@@ -419,21 +416,6 @@ def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
     return grid, binned, h, cross - h
 
 
-def _sample_range(x, least: int):
-    """The sample, of at least ``least`` finite values and a positive
-    range, as a 1-D array, with its minimum and maximum."""
-    xs = np.asarray(x, dtype=float).ravel()
-    if xs.size < least:
-        raise ValueError(f"need at least {least} samples, got {xs.size}")
-    if not np.all(np.isfinite(xs)):
-        raise NonFiniteInput("x contains NaN or infinite values")
-    x_min = float(xs.min())
-    x_max = float(xs.max())
-    if x_max == x_min:
-        raise DegenerateDimension("sample has zero range")
-    return xs, x_min, x_max
-
-
 def default_bins(n: int) -> int:
     """Square-root histogram bin rule used whenever bins are unspecified."""
     return max(2, round(math.sqrt(n)))
@@ -445,16 +427,32 @@ def default_clamp_eps(n: int) -> float:
     return max(1.0 / (2.0 * n), MIN_CLAMP_EPS)
 
 
+def _sample_terms(x, bins: int | None):
+    """:func:`_hist_entropy` of a sample of at least ``MIN_ENTROPY_SAMPLES``
+    finite values with a positive range, in ``bins`` bins (None for
+    :func:`default_bins`, else an integer >= 1)."""
+    if bins is not None:
+        bins = _integer("bins", bins, 1)
+    xs = np.asarray(x, dtype=float).ravel()
+    if xs.size < MIN_ENTROPY_SAMPLES:
+        raise ValueError(f"need at least {MIN_ENTROPY_SAMPLES} samples, got {xs.size}")
+    if not np.all(np.isfinite(xs)):
+        raise NonFiniteInput("x contains NaN or infinite values")
+    x_min, x_max = float(xs.min()), float(xs.max())
+    if x_max == x_min:
+        raise DegenerateDimension("sample has zero range")
+    return _hist_entropy(xs, x_min, x_max, default_bins(xs.size) if bins is None else bins)
+
+
 def marginal_entropy(x, bins: int | None = None) -> float:
     """Histogram differential entropy in bits, Miller-Madow corrected.
 
     ``H = -sum_k p_k log2(p_k / w_k) + (m - 1) / (2 N ln 2)`` where ``m``
-    counts non-empty bins and ``w_k`` are bin widths.
+    counts non-empty bins and ``w_k`` are bin widths.  ``bins`` is None
+    (:func:`default_bins`) or an integer >= 1 by the integer rule of
+    :mod:`rbig.errors`.
     """
-    xs, x_min, x_max = _sample_range(x, MIN_ENTROPY_SAMPLES)
-    if bins is None:
-        bins = default_bins(xs.size)
-    return _hist_entropy(xs, x_min, x_max, bins)[2]
+    return _sample_terms(x, bins)[2]
 
 
 def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
@@ -465,7 +463,4 @@ def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
     :func:`marginal_entropy`.  ``inf`` for a sample reaching beyond about
     +-1.3e154, where the normal log-density at a bin center overflows.
     """
-    xs, x_min, x_max = _sample_range(x, MIN_ENTROPY_SAMPLES)
-    if bins is None:
-        bins = default_bins(xs.size)
-    return _hist_entropy(xs, x_min, x_max, bins)[3]
+    return _sample_terms(x, bins)[3]

@@ -14,9 +14,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import PairedLengthMismatch
-from .flow import FitConfig, GaussModel, fit
-from .flow import _check_config_converged, _exact_keys, _finite, _integer, _is_finite_number
+from .errors import PairedLengthMismatch, _exact_keys, _finite, _integer
+from .flow import FitConfig, GaussModel, _check_config_converged, fit
 
 __all__ = [
     "ITReport",
@@ -39,12 +38,12 @@ class ITReport:
     estimate is kept in ``raw_value_bits``.  Entropy is never clamped.
 
     Construction checks every field's type: ``quantity`` is one of the three
-    quantity names, the values and every per-layer delta-T are finite
-    numbers (a list or tuple of them for ``per_layer_delta_t``),
-    ``n_samples`` and ``dim`` are integers >= 1, ``config`` is a
-    :class:`FitConfig` and ``converged`` is a bool; else a one-line
-    ``ValueError`` names the field.  Numbers are stored as Python
-    ``int``/``float``, so every report serializes to JSON.
+    quantity names, ``per_layer_delta_t`` is a list or tuple, the values and
+    each item of ``per_layer_delta_t`` follow the number rule of
+    :mod:`rbig.errors` and ``n_samples`` and ``dim`` (>= 1) its integer
+    rule, ``config`` is a :class:`FitConfig` and ``converged`` is a bool;
+    else a one-line ``ValueError`` names the field or item.  Numbers are
+    stored as Python ``int``/``float``, so every report serializes to JSON.
     """
 
     quantity: str
@@ -62,11 +61,10 @@ class ITReport:
         for name in ("value_bits", "raw_value_bits"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
         trace = self.per_layer_delta_t
-        if not (isinstance(trace, (list, tuple)) and all(map(_is_finite_number, trace))):
-            raise ValueError(
-                f"per_layer_delta_t must be a list of finite numbers, got {reprlib.repr(trace)}"
-            )
-        object.__setattr__(self, "per_layer_delta_t", tuple(map(float, trace)))
+        if not isinstance(trace, (list, tuple)):
+            raise ValueError(f"per_layer_delta_t must be a list, got {reprlib.repr(trace)}")
+        trace = tuple(_finite(f"per_layer_delta_t[{i}]", v) for i, v in enumerate(trace))
+        object.__setattr__(self, "per_layer_delta_t", trace)
         for name in ("n_samples", "dim"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         _check_config_converged(self)

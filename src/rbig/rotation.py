@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, RankDeficientWarning
+from .errors import DimensionMismatch, NonFiniteInput, RankDeficientWarning, _integer
 
 __all__ = [
     "RotationMatrix",
@@ -91,11 +91,11 @@ def random_haar_rotation(dim: int, seed: int) -> RotationMatrix:
     """Haar-distributed random rotation, reproducible per seed.
 
     QR decomposition of a seeded iid standard-normal matrix with the Q
-    columns sign-corrected by the sign of R's diagonal.
+    columns sign-corrected by the sign of R's diagonal.  ``dim`` (>= 1) and
+    ``seed`` (>= 0) follow the integer rule.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
+    dim = _integer("dim", dim, 1)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     g = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))

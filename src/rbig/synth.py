@@ -1,10 +1,12 @@
 """Seeded synthetic datasets used by the CLI and the acceptance suite.
 
-Every generator takes an integer ``seed`` >= 0 and refuses a negative one by
-name, as :class:`~rbig.flow.FitConfig` does.  It refuses, with a one-line
-``ValueError`` naming the CLI flag, a size below 1 (a file with no rows,
-columns or time steps, which no reader takes) and a non-finite shape
-parameter (a file of non-finite values, which no fit takes).
+Every generator's sizes (>= 1: a file with no rows, columns or time steps
+is one no reader takes) and ``seed`` (>= 0) follow the integer rule of
+:mod:`rbig.errors`, and its shape parameters the number rule (a file of
+non-finite values is one no fit takes), as :class:`~rbig.flow.FitConfig`'s
+fields do; ``rho`` and ``phi`` must also lie in their open intervals.  Each
+refusal is a one-line ``ValueError`` whose message starts with the
+parameter's name, which is the name of its CLI flag.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cube import DataCube
-from .flow import _check_seed, _finite, _integer
+from .errors import _finite, _integer
 
 __all__ = [
     "equicorrelated_gaussian",
@@ -26,8 +28,9 @@ __all__ = [
 def equicorrelated_gaussian(n: int, dim: int, rho: float, seed: int) -> np.ndarray:
     """Zero-mean unit-variance Gaussian sample with equicorrelation rho."""
     _integer("dim", dim, 1)
-    if not -1.0 / max(dim - 1, 1) < rho < 1.0:
-        raise ValueError(f"rho={rho} is not a valid equicorrelation for dim={dim}")
+    low = -1.0 / max(dim - 1, 1)
+    if not low < _finite("rho", rho) < 1.0:
+        raise ValueError(f"rho must lie in ({low:g}, 1) for dim={dim}, got {rho!r}")
     corr = np.full((dim, dim), rho)
     np.fill_diagonal(corr, 1.0)
     return gaussian_from_correlation(n, corr, seed)
@@ -56,8 +59,7 @@ def _cholesky(corr) -> np.ndarray:
 def _gaussian(n: int, chol: np.ndarray, seed: int) -> np.ndarray:
     """Zero-mean Gaussian sample with covariance ``chol @ chol.T``."""
     _integer("n", n, 1)
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     return rng.standard_normal((n, chol.shape[0])) @ chol.T
 
 
@@ -69,8 +71,7 @@ def noisy_sine(n: int, seed: int, noise: float = 0.25) -> np.ndarray:
     """
     _integer("n", n, 1)
     _finite("noise", noise)
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     t = rng.uniform(0.0, 2.0 * np.pi, n)
     sigma = 0.1 + noise * t / (2.0 * np.pi)
     y = np.sin(t) + rng.standard_normal(n) * sigma
@@ -81,8 +82,7 @@ def gaussian_mixture(n: int, seed: int, separation: float = 2.0) -> np.ndarray:
     """Two-component 2-D Gaussian mixture with opposite correlations."""
     _integer("n", n, 1)
     _finite("separation", separation)
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     which = rng.random(n) < 0.5
     chol_a = np.linalg.cholesky([[1.0, 0.6], [0.6, 1.0]])
     chol_b = np.linalg.cholesky([[1.0, -0.6], [-0.6, 1.0]])
@@ -100,10 +100,9 @@ def ar1_cube(t_len: int, height: int, width: int, phi: float, seed: int) -> Data
     """
     for name, size in (("t", t_len), ("height", height), ("width", width)):
         _integer(name, size, 1)
-    if not -1.0 < phi < 1.0:
-        raise ValueError("phi must lie in (-1, 1)")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    if not -1.0 < _finite("phi", phi) < 1.0:
+        raise ValueError(f"phi must lie in (-1, 1), got {phi!r}")
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     sigma = np.sqrt(1.0 - phi * phi)
     values = np.empty((t_len, height, width))
     values[0] = rng.standard_normal((height, width))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import warnings
 
 import numpy as np
@@ -103,7 +104,7 @@ class TestSynth:
             "--out", str(out),
         )
         assert (code, stdout) == (1, "")
-        assert err == "error: seed must be >= 0, got -2\n"
+        assert err == "error: seed must be an integer >= 0, got -2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -218,7 +219,7 @@ class TestFit:
             "--out", str(tmp_path / "m.json"),
         )
         assert (code, out) == (1, "")
-        assert err == "error: seed must be >= 0, got -3\n"
+        assert err == "error: seed must be an integer >= 0, got -3\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_fit_on_cube_with_patch_flags(self, tmp_path, capsys):
@@ -340,7 +341,7 @@ class TestTransformSample:
             "--out", str(out),
         )
         assert (code, stdout) == (1, "")
-        assert err == "error: seed must be >= 0, got -1\n"
+        assert err == "error: seed must be an integer >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -349,7 +350,7 @@ class TestTransformSample:
             (without("n_layers"), "malformed model document: model field n_layers is missing"),
             (lambda doc: [doc], "not a serialized model document"),
             (edited(["clamp_eps"], None),
-             "malformed model document: clamp_eps must be a number in [1e-07, 0.5), got None"),
+             "malformed model document: clamp_eps must be a finite number, got None"),
             (edited(["clamp_eps"], 5e-8),
              "malformed model document: clamp_eps must be a number in [1e-07, 0.5), got 5e-08"),
             (decoded_edit(KNOTS_P, lambda a: item(2, a[1])(a)),
@@ -373,19 +374,20 @@ class TestTransformSample:
             (edited(["n_layers"], 0),
              "malformed model document: n_layers must be an integer >= 1, got 0"),
             (edited(["config", "seed"], True),
-             "malformed model document: config: seed must be an integer, got True"),
+             "malformed model document: config: seed must be an integer >= 0, got True"),
             (edited(["config", "tol_delta_t"], 10**400),
-             "malformed model document: config: tol_delta_t must be finite and > 0, got 1000"),
+             "malformed model document: config: tol_delta_t must be a finite number,"
+             f" got {reprlib.repr(10**400)}"),
             (edited(["config", "tol_delta_t"], "0.01"),
-             "malformed model document: config: tol_delta_t must be finite and > 0, got '0.01'"),
+             "malformed model document: config: tol_delta_t must be a finite number, got '0.01'"),
             # Refused by the text's length, before anything is decoded.
             (edited(["resolved_bins"], 10**9),
              "malformed model document: knots_p must be the base64 of 6000000018"
              " float64 values (64000000192 characters), got '"),
+            # Beyond int64, refused by the integer rule.
             (edited(["resolved_bins"], 10**30),
-             "malformed model document: knots_p must be the base64 of"
-             " 6000000000000000000000000000018 float64 values"
-             " (64000000000000000000000000000192 characters), got '"),
+             "malformed model document: resolved_bins must be an integer < 2**63,"
+             " got 1000000000000000000000000000000"),
             (edited(["n_layers"], 10**9),
              "malformed model document: x_min must be the base64 of 2000000000"
              " float64 values (21333333336 characters), got '"),
@@ -394,7 +396,7 @@ class TestTransformSample:
              " float64 values (24 characters), got '"),
             # One clamp per layer: the model has one for all of them.
             (edited(["clamp_eps"], [0.001] * 3),
-             "malformed model document: clamp_eps must be a number in [1e-07, 0.5),"
+             "malformed model document: clamp_eps must be a finite number,"
              " got [0.001, 0.001, 0.001]"),
             # One kind per layer: every rotation is of the config's kind.
             (edited(["kind"], ["random"] * 3),

@@ -262,6 +262,16 @@ class TestCubeIO:
         assert back.grid_meta == GridMeta(lat_origin=40.0, lat_step=0.25)
         assert type(back.grid_meta.lat_origin) is float
 
+    def test_float64_fill_masked_in_the_loaded_payload(self, tmp_path, outside_cube):
+        # The float64 payload is loaded without a copy and masked in place.
+        values = np.random.default_rng(8).standard_normal((4, 3, 3))
+        values[0, 0, 0] = values[3, 2, 1] = np.nan
+        path = tmp_path / "cube64.bin"
+        outside_cube(path, values, "float64", -9999.0)
+        back = load_cube(path)
+        assert np.array_equal(back.values, values, equal_nan=True)
+        assert back.values.dtype == np.float64 and back.values.flags.writeable
+
     @pytest.mark.parametrize("fill", [0.1, 1e20])
     def test_roundtrip_float32_fill_not_representable(self, tmp_path, outside_cube, fill):
         # float32(fill) != fill: the missing-value mask must be built in the
@@ -309,13 +319,13 @@ class TestCubeIO:
             ("shape", [4, 3, -1], "shape must be a list of sizes, got [4, 3, -1]"),
             ("shape", [2, 3, 5], "shape [2, 3, 5] holds 240 bytes of float64, the payload 288"),
             # true would mask every 1.0 cell.
-            ("fill_value", True, "fill_value must be a real number, got True"),
-            ("fill_value", "-9999", "fill_value must be a real number, got '-9999'"),
+            ("fill_value", True, "fill_value must be a finite number, got True"),
+            ("fill_value", "-9999", "fill_value must be a finite number, got '-9999'"),
             ("fill_value", 10**400,
-             f"fill_value {reprlib.repr(10**400)} is beyond the float range"),
+             f"fill_value must be a finite number, got {reprlib.repr(10**400)}"),
             # json.load reads NaN and Infinity; neither can mark a cell.
-            ("fill_value", math.nan, "fill_value must be finite, got nan"),
-            ("fill_value", math.inf, "fill_value must be finite, got inf"),
+            ("fill_value", math.nan, "fill_value must be a finite number, got nan"),
+            ("fill_value", math.inf, "fill_value must be a finite number, got inf"),
             ("grid_meta", [1, 2], f"{GRID_META_RULE}, got [1, 2]"),
             ("grid_meta", {"foo": 1}, f"{GRID_META_RULE}, got {{'foo': 1}}"),
             ("grid_meta", {"lat_origin": "north"},

@@ -72,14 +72,6 @@ class TestFitUniformizer:
         (p,), _ = u.forward(col(1.0))
         assert p == pytest.approx(erf_cdf(1.0), abs=0.01)
 
-    def test_zero_range_raises(self):
-        with pytest.raises(DegenerateDimension):
-            fit_table(np.full(100, 3.0), bins=10)
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(NonFiniteInput):
-            fit_table(np.array([1.0, np.nan, 2.0]), bins=2)
-
     def test_knot_invariants(self):
         x = np.random.default_rng(2).standard_normal(5000)
         u = fit_table(x, bins=70)
@@ -119,13 +111,21 @@ class TestFitUniformizer:
             )
 
     @pytest.mark.parametrize(
-        "eps", [0.0, float(np.nextafter(MIN_CLAMP_EPS, 0.0)), 0.5, math.nan, True, None],
+        "eps, rule",
+        [
+            (0.0, "a number in [1e-07, 0.5)"),
+            (float(np.nextafter(MIN_CLAMP_EPS, 0.0)), "a number in [1e-07, 0.5)"),
+            (0.5, "a number in [1e-07, 0.5)"),
+            (math.nan, "a finite number"),
+            (True, "a finite number"),
+            (None, "a finite number"),
+        ],
         ids=["zero", "below-floor", "half", "nan", "bool", "none"],
     )
-    def test_clamp_outside_floor_and_half_rejected(self, eps):
+    def test_clamp_outside_floor_and_half_rejected(self, eps, rule):
         # The clamp keeps every probability the kernels see inside (0, 1),
         # so a table may not clamp below the floor.
-        message = rf"^clamp_eps must be a number in \[1e-07, 0\.5\), got {re.escape(repr(eps))}$"
+        message = f"^{re.escape(f'clamp_eps must be {rule}, got {eps!r}')}$"
         with pytest.raises(ValueError, match=message):
             MarginalUniformizer(knots_x=col(0.0, 1.0), knots_p=col(0.0, 1.0), clamp_eps=eps)
         assert MarginalUniformizer(col(0.0, 1.0), col(0.0, 1.0), MIN_CLAMP_EPS)
@@ -553,6 +553,12 @@ class TestMarginalEntropy:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateDimension):
             marginal_entropy(np.full(100, 2.0))
+
+    def test_nonfinite_raises(self):
+        x = np.random.default_rng(15).standard_normal(100)
+        x[7] = np.nan
+        with pytest.raises(NonFiniteInput, match="^x contains NaN or infinite values$"):
+            marginal_entropy(x)
 
 
 class TestMarginalKL:

@@ -233,9 +233,9 @@ class TestITReport:
             (lambda doc: doc.update(raw_value_bits=None),
              "^raw_value_bits must be a finite number, got None$"),
             (lambda doc: doc.update(per_layer_delta_t="abc"),
-             "^per_layer_delta_t must be a list of finite numbers, got 'abc'$"),
+             "^per_layer_delta_t must be a list, got 'abc'$"),
             (lambda doc: doc.update(per_layer_delta_t=[0.1, None]),
-             r"^per_layer_delta_t must be a list of finite numbers, got \[0.1, None\]$"),
+             r"^per_layer_delta_t\[1\] must be a finite number, got None$"),
             (lambda doc: doc.update(n_samples=0), "^n_samples must be an integer >= 1, got 0$"),
             (lambda doc: doc.update(dim="two"), "^dim must be an integer >= 1, got 'two'$"),
             (lambda doc: doc.update(converged="yes"),

@@ -11,7 +11,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbig import DataCube, FitConfig, PatchConfig, extract_patches, fit, mutual_information
+from rbig import (
+    DataCube,
+    FitConfig,
+    PatchConfig,
+    extract_patches,
+    fit,
+    load_cube,
+    mutual_information,
+    save_cube,
+)
 from rbig import flow
 
 # 2**15 rows reach flow._POOL_MIN_ROWS, so the column pool runs on 2 or more
@@ -112,3 +121,14 @@ class TestWorkingMemory:
         peak = traced_peak(lambda: extract_patches(cube, cfg))
         limit = 1.5 * samples.nbytes
         assert peak <= limit, f"peak {peak / samples.nbytes:.2f} times the samples"
+
+    def test_load_cube(self, tmp_path):
+        # A float64 payload is the loaded cube: reading it and then copying
+        # it to float64 read 2.1 times the payload.
+        values = np.random.default_rng(3).standard_normal((46, 64, 64))
+        values[4, 10:20, 5] = np.nan
+        path = tmp_path / "cube.bin"
+        save_cube(path, DataCube(values))
+        peak = traced_peak(lambda: load_cube(path))
+        limit = 1.25 * values.nbytes
+        assert peak <= limit, f"peak {peak / values.nbytes:.2f} times the payload"

@@ -45,7 +45,9 @@ REFUSED = {
     "cube-width-negative": (
         lambda: ar1_cube(3, 3, -1, 0.5, 1), "width must be an integer >= 1, got -1"
     ),
-    "cube-phi-nan": (lambda: ar1_cube(3, 3, 3, math.nan, 1), "phi must lie in (-1, 1)"),
+    "cube-phi-nan": (
+        lambda: ar1_cube(3, 3, 3, math.nan, 1), "phi must be a finite number, got nan"
+    ),
 }
 
 

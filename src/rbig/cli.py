@@ -5,8 +5,9 @@ file-producing run also writes a ``<out>.run.json`` record with input
 digests, timing and the resolved flags under their ``FitConfig`` and
 ``PatchConfig`` field names (the record itself is the only
 non-reproducible output).  Exit codes: 0 success, 1 input or configuration
-error (one ``error:`` line; a read error names its file, and a CSV with no
-data rows after its header is one), 2 finished with a convergence warning.
+error (one ``error:`` line; a read error names its file, a CSV with no
+data rows after its header is one, and so is a size too large to allocate),
+2 finished with a convergence warning.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
         if outputs:
             _write_run_record(args, inputs, outputs, time.monotonic() - started)
         return code
-    except (_CliInputError, RbigError, ValueError, OSError) as exc:
+    except (_CliInputError, RbigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

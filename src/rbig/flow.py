@@ -65,11 +65,58 @@ MODEL_FORMAT = "rbig-model"
 MODEL_VERSION = 5
 
 
-# Rows from which a layer's columns run on worker threads.  The column
-# kernels (binning, ndtri, ndtr) release the GIL, but each pooled call pays a
-# hand-off.  Per column-layer of a 49-column fit on a 2-CPU x86_64 host, the
-# workers lost at 20,000 rows and won from 30,000 (README, "Column threads").
+# Rows from which a call's tasks run on worker threads: a layer's columns, or
+# a query's rotation chunks.  The column kernels (binning, ndtri, ndtr) and
+# the matrix products release the GIL, but each pooled call pays a hand-off.
+# Per column-layer of a 49-column fit on a 2-CPU x86_64 host, the workers
+# broke even at 20,000 rows and won from 30,000 (README, "Worker threads").
 _POOL_MIN_ROWS = 2**15
+
+# Rows per rotation chunk of a query, at 23 or more columns (see
+# _rotation_chunks): each chunk's rotated rows are a temporary of their own,
+# written back in place.  Each worker's malloc arena keeps its largest
+# temporaries, so the chunks stay small: on PW, 2**11 rows ran as fast as
+# 2**12 and peak RSS was about 2 MB lower on 2 workers.
+_CHUNK_ROWS = 2**11
+
+
+def _rotation_chunks(n: int, d: int) -> list[slice]:
+    """The row chunks that a query rotates its ``n`` x ``d`` working array in.
+
+    They are cut at multiples of one size from row 0, whatever the worker
+    count, so every worker count runs the same matrix products and gets the
+    same bits on any BLAS.  The size is the least multiple of
+    ``_CHUNK_ROWS`` whose product holds 2**20 or more multiply-adds, and the
+    last chunk takes in the rows short of a whole one.  So a chunk is the
+    whole array or at least that large, and OpenBLAS 0.3.31 gives each row
+    the bits of the whole-matrix product: its small-matrix kernels (at most
+    1e6 multiply-adds) give some rows other last bits, but larger products
+    cut at multiples of 8 rows keep them (checked at D from 1 to 200).
+    """
+    size = _CHUNK_ROWS * -(-(2**20) // (_CHUNK_ROWS * d * d))
+    bounds = [*range(0, n - size + 1, size), n] if n >= 2 * size else [0, n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _rotated(turn, rotation, x, out, chunks, map_tasks):
+    """``turn(rotation, x)``, ``turn`` being :func:`rotate` or
+    :func:`rotate_inverse`, over the row ``chunks`` of
+    :func:`_rotation_chunks`.
+
+    For one chunk this is the fresh product, with no copy.  For several,
+    each chunk's product is a task of ``map_tasks``, written into the same
+    rows of ``out`` (which may be ``x``), and ``out`` is returned.
+    """
+    if len(chunks) == 1:
+        return turn(rotation, x)
+
+    def rotate_chunk(rows):
+        out[rows] = turn(rotation, x[rows])
+
+    for _ in map_tasks(rotate_chunk, chunks):
+        pass
+    return out
+
 
 # A rotated direction whose range is at most this many times the layer's
 # largest |value| is rounding noise of a zero range (256 ulps at 1.0).
@@ -84,28 +131,28 @@ def _cpu_count() -> int:
 
 
 @contextlib.contextmanager
-def _columns(n_rows: int, n_cols: int):
-    """Yield ``map_columns(fn)``, which yields ``fn(j)`` for each column ``j``
-    in column order.
+def _workers(n_rows: int, n_cols: int):
+    """Yield ``map_tasks(fn, items)``, which yields ``fn(item)`` for each
+    item in order.
 
     The calls run on workers of this block's own, one per usable CPU up to
     ``n_cols``, when there are 2 or more columns of at least
     ``_POOL_MIN_ROWS`` rows and 2 or more CPUs, else one by one on the
-    calling thread.  ``fn`` must touch only column ``j``'s data.  Results
-    come back in column order whatever order the calls finish in, so every
-    sum the caller takes over them is the serial sum.  A failing call
-    raises its exception when its result is reached, so the first failing
-    column's error is the one raised, as in the serial order.  Leaving the
-    block cancels calls not yet started and waits for running ones, so no
-    worker outlives it.
+    calling thread.  A task (one of a layer's columns, or one of a query's
+    rotation chunks) must touch only its own data.  Results come back in
+    order whatever order the calls finish in, so every sum the caller takes
+    over them is the serial sum.  A failing call raises its exception when
+    its result is reached, so the first failing task's error is the one
+    raised, as in the serial order.  Leaving the block cancels calls not yet
+    started and waits for running ones, so no worker outlives it.
     """
     workers = min(_cpu_count(), n_cols)
     if workers < 2 or n_rows < _POOL_MIN_ROWS:
-        yield lambda fn: map(fn, range(n_cols))
+        yield map
         return
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="rbig-columns")
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="rbig-workers")
     try:
-        yield lambda fn: pool.map(fn, range(n_cols))
+        yield pool.map
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -330,6 +377,11 @@ class GaussModel:
     def transform(self, data):
         """Map data to the Gaussian domain.
 
+        Each layer maps its columns into the working array, then rotates
+        it (:func:`_rotated`): in place, chunk by chunk, when its rows make
+        several chunks.  Columns and chunks are tasks on the call's workers
+        (see :func:`_workers`).
+
         Returns
         -------
         z : ndarray, shape (N, D)
@@ -341,46 +393,44 @@ class GaussModel:
         """
         x = self._check(data)
         n, d = x.shape
+        z = np.empty((n, d), order="F")
         logjac = np.zeros(n)
-        with _columns(n, d) as map_columns:
+        chunks = _rotation_chunks(n, d)
+        with _workers(n, d) as map_tasks:
             for gaussianizers, rotation in zip(self.gaussianizers, self.rotations):
-                z = np.empty_like(x)
 
                 def forward(j):
                     z[:, j], lj = gaussianizers[j].forward(x[:, j])
                     return lj
 
-                for lj in map_columns(forward):
+                for lj in map_tasks(forward, range(d)):
                     logjac += lj
-                # Two N x D arrays at most: the spent input goes before the
-                # rotation allocates its output, and z once it is rotated.
-                del x
-                x = rotate(rotation, z)
-                del z
-        return x, logjac
+                x = z = _rotated(rotate, rotation, z, z, chunks, map_tasks)
+        return z, logjac
 
     def inverse(self, z):
         """Map Gaussian-domain points back to data space.
 
-        Returns a new N x D array in column-contiguous (Fortran) order;
-        ``z`` is left unchanged.
+        Returns a new N x D array in column-contiguous (Fortran) order,
+        mapped as in :meth:`transform`; ``z`` is left unchanged.
         """
         x = self._check(z)
         # Not held past the first rotation: sample's draw is freed there.
         del z
-        with _columns(*x.shape) as map_columns:
+        n, d = x.shape
+        chunks = _rotation_chunks(n, d)
+        # The working array that the first rotation fills chunk by chunk.
+        out = np.empty((n, d), order="F") if len(chunks) > 1 else None
+        with _workers(n, d) as map_tasks:
             for gaussianizers, rotation in zip(
                 reversed(self.gaussianizers), reversed(self.rotations)
             ):
-                # rotate_inverse returns a fresh column-contiguous array, so
-                # each marginal inverse reads a contiguous column and writes
-                # it back.
-                x = rotate_inverse(rotation, x)
 
                 def invert(j):
                     x[:, j] = gaussianizers[j].inverse(x[:, j])
 
-                for _ in map_columns(invert):
+                x = out = _rotated(rotate_inverse, rotation, x, out, chunks, map_tasks)
+                for _ in map_tasks(invert, range(d)):
                     pass
         return x
 
@@ -597,7 +647,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
 
     h_input = np.empty(d)
     h_floor = math.log2(clamp_eps)
-    with _columns(n, d) as map_columns:
+    with _workers(n, d) as map_tasks:
         # Per layer: its D fitted tables, its rotation and its delta-T.
         layer_tables: list[list[MarginalUniformizer]] = []
         rotations: list[RotationMatrix] = []
@@ -626,7 +676,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                     z[:, j], _ = g.forward(col)
                     return g.uniformizer
 
-                tables = list(map_columns(gaussianize))
+                tables = list(map_tasks(gaussianize, range(d)))
             # Two N x D arrays at most: the spent input goes before the PCA's
             # centered copy and the rotation's output, and z once it is rotated.
             del x
@@ -672,7 +722,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             delta_t = 0.0
             j_m = 0.0
             next_tables = []
-            for h_j, kl_j, table in map_columns(bin_column):
+            for h_j, kl_j, table in map_tasks(bin_column, range(d)):
                 j_m += kl_j
                 delta_t += GAUSS_ENTROPY_BITS - h_j
                 next_tables.append(table)

@@ -222,6 +222,17 @@ class TestFit:
         assert err == "error: seed must be an integer >= 0, got -3\n"
         assert not (tmp_path / "m.json").exists()
 
+    def test_bins_too_large_to_allocate_exit_1(self, tmp_path, capsys, gauss_csv):
+        # numpy refuses the knot grid of 7.11 PiB at once: nothing is allocated.
+        out = tmp_path / "m.json"
+        code, stdout, err = run(
+            capsys, "fit", "--input", str(gauss_csv), "--bins", "1000000000000000",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_fit_on_cube_with_patch_flags(self, tmp_path, capsys):
         cube_path = tmp_path / "cube.bin"
         run(
@@ -342,6 +353,18 @@ class TestTransformSample:
         )
         assert (code, stdout) == (1, "")
         assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_sample_too_large_to_allocate_exit_1(self, tmp_path, capsys, gauss_csv):
+        # numpy refuses the 14.2 PiB working array at once: nothing is allocated.
+        model, out = tmp_path / "m.json", tmp_path / "s.csv"
+        run(capsys, "fit", "--input", str(gauss_csv), "--out", str(model))
+        code, stdout, err = run(
+            capsys, "sample", "--model", str(model), "--n", "1000000000000000", "--seed", "1",
+            "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

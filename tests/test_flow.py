@@ -810,44 +810,61 @@ def skewed(n, seed):
     return x
 
 
+def wide(n, seed, d):
+    """N x d rows: a correlated Gaussian with every other column
+    log-normal."""
+    x = equicorrelated_gaussian(n, d, 0.6, seed)
+    x[:, ::2] = np.exp(x[:, ::2])
+    return x
+
+
+# Two layers, each far below tolerance: converged, with no warning.
+WIDE = FitConfig(tol_delta_t=1e3, patience=2, max_layers=2)
+
+# The name prefix of every worker thread the library starts.
+WORKER_PREFIX = "rbig-workers"
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """The column pools the library makes during the test, in order; each
-    counts the columns submitted to it."""
+    """The worker pools the library makes during the test, in order; each
+    counts the tasks submitted to it, columns or rotation chunks."""
     made = []
 
     class RecordedPool(ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
+            # worker_threads() finds the threads by this prefix alone.
+            assert kwargs.get("thread_name_prefix") == WORKER_PREFIX
             super().__init__(*args, **kwargs)
-            self.columns = 0
+            self.tasks = 0
             made.append(self)
 
         def submit(self, *args, **kwargs):
-            self.columns += 1
+            self.tasks += 1
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(flow, "ThreadPoolExecutor", RecordedPool)
     return made
 
 
-def force_workers(m):
-    """Pool every column-layer, whatever its row count, on 4 workers (more
-    than the CPUs of a small host)."""
+def force_workers(m, workers=4):
+    """Pool every call's tasks, whatever its row count, on ``workers``
+    workers (4 by default, more than the CPUs of a small host)."""
     m.setattr(flow, "_POOL_MIN_ROWS", 1)
-    m.setattr(flow, "_cpu_count", lambda: 4)
+    m.setattr(flow, "_cpu_count", lambda: workers)
 
 
-def column_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("rbig-columns")]
+def worker_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(WORKER_PREFIX)]
 
 
 @pytest.fixture
 def both(monkeypatch, pools):
-    """``run(fn)`` returns ``fn()`` run serially, then on column workers.
+    """``run(fn)`` returns ``fn()`` run serially, then on workers.
 
     The serial run sees one CPU and makes no pool.  The pooled run takes
-    every column-layer on 4 workers with a short thread switch interval, so
-    workers interleave often.
+    every call's tasks (columns, rotation chunks) on 4 workers
+    with a short thread switch interval, so workers interleave often.
     """
 
     def run(fn):
@@ -863,8 +880,8 @@ def both(monkeypatch, pools):
                 pooled = fn()
             finally:
                 sys.setswitchinterval(interval)
-        assert any(pool.columns for pool in pools), "the columns did not run on workers"
-        assert not column_threads(), "a column worker outlived its call"
+        assert any(pool.tasks for pool in pools), "no task ran on workers"
+        assert not worker_threads(), "a worker outlived its call"
         return serial, pooled
 
     return run
@@ -888,6 +905,8 @@ PCA_AND_HAAR = pytest.mark.parametrize("kind", ["pca", "random"])
 
 
 class TestColumnPool:
+    """The worker pool, running column tasks and a query's rotation chunks."""
+
     @PCA_AND_HAAR
     def test_fit_saves_same_bytes(self, both, kind, tmp_path):
         x = skewed(3000, 31)
@@ -925,6 +944,42 @@ class TestColumnPool:
         monkeypatch.setattr(MarginalGaussianizer, "forward", first_columns_last)
         serial, pooled = both(lambda: model.transform(x))
         assert same_bits(serial[1], pooled[1])
+
+    def test_rotation_chunks_finishing_out_of_order_keep_serial_bits(
+        self, both, monkeypatch
+    ):
+        model = fit(wide(3000, 37, 49), replace(WIDE, seed=38))
+        # 3 chunks at 49 columns.
+        q = wide(3 * flow._CHUNK_ROWS + 13, 39, 49)
+        rotate_rows = flow.rotate
+        finished = []
+        others = []
+        others_done = threading.Event()
+        lock = threading.Lock()
+
+        def first_chunk_last(rotation, z):
+            # On workers, the chunk holding row 0 of the working array waits
+            # for the layer's 2 others.
+            first = z.ctypes.data == z.base.ctypes.data
+            on_worker = threading.current_thread().name.startswith(WORKER_PREFIX)
+            if first and on_worker:
+                assert others_done.wait(30), "the other chunks did not finish"
+                others_done.clear()
+            rotated = rotate_rows(rotation, z)
+            with lock:
+                finished.append(first)
+                if on_worker and not first:
+                    others.append(z)
+                    if len(others) % 2 == 0:
+                        others_done.set()
+            return rotated
+
+        monkeypatch.setattr(flow, "rotate", first_chunk_last)
+        serial, pooled = both(lambda: model.transform(q))
+        # Serially the chunks finish in row order, on workers the first last.
+        layers = model.n_layers
+        assert finished == [True, False, False] * layers + [False, False, True] * layers
+        assert same_bits(serial[0], pooled[0]) and same_bits(serial[1], pooled[1])
 
     def test_mutual_information_bit_identical(self, both):
         d = skewed(3000, 39)
@@ -977,31 +1032,32 @@ class TestColumnPool:
         started = []
         on_workers = []
 
-        def column(j):
+        def task(j):
             started.append(j)
-            on_workers.append(threading.current_thread().name.startswith("rbig-columns"))
-            # Column 3 fails first in time; column 1 fails first in order.
+            on_workers.append(threading.current_thread().name.startswith(WORKER_PREFIX))
+            # Task 3 fails first in time; task 1 fails first in order.
             time.sleep(0.05 if j == 1 else 0.002)
             if j in (1, 3):
-                raise ValueError(f"column {j}")
+                raise ValueError(f"task {j}")
             return j
 
-        with pytest.raises(ValueError, match="^column 1$"):
-            with flow._columns(flow._POOL_MIN_ROWS, 1000) as map_columns:
-                list(map_columns(column))
+        with pytest.raises(ValueError, match="^task 1$"):
+            with flow._workers(flow._POOL_MIN_ROWS, 1000) as map_tasks:
+                list(map_tasks(task, range(1000)))
         assert len(pools) == 1 and all(on_workers)
         assert len(started) < 1000
-        # Running columns were waited for: none is left to start or finish.
-        assert not column_threads()
+        # Running tasks were waited for: none is left to start or finish.
+        assert not worker_threads()
 
     def test_single_cpu_makes_no_pool(self, monkeypatch, pools):
         monkeypatch.setattr(flow.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(flow, "_POOL_MIN_ROWS", 1)
         model = fit(skewed(500, 41))
         model.inverse(model.transform(skewed(500, 42))[0])
+        model.sample(500, seed=1)
         assert not pools
 
-    @pytest.mark.parametrize("call", ["fit", "transform", "inverse"])
+    @pytest.mark.parametrize("call", ["fit", "transform", "inverse", "sample"])
     @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
     def test_no_worker_outlives_its_call(self, monkeypatch, pools, call, fails):
         x = skewed(3000, 43)
@@ -1016,7 +1072,8 @@ class TestColumnPool:
             kernel = "forward" if call == "transform" else "inverse"
             monkeypatch.setattr(MarginalGaussianizer, kernel, broken)
         run = {"fit": lambda: fit(x), "transform": lambda: model.transform(x),
-               "inverse": lambda: model.inverse(z)}[call]
+               "inverse": lambda: model.inverse(z),
+               "sample": lambda: model.sample(len(x), seed=1)}[call]
         with monkeypatch.context() as m:
             force_workers(m)
             if fails:
@@ -1024,8 +1081,8 @@ class TestColumnPool:
                     run()
             else:
                 run()
-        assert len(pools) == 1 and pools[0].columns
-        assert not column_threads()
+        assert len(pools) == 1 and pools[0].tasks >= 2
+        assert not worker_threads()
 
     def test_concurrent_transforms_each_get_serial_bits(self, monkeypatch, pools):
         model = fit(skewed(3000, 44), FitConfig(seed=45))
@@ -1047,11 +1104,12 @@ class TestColumnPool:
                 for t in callers:
                     t.start()
                 for t in callers:
-                    t.join()
+                    t.join(60)
+                    assert not t.is_alive()
             finally:
                 sys.setswitchinterval(interval)
         # One pool per call, so neither caller waits on the other's workers.
-        assert len(pools) == 2 and all(pool.columns for pool in pools)
+        assert len(pools) == 2 and all(pool.tasks for pool in pools)
         for result in results:
             assert same_bits(result[0], serial[0]) and same_bits(result[1], serial[1])
 
@@ -1082,3 +1140,78 @@ class TestColumnPool:
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
         assert result.returncode == 0
+
+
+# (columns, rows): each N spans 2 or more rotation chunks, the last one
+# longer than the others.
+CHUNKED_CASES = [(5, 100_001), (16, 12_301), (49, 12_301)]
+
+
+@pytest.fixture(scope="module", params=CHUNKED_CASES, ids=lambda c: f"{c[0]}x{c[1]}")
+def chunked_case(request):
+    d, n = request.param
+    model = fit(wide(3000, 60, d), replace(WIDE, seed=61))
+    # Every other row far out of the training support: tails and clamps run.
+    q = wide(n, 62, d)
+    q[::2] *= 3.0
+    return model, q
+
+
+def whole_matrix_transform(model, x):
+    """transform's z and logjac with each layer's rotation done on the whole
+    matrix at once, from the model's public pieces."""
+    logjac = np.zeros(len(x))
+    for gaussianizers, rotation in zip(model.gaussianizers, model.rotations):
+        z = np.empty(x.shape, order="F")
+        for j, g in enumerate(gaussianizers):
+            z[:, j], lj = g.forward(x[:, j])
+            logjac += lj
+        x = rotate(rotation, z)
+    return x, logjac
+
+
+class TestRotationChunks:
+    """A query rotates its rows in chunks cut the same way for every worker
+    count; a BLAS that gives a row other bits in a chunk than in the whole
+    product fails here."""
+
+    @pytest.mark.parametrize("n", [1, 4095, 8191, 8192, 12_301, 100_001])
+    @pytest.mark.parametrize("d", [1, 2, 5, 15, 16, 49])
+    def test_chunks_cover_rows_at_fixed_cuts(self, n, d):
+        chunks = flow._rotation_chunks(n, d)
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        size = chunks[0].stop
+        if len(chunks) > 1:
+            # Every chunk but the last has one size, a multiple of
+            # _CHUNK_ROWS whose product holds 2**20 multiply-adds or more.
+            assert size % flow._CHUNK_ROWS == 0 and size * d * d >= 2**20
+            assert (size - flow._CHUNK_ROWS) * d * d < 2**20
+            assert all(c.stop - c.start == size for c in chunks[:-1])
+            assert size <= chunks[-1].stop - chunks[-1].start < 2 * size
+
+    def test_serial_call_matches_whole_matrix_rotations(self, chunked_case):
+        model, q = chunked_case
+        assert len(flow._rotation_chunks(*q.shape)) >= 2
+        z, logjac = model.transform(q)
+        whole_z, whole_logjac = whole_matrix_transform(model, q)
+        assert same_bits(z, whole_z) and same_bits(logjac, whole_logjac)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_workers_match_serial_call(self, chunked_case, monkeypatch, pools, workers):
+        model, q = chunked_case
+
+        def queries():
+            z, logjac = model.transform(q)
+            return z, logjac, model.log_density(q), model.inverse(z), model.sample(len(q), 63)
+
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_cpu_count", lambda: 1)
+            serial = queries()
+        with monkeypatch.context() as m:
+            force_workers(m, workers)
+            pooled = queries()
+        # transform, log_density, inverse and sample: one pool each.
+        assert [pool.tasks >= 2 for pool in pools] == [True] * 4 * (workers > 1)
+        for a, b in zip(serial, pooled):
+            assert same_bits(a, b)

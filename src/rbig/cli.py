@@ -104,13 +104,22 @@ def _read(loader, path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _patches(path: str, cube: DataCube, cfg: PatchConfig):
+    """``extract_patches(cube, cfg)``, refusing a cube with no NaN-free patch
+    with one line that names its file and the patch shape."""
+    samples, anchors = extract_patches(cube, cfg)
+    if not len(samples):
+        s, t = cfg.spatial, cfg.temporal
+        raise ValueError(f"{path}: no {s}x{s}x{t} patch is free of holes (NaN values)")
+    return samples, anchors
+
+
 def _load_samples(path: str, args) -> np.ndarray:
     """CSV paths load directly; anything else is a cube needing patch flags."""
     if path.endswith(".csv"):
         return _read(load_csv, path)
     cfg = _patch_config_from_args(args, path)
-    samples, _ = extract_patches(_read(load_cube, path), cfg)
-    return samples
+    return _patches(path, _read(load_cube, path), cfg)[0]
 
 
 def _sha256(path: str) -> str:
@@ -240,7 +249,7 @@ def _cmd_info_map(args) -> tuple[int, list, list]:
         raise DimensionMismatch(
             f"model dimension {model.dim} != patch dimension {cfg.dim}"
         )
-    samples, anchors = extract_patches(cube, cfg)
+    samples, anchors = _patches(args.cube, cube, cfg)
     info = model.information(samples)
     grid = np.full(patch_grid_shape(cube.shape, cfg), np.nan)
     grid[tuple((anchors // (cfg.stride_time, cfg.stride_space, cfg.stride_space)).T)] = info

@@ -51,13 +51,8 @@ from .marginal import (
     # Unused here, but the benchmark's tracer wraps it under this name.
     marginal_kl_to_standard_normal,  # noqa: F401
 )
-from .rotation import (
-    RotationMatrix,
-    fit_pca_rotation,
-    random_haar_rotation,
-    rotate,
-    rotate_inverse,
-)
+# Called through these names, which the benchmark's tracer wraps.
+from .rotation import fit_pca_rotation, random_haar_rotation, rotate, rotate_inverse
 
 __all__ = ["FitConfig", "GaussModel", "fit", "load_model"]
 
@@ -237,6 +232,23 @@ def _block_shapes(n_layers: int, dim: int, k: int) -> dict:
     return {name: tuple(sizes[axis] for axis in axes) for name, axes in _BLOCKS.items()}
 
 
+def _check_rotations(block: np.ndarray) -> None:
+    """Raise a ``ValueError`` naming the first layer of a finite (L, D, D)
+    block whose rotation R has ``max|R^T R - I| > 1e-10`` or
+    ``||det R| - 1| > 1e-8``."""
+    # Entries near the float limit overflow to inf or NaN, which fail here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(block.transpose(0, 2, 1), block) - np.eye(block.shape[1])
+        orthogonal = np.abs(gram).max(axis=(1, 2)) <= 1e-10
+        unit = np.abs(np.abs(np.linalg.det(block)) - 1.0) <= 1e-8
+    bad = np.flatnonzero(~(orthogonal & unit))
+    if bad.size:
+        i = bad[0]
+        what = ("is not orthogonal within tolerance" if not orthogonal[i]
+                else "determinant is not of unit magnitude")
+        raise ValueError(f"layer {i} rotation: matrix {what}")
+
+
 def _named(where: str, make, *args):
     """Call a validating constructor, naming ``where`` in its ValueError."""
     try:
@@ -263,8 +275,9 @@ class GaussModel:
     Construction checks each block's shape and finiteness once and keeps it
     as a read-only float64 array.  It then builds ``gaussianizers[i][j]``
     from row views of one block of ``_knot_grid`` knots and of ``knots_p``,
-    and ``rotations[i]``.  A bad block, table or rotation raises a one-line
-    ``ValueError`` naming it.
+    and checks every rotation at once (:func:`_check_rotations`), so each
+    adds zero to the Jacobian log-determinant.  A bad block, table or
+    rotation raises a one-line ``ValueError`` naming it.
 
     ``==`` is identity: compare ``to_dict()`` for equal contents.
     """
@@ -281,7 +294,6 @@ class GaussModel:
     config: FitConfig
     converged: bool
     gaussianizers: tuple[tuple[MarginalGaussianizer, ...], ...] = field(init=False, repr=False)
-    rotations: tuple[RotationMatrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_config_converged(self)
@@ -332,12 +344,8 @@ class GaussModel:
             )
             for i in range(n_layers)
         )
-        rotations = tuple(
-            _named(f"layer {i} rotation", RotationMatrix, entries, bool(flag))
-            for i, (entries, flag) in enumerate(zip(self.rotation_entries, deficient))
-        )
+        _check_rotations(self.rotation_entries)
         object.__setattr__(self, "gaussianizers", gaussianizers)
-        object.__setattr__(self, "rotations", rotations)
 
     @property
     def resolved_bins(self) -> int:
@@ -397,7 +405,7 @@ class GaussModel:
         logjac = np.zeros(n)
         chunks = _rotation_chunks(n, d)
         with _workers(n, d) as map_tasks:
-            for gaussianizers, rotation in zip(self.gaussianizers, self.rotations):
+            for gaussianizers, rotation in zip(self.gaussianizers, self.rotation_entries):
 
                 def forward(j):
                     z[:, j], lj = gaussianizers[j].forward(x[:, j])
@@ -423,7 +431,7 @@ class GaussModel:
         out = np.empty((n, d), order="F") if len(chunks) > 1 else None
         with _workers(n, d) as map_tasks:
             for gaussianizers, rotation in zip(
-                reversed(self.gaussianizers), reversed(self.rotations)
+                reversed(self.gaussianizers), self.rotation_entries[::-1]
             ):
 
                 def invert(j):
@@ -648,9 +656,10 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     h_input = np.empty(d)
     h_floor = math.log2(clamp_eps)
     with _workers(n, d) as map_tasks:
-        # Per layer: its D fitted tables, its rotation and its delta-T.
+        # Per layer: its D fitted tables, its rotation, its rank flag and delta-T.
         layer_tables: list[list[MarginalUniformizer]] = []
-        rotations: list[RotationMatrix] = []
+        rotations: list[np.ndarray] = []
+        deficient: list[bool] = []
         deltas: list[float] = []
         non_gauss: list[float] = []
         below = 0
@@ -681,9 +690,10 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             # centered copy and the rotation's output, and z once it is rotated.
             del x
             if config.rotation_kind == "pca":
-                rotation = fit_pca_rotation(z)
+                rotation, rank_deficient = fit_pca_rotation(z)
             else:
                 rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))
+                rank_deficient = False
             x = rotate(rotation, z)
             del z
             # A rotation of exactly dependent columns can produce a direction
@@ -728,6 +738,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                 next_tables.append(table)
             layer_tables.append(tables)
             rotations.append(rotation)
+            deficient.append(rank_deficient)
             deltas.append(delta_t)
             non_gauss.append(j_m)
             tables = next_tables
@@ -751,8 +762,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         x_min=[[u.knots_x[1] for u in tables] for tables in layer_tables],
         x_max=[[u.knots_x[-2] for u in tables] for tables in layer_tables],
         knots_p=[[u.knots_p for u in tables] for tables in layer_tables],
-        rotation_entries=[r.entries for r in rotations],
-        rank_deficient=[r.rank_deficient for r in rotations],
+        rotation_entries=rotations,
+        rank_deficient=deficient,
         delta_t=deltas,
         clamp_eps=clamp_eps,
         marginal_entropies_input=h_input,

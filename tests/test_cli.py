@@ -672,6 +672,35 @@ class TestInfoMap:
         assert err == f"error: {cube_path}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["info-map", "tc", "entropy", "fit"])
+    def test_cube_with_no_whole_patch_exit_1(self, tmp_path, capsys, command):
+        # Every other row is missing, so every 2x2x1 patch holds a NaN.
+        values = np.random.default_rng(15).standard_normal((5, 6, 6))
+        values[:, ::2] = np.nan
+        cube_path = tmp_path / "gappy.bin"
+        save_cube(cube_path, DataCube(values))
+        whole = tmp_path / "whole.bin"
+        save_cube(whole, DataCube(np.random.default_rng(16).standard_normal((5, 6, 6))))
+        model = tmp_path / "m.json"
+        code, _, _ = run(
+            capsys, "fit", "--input", str(whole), "--spatial", "2",
+            "--temporal", "1", "--patience", "1", "--out", str(model),
+        )
+        assert code == 0
+        out = tmp_path / "out.bin"
+        patch = ["--spatial", "2", "--temporal", "1"]
+        argv = {
+            "info-map": ["info-map", "--model", str(model), "--cube", str(cube_path), *patch,
+                         "--out", str(out)],
+            "tc": ["tc", "--input", str(cube_path), *patch],
+            "entropy": ["entropy", "--input", str(cube_path), *patch],
+            "fit": ["fit", "--input", str(cube_path), *patch, "--out", str(out)],
+        }[command]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {cube_path}: no 2x2x1 patch is free of holes (NaN values)\n"
+        assert not out.exists()
+
     def test_model_patch_dim_mismatch_exit_1(self, tmp_path, capsys, gauss_csv):
         model = tmp_path / "m.json"
         run(capsys, "fit", "--input", str(gauss_csv), "--out", str(model))

@@ -31,10 +31,10 @@ from rbig import (
     marginal_entropy,
     marginal_kl_to_standard_normal,
     mutual_information,
-    rotate,
 )
 from rbig import flow, marginal
 from rbig.marginal import MarginalGaussianizer, fit_gaussianizer
+from rbig.rotation import rotate
 from rbig.synth import (
     equicorrelated_gaussian,
     gaussian_mixture,
@@ -252,17 +252,31 @@ class TestTransform:
         x = sine_data[:100]
         _, total = sine_model.transform(x)
         acc = np.zeros(x.shape[0])
-        for gaussianizers, rotation in zip(sine_model.gaussianizers, sine_model.rotations):
+        for gaussianizers, rotation in zip(
+            sine_model.gaussianizers, sine_model.rotation_entries
+        ):
             z = np.empty_like(x)
             for j, g in enumerate(gaussianizers):
                 z[:, j], lj = g.forward(x[:, j])
                 acc += lj
-            x = rbig.rotate(rotation, z)
+            x = rotate(rotation, z)
         assert np.max(np.abs(acc - total)) <= 1e-9
 
     def test_dimension_mismatch(self, sine_model):
         with pytest.raises(DimensionMismatch):
             sine_model.transform(np.zeros((10, 3)))
+        with pytest.raises(DimensionMismatch):
+            sine_model.inverse(np.zeros((10, 1)))
+
+    @pytest.mark.parametrize("query", ["transform", "inverse"])
+    @pytest.mark.parametrize(
+        "shape", [(2,), (10, 3), (2, 5, 2)], ids=["one-row-1d", "wrong-columns", "3d"]
+    )
+    def test_mismatch_names_the_shape(self, sine_model, query, shape):
+        # A 1-D row of D values is not "D columns": it names its shape.
+        message = f"^data must be N x 2, got shape {re.escape(str(shape))}$"
+        with pytest.raises(DimensionMismatch, match=message):
+            getattr(sine_model, query)(np.zeros(shape))
 
 
 class TestInverse:
@@ -401,7 +415,7 @@ class TestSample:
 def post_rotation_columns(model, x):
     """Each layer's output, rebuilt from the model's public pieces."""
     outputs = []
-    for gaussianizers, rotation in zip(model.gaussianizers, model.rotations):
+    for gaussianizers, rotation in zip(model.gaussianizers, model.rotation_entries):
         z = np.empty_like(x)  # the fit's layout, which rotate's rounding sees
         for j, g in enumerate(gaussianizers):
             z[:, j], _ = g.forward(x[:, j])
@@ -577,7 +591,7 @@ class TestSerialization:
     def test_layer_tables_are_views_of_its_blocks(self, sine_model):
         blocks = ("x_min", "x_max", "knots_p", "rotation_entries", "delta_t", "rank_deficient")
         assert not any(getattr(sine_model, name).flags.writeable for name in blocks)
-        assert len(sine_model.gaussianizers) == len(sine_model.rotations) == sine_model.n_layers
+        assert len(sine_model.gaussianizers) == sine_model.n_layers
         for i, gaussianizers in enumerate(sine_model.gaussianizers):
             assert len(gaussianizers) == sine_model.dim
             for j, g in enumerate(gaussianizers):
@@ -589,9 +603,8 @@ class TestSerialization:
             # Every table's knots are a row of one grid block.
             first, last = gaussianizers[0].uniformizer, gaussianizers[-1].uniformizer
             assert np.shares_memory(first.knots_x.base, last.knots_x)
-            rotation = sine_model.rotations[i]
-            assert np.shares_memory(rotation.entries, sine_model.rotation_entries)
-            assert rotation.rank_deficient == sine_model.rank_deficient[i]
+        # The blocks are the model's one copy of its rotations.
+        assert not hasattr(sine_model, "rotations")
 
     @pytest.mark.parametrize(
         "name",
@@ -1161,7 +1174,7 @@ def whole_matrix_transform(model, x):
     """transform's z and logjac with each layer's rotation done on the whole
     matrix at once, from the model's public pieces."""
     logjac = np.zeros(len(x))
-    for gaussianizers, rotation in zip(model.gaussianizers, model.rotations):
+    for gaussianizers, rotation in zip(model.gaussianizers, model.rotation_entries):
         z = np.empty(x.shape, order="F")
         for j, g in enumerate(gaussianizers):
             z[:, j], lj = g.forward(x[:, j])

@@ -18,7 +18,6 @@ from rbig import (
     lag_embed,
     marginal_entropy,
     marginal_kl_to_standard_normal,
-    random_haar_rotation,
     ratio_sweep_configs,
 )
 from rbig.synth import (
@@ -84,10 +83,6 @@ ENTRIES = {
     "marginal_kl_to_standard_normal": (
         lambda model, kw: marginal_kl_to_standard_normal(SAMPLE, **kw), {"bins": 5},
         {"bins": ("bins", integer_bad(1))},
-    ),
-    "random_haar_rotation": (
-        lambda model, kw: random_haar_rotation(**kw), {"dim": 3, "seed": 0},
-        {"dim": ("dim", integer_bad(1)), "seed": ("seed", integer_bad(0))},
     ),
     "equicorrelated_gaussian": (
         lambda model, kw: equicorrelated_gaussian(**kw),

@@ -158,7 +158,7 @@ def _cmd_fit(args) -> tuple[int, list, list]:
         model = fit(data, config)
     model.save(args.out)
     trace = {
-        "delta_t": model.delta_t_trace.tolist(),
+        "delta_t": model.delta_t.tolist(),
         "non_gaussianity": model.non_gaussianity.tolist(),
         "total_correlation": model.total_correlation,
         "n_layers": model.n_layers,

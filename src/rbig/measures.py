@@ -88,7 +88,7 @@ def _report(quantity: str, raw: float, model: GaussModel, n: int, converged: boo
         quantity=quantity,
         value_bits=max(0.0, raw) if clamp else raw,
         raw_value_bits=raw,
-        per_layer_delta_t=model.delta_t_trace.tolist(),
+        per_layer_delta_t=model.delta_t.tolist(),
         n_samples=n,
         dim=model.dim,
         config=model.config,

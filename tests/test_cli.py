@@ -313,8 +313,8 @@ def item(index, value):
     return change
 
 
-# The test model: 500 x 2 rows, 3 layers, 22 bins, so knots_p is 3 x 2 x 25 and
-# knots_p[0][1][3] is flat item 28.
+# The test model: 500 x 2 rows, 3 layers, 22 bins, so knots_p is 3 x 2 x 25,
+# knots_p[0][1][0] is flat item 25 and knots_p[0][1][3] flat item 28.
 KNOTS_P = ["knots_p"]
 
 
@@ -378,6 +378,10 @@ class TestTransformSample:
              "malformed model document: clamp_eps must be a number in [1e-07, 0.5), got 5e-08"),
             (decoded_edit(KNOTS_P, lambda a: item(2, a[1])(a)),
              "malformed model document: layer 0 column 0: knot segment 1 "),
+            # knots_p[0][1][0]: the ends rule is named before the segment
+            # that the raised start also breaks.
+            (decoded_edit(KNOTS_P, item(25, 0.5)),
+             "malformed model document: layer 0 column 1: knots_p must start at 0 and end at 1"),
             (edited(["version"], 1), "unsupported model version: 1"),
             (edited(["version"], 2), "unsupported model version: 2"),
             (edited(["version"], 3), "unsupported model version: 3"),
@@ -459,7 +463,7 @@ class TestTransformSample:
         ],
         ids=[
             "no-layers", "json-array", "null-clamp-eps", "below-floor-clamp-eps",
-            "flat-cdf-segment", "version-1",
+            "flat-cdf-segment", "cdf-starts-above-0", "version-1",
             "version-2", "version-3", "version-4", "null-delta-t", "string-converged",
             "null-resolved-bins", "float-resolved-bins", "no-dim", "bool-dim", "zero-layers",
             "bool-seed", "huge-tol", "string-tol", "huge-resolved-bins", "absurd-resolved-bins",

@@ -603,6 +603,15 @@ class TestSerialization:
             # Every table's knots are a row of one grid block.
             first, last = gaussianizers[0].uniformizer, gaussianizers[-1].uniformizer
             assert np.shares_memory(first.knots_x.base, last.knots_x)
+        # Each kind of slope row is a read-only row of one (L, D, K - 1) block.
+        shape = (*sine_model.knots_p.shape[:2], sine_model.knots_p.shape[2] - 1)
+        for name in ("_dpdx", "_log_dpdx", "_dxdp"):
+            block = getattr(sine_model.gaussianizers[0][0].uniformizer, name).base
+            assert block.shape == shape
+            for gaussianizers in sine_model.gaussianizers:
+                for g in gaussianizers:
+                    row = getattr(g.uniformizer, name)
+                    assert row.base is block and not row.flags.writeable
         # The blocks are the model's one copy of its rotations.
         assert not hasattr(sine_model, "rotations")
 

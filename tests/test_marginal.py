@@ -20,11 +20,11 @@ from rbig import (
 from rbig.marginal import (
     MIN_CLAMP_EPS,
     MarginalGaussianizer,
-    MarginalUniformizer,
     _bin_counts,
     _knot_grid,
     _p_segment,
     _segment,
+    _tables,
     default_bins,
     fit_gaussianizer,
     normal_cdf,
@@ -46,12 +46,11 @@ def fit_table(x, bins):
     return fit_gaussianizer(x, bins).uniformizer
 
 
+ENDS_RULE = "knots_p must start at 0 and end at 1$"
+
+
 def identity_uniformizer():
-    return MarginalUniformizer(
-        knots_x=np.array([0.0, 1.0]),
-        knots_p=np.array([0.0, 1.0]),
-        clamp_eps=1e-6,
-    )
+    return _tables(col(0.0, 1.0), col(0.0, 1.0), 1e-6)
 
 
 class TestFitUniformizer:
@@ -80,17 +79,21 @@ class TestFitUniformizer:
         assert u.knots_p[0] == 0.0 and u.knots_p[-1] == 1.0
 
     @pytest.mark.parametrize(
-        "knots_x, knots_p, segment",
+        "knots_x, knots_p, message",
         [
-            ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 1.0], 1),
-            (np.arange(6.0), [0.0, 0.25, 0.25, 0.25, 0.5, 1.0], 1),
-            ([0.0, 1.0, np.inf], [0.0, 0.5, 1.0], 1),
-            ([0.0, np.nan, 2.0], [0.0, 0.5, 1.0], 0),
-            ([0.0, 1e-320, 1.0], [0.0, 0.5, 1.0], 0),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.5, 1.0], "knot segment 1 "),
+            (np.arange(6.0), [0.0, 0.25, 0.25, 0.25, 0.5, 1.0], "knot segment 1 "),
+            ([0.0, 1.0, np.inf], [0.0, 0.5, 1.0], "knot segment 1 "),
+            ([0.0, np.nan, 2.0], [0.0, 0.5, 1.0], "knot segment 0 "),
+            ([0.0, 1e-320, 1.0], [0.0, 0.5, 1.0], "knot segment 0 "),
             # A one-ulp CDF step under a 1e300-wide segment.
-            ([0.0, 1.0, 1e300, 2e300], [0.0, 0.5, np.nextafter(0.5, 1.0), 1.0], 1),
+            ([0.0, 1.0, 1e300, 2e300], [0.0, 0.5, np.nextafter(0.5, 1.0), 1.0],
+             "knot segment 1 "),
             # Both slopes of the falling segment are positive.
-            ([0.0, 2.0, 1.0, 3.0], [0.0, 0.6, 0.3, 1.0], 1),
+            ([0.0, 2.0, 1.0, 3.0], [0.0, 0.6, 0.3, 1.0], "knot segment 1 "),
+            # Every segment rises on both axes; only the ends are wrong.
+            ([0.0, 1.0, 2.0, 3.0], [0.25, 0.5, 0.6, 1.0], ENDS_RULE),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 0.6, 0.75], ENDS_RULE),
         ],
         ids=[
             "flat-cdf-segment",
@@ -100,15 +103,13 @@ class TestFitUniformizer:
             "dpdx-overflows",
             "dxdp-overflows",
             "falls-on-both-axes",
+            "cdf-starts-above-0",
+            "cdf-ends-below-1",
         ],
     )
-    def test_bad_table_rejected(self, knots_x, knots_p, segment):
-        with pytest.raises(ValueError, match=f"^knot segment {segment} "):
-            MarginalUniformizer(
-                knots_x=np.array(knots_x),
-                knots_p=np.array(knots_p),
-                clamp_eps=1e-6,
-            )
+    def test_bad_table_rejected(self, knots_x, knots_p, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _tables(np.array(knots_x), np.array(knots_p), 1e-6)
 
     @pytest.mark.parametrize(
         "eps, rule",
@@ -127,8 +128,8 @@ class TestFitUniformizer:
         # so a table may not clamp below the floor.
         message = f"^{re.escape(f'clamp_eps must be {rule}, got {eps!r}')}$"
         with pytest.raises(ValueError, match=message):
-            MarginalUniformizer(knots_x=col(0.0, 1.0), knots_p=col(0.0, 1.0), clamp_eps=eps)
-        assert MarginalUniformizer(col(0.0, 1.0), col(0.0, 1.0), MIN_CLAMP_EPS)
+            _tables(col(0.0, 1.0), col(0.0, 1.0), eps)
+        assert _tables(col(0.0, 1.0), col(0.0, 1.0), MIN_CLAMP_EPS).clamp_eps == MIN_CLAMP_EPS
 
     def test_extension_knot_rounding_onto_range_end_rejected(self):
         # 2**53 + 4 + 0.8 rounds back to 2**53 + 4: a zero-width extension.
@@ -161,6 +162,46 @@ class TestFitUniformizer:
         grids = _knot_grid(np.array([lo, -1.0]), np.array([hi, 2.0]), bins)
         assert np.array_equal(grids[0], ref)
         assert np.array_equal(grids[1], _knot_grid(-1.0, 2.0, bins))
+
+
+def fitted_tables_block(d):
+    """Blocks ``(knots_x, knots_p, clamp_eps)`` of the tables fit makes at
+    ``d`` columns, one layer per sample (N(0, I), correlated, heavy-tailed),
+    all in 40 bins."""
+    rng = np.random.default_rng(d)
+    white = rng.standard_normal((4 * d + 50, d))
+    samples = (white, white @ rng.standard_normal((d, d)), white**3)
+    tables = [[fit_table(x[:, j], 40) for j in range(d)] for x in samples]
+    knots_x, knots_p = (
+        np.array([[getattr(u, name) for u in layer] for layer in tables])
+        for name in ("knots_x", "knots_p")
+    )
+    return knots_x, knots_p, tables[0][0].clamp_eps
+
+
+class TestTableBlockCheck:
+    @pytest.mark.parametrize("d", [1, 2, 49])
+    def test_accepts_every_fitted_block(self, d):
+        knots_x, knots_p, eps = fitted_tables_block(d)
+        tables = _tables(knots_x, knots_p, eps, axes=("layer", "column"))
+        assert len(tables) == 3
+        for i, layer in enumerate(tables):
+            assert len(layer) == d
+            for j, u in enumerate(layer):
+                assert np.array_equal(u.knots_x, knots_x[i, j])
+                assert np.array_equal(u.knots_p, knots_p[i, j])
+                assert u.clamp_eps == eps
+
+    @pytest.mark.parametrize("d", [1, 2, 49])
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    @pytest.mark.parametrize("column", ["first", "last"])
+    def test_flat_segment_names_its_table(self, d, layer, column):
+        knots_x, knots_p, eps = fitted_tables_block(d)
+        j = 0 if column == "first" else d - 1
+        knots_p[layer, j, 21] = knots_p[layer, j, 20]
+        message = f"^layer {layer} column {j}: knot segment 20 \\(x "
+        with pytest.raises(ValueError, match=message):
+            _tables(knots_x, knots_p, eps, axes=("layer", "column"))
 
 
 # Samples for the bin-count property: smooth, heavy-tailed, lattice (every
@@ -359,11 +400,7 @@ def tiny_mass_table(weights):
     kp /= kp[-1]
     kp[-1] = 1.0
     kp = np.unique(kp)
-    return MarginalUniformizer(
-        knots_x=np.arange(kp.size, dtype=float),
-        knots_p=kp,
-        clamp_eps=MIN_CLAMP_EPS,
-    )
+    return _tables(np.arange(kp.size, dtype=float), kp, MIN_CLAMP_EPS)
 
 
 tiny_mass_tables = st.builds(

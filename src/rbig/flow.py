@@ -51,6 +51,7 @@ from .marginal import (
     # Unused here, but the benchmark's tracer wraps it under this name.
     marginal_kl_to_standard_normal,  # noqa: F401
 )
+from .rotation import _rotation_chunks
 # Called through these names, which the benchmark's tracer wraps.
 from .rotation import fit_pca_rotation, random_haar_rotation, rotate, rotate_inverse
 
@@ -61,36 +62,11 @@ MODEL_VERSION = 5
 
 
 # Rows from which a call's tasks run on worker threads: a layer's columns, or
-# a query's rotation chunks.  The column kernels (binning, ndtri, ndtr) and
-# the matrix products release the GIL, but each pooled call pays a hand-off.
+# its row chunks.  The column kernels (binning, ndtri, ndtr) and the matrix
+# products release the GIL, but each pooled call pays a hand-off.
 # Per column-layer of a 49-column fit on a 2-CPU x86_64 host, the workers
 # broke even at 20,000 rows and won from 30,000 (README, "Worker threads").
 _POOL_MIN_ROWS = 2**15
-
-# Rows per rotation chunk of a query, at 23 or more columns (see
-# _rotation_chunks): each chunk's rotated rows are a temporary of their own,
-# written back in place.  Each worker's malloc arena keeps its largest
-# temporaries, so the chunks stay small: on PW, 2**11 rows ran as fast as
-# 2**12 and peak RSS was about 2 MB lower on 2 workers.
-_CHUNK_ROWS = 2**11
-
-
-def _rotation_chunks(n: int, d: int) -> list[slice]:
-    """The row chunks that a query rotates its ``n`` x ``d`` working array in.
-
-    They are cut at multiples of one size from row 0, whatever the worker
-    count, so every worker count runs the same matrix products and gets the
-    same bits on any BLAS.  The size is the least multiple of
-    ``_CHUNK_ROWS`` whose product holds 2**20 or more multiply-adds, and the
-    last chunk takes in the rows short of a whole one.  So a chunk is the
-    whole array or at least that large, and OpenBLAS 0.3.31 gives each row
-    the bits of the whole-matrix product: its small-matrix kernels (at most
-    1e6 multiply-adds) give some rows other last bits, but larger products
-    cut at multiples of 8 rows keep them (checked at D from 1 to 200).
-    """
-    size = _CHUNK_ROWS * -(-(2**20) // (_CHUNK_ROWS * d * d))
-    bounds = [*range(0, n - size + 1, size), n] if n >= 2 * size else [0, n]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _rotated(turn, rotation, x, out, chunks, map_tasks):
@@ -133,13 +109,14 @@ def _workers(n_rows: int, n_cols: int):
     The calls run on workers of this block's own, one per usable CPU up to
     ``n_cols``, when there are 2 or more columns of at least
     ``_POOL_MIN_ROWS`` rows and 2 or more CPUs, else one by one on the
-    calling thread.  A task (one of a layer's columns, or one of a query's
-    rotation chunks) must touch only its own data.  Results come back in
-    order whatever order the calls finish in, so every sum the caller takes
-    over them is the serial sum.  A failing call raises its exception when
-    its result is reached, so the first failing task's error is the one
-    raised, as in the serial order.  Leaving the block cancels calls not yet
-    started and waits for running ones, so no worker outlives it.
+    calling thread.  A task (one of a layer's columns, or one of its row
+    chunks for the rotation or the PCA Gram matrix) must touch only its own
+    data.  Results come back in order whatever order the calls finish in, so
+    every sum the caller takes over them is the serial sum.  A failing call
+    raises its exception when its result is reached, so the first failing
+    task's error is the one raised, as in the serial order.  Leaving the
+    block cancels calls not yet started and waits for running ones, so no
+    worker outlives it.
     """
     workers = min(_cpu_count(), n_cols)
     if workers < 2 or n_rows < _POOL_MIN_ROWS:
@@ -630,6 +607,15 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     ``fit_gaussianizer`` checks nothing.  The data needs at least
     ``MIN_ENTROPY_SAMPLES`` (10) rows, the fewest an entropy estimate takes,
     and 1 column.
+
+    The fit keeps one column-major N x D working array.  The first layer
+    Gaussianizes the input's columns into it, and the input is never written
+    to; every later layer Gaussianizes its columns in place.  Each layer
+    rotates the array in place over the row chunks of
+    :func:`_rotation_chunks` (:func:`_rotated`), and the PCA sums its Gram
+    matrix over the same chunks.  Columns and chunks are tasks on the call's
+    workers (see :func:`_workers`), so the saved model has the same bits
+    whatever the worker count and whatever the input's memory order.
     """
     x = _validate_fit_input(data)
     # Not held here, so an input no caller holds is freed with the first layer.
@@ -647,6 +633,11 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
 
     h_input = np.empty(d)
     h_floor = math.log2(clamp_eps)
+    chunks = _rotation_chunks(n, d)
+    # The fit's one working array: every layer Gaussianizes its columns and
+    # then rotates it in place.  Column-major, so each column is contiguous,
+    # and fresh, so the caller's array is only read, whatever its layout.
+    z = np.empty((n, d), order="F")
     with _workers(n, d) as map_tasks:
         # Per layer: its D fitted tables, its rotation, its rank flag and delta-T.
         layer_tables: list[list[MarginalUniformizer]] = []
@@ -657,18 +648,12 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         below = 0
         converged = False
         # From the second layer on, ``tables`` holds the tables the previous
-        # binning made, and ``z`` the columns it Gaussianized, if it did.
-        z = None
+        # binning made, and ``fused`` whether it Gaussianized z's columns.
+        fused = False
         for layer in range(config.max_layers):
-            if z is None:
-                z = np.empty_like(x)
+            if layer == 0:
 
                 def gaussianize(j):
-                    if layer > 0:
-                        col = x[:, j]
-                        seg, left, _ = _segment(tables[j].knots_x, col)
-                        z[:, j] = probit(tables[j]._cdf(col, seg, left))
-                        return tables[j]
                     # One contiguous copy of a strided input column feeds its
                     # entropy, its table and its forward.
                     col = np.ascontiguousarray(x[:, j])
@@ -678,22 +663,30 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                     return g.uniformizer
 
                 tables = list(map_tasks(gaussianize, range(d)))
-            # Two N x D arrays at most: the spent input goes before the PCA's
-            # centered copy and the rotation's output, and z once it is rotated.
-            del x
+                del x
+            elif not fused:
+
+                def gaussianize(j):
+                    col = z[:, j]
+                    seg, left, _ = _segment(tables[j].knots_x, col)
+                    z[:, j] = probit(tables[j]._cdf(col, seg, left))
+
+                for _ in map_tasks(gaussianize, range(d)):
+                    pass
             if config.rotation_kind == "pca":
-                rotation, rank_deficient = fit_pca_rotation(z)
+                rotation, rank_deficient = fit_pca_rotation(z, map_tasks)
             else:
                 rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))
                 rank_deficient = False
-            x = rotate(rotation, z)
-            del z
+            # In place when the rows make several chunks; one chunk is one
+            # fresh product, which replaces z.
+            z = _rotated(rotate, rotation, z, z, chunks, map_tasks)
             # A rotation of exactly dependent columns can produce a direction
             # of zero range, or of rounding-noise range (e.g. duplicated
             # variables).  Its differential entropy is unboundedly negative;
             # floor it at the flow's probability resolution and stop
             # stacking, since no further layer can be fitted.
-            hi, lo = x.max(axis=0), x.min(axis=0)
+            hi, lo = z.max(axis=0), z.min(axis=0)
             scale = max(np.abs(hi).max(), np.abs(lo).max())
             degenerate = hi - lo <= _DEGENERATE_SPAN * scale
             # Whatever this layer's delta-T, the stopping rule cannot stop the
@@ -703,16 +696,15 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                 and below + 1 < patience
                 and layer + 1 < config.max_layers
             )
-            z = np.empty_like(x) if fused else None
 
             def bin_column(j):
                 if degenerate[j]:
-                    value = x[0, j]
+                    value = z[0, j]
                     cross = (0.5 * value * value + 0.5 * math.log(2 * math.pi)) / LN2
                     return h_floor, cross - h_floor, None
                 # Not checked for NaN or inf: the rotation's input holds
                 # probit values, all finite and bounded.
-                col = x[:, j]
+                col = z[:, j]
                 grid, (counts, seg, left), h_j, kl_j = _hist_entropy(
                     col, float(lo[j]), float(hi[j]), bins
                 )
@@ -749,7 +741,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     # The blocks are allocated once the N x D matrices are freed: allocated
     # between them, they split or pin the freed heap (peak RSS +10 MB over
     # repeated 38,686 x 49 fits).
-    del x
+    del z
     return GaussModel(
         x_min=[[u.knots_x[1] for u in tables] for tables in layer_tables],
         x_max=[[u.knots_x[-2] for u in tables] for tables in layer_tables],

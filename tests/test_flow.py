@@ -34,7 +34,7 @@ from rbig import (
 )
 from rbig import flow, marginal
 from rbig.marginal import MarginalGaussianizer, fit_gaussianizer
-from rbig.rotation import rotate
+from rbig.rotation import _CHUNK_ROWS, _rotation_chunks, fit_pca_rotation, rotate
 from rbig.synth import (
     equicorrelated_gaussian,
     gaussian_mixture,
@@ -416,7 +416,7 @@ def post_rotation_columns(model, x):
     """Each layer's output, rebuilt from the model's public pieces."""
     outputs = []
     for gaussianizers, rotation in zip(model.gaussianizers, model.rotation_entries):
-        z = np.empty_like(x)  # the fit's layout, which rotate's rounding sees
+        z = np.empty(x.shape, order="F")  # the fit's layout, which rotate's rounding sees
         for j, g in enumerate(gaussianizers):
             z[:, j], _ = g.forward(x[:, j])
         x = rotate(rotation, z)
@@ -938,6 +938,37 @@ class TestColumnPool:
         assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "pooled.json").read_bytes()
 
     @PCA_AND_HAAR
+    def test_fit_bytes_independent_of_input_layout(self, both, kind, tmp_path):
+        # 2**15 x 32: 16 rotation chunks, pooled unforced on 2 or more CPUs.
+        x = wide(2**15, 64, 32)
+        assert len(_rotation_chunks(*x.shape)) >= 2
+        config = replace(WIDE, rotation_kind=kind, seed=65)
+
+        def saved():
+            docs = []
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                path = tmp_path / f"{layout.__name__}.json"
+                fit(layout(x), config).save(path)
+                docs.append(path.read_bytes())
+            return docs
+
+        serial, pooled = both(saved)
+        assert serial[0] == serial[1] == pooled[0] == pooled[1]
+
+    def test_fit_leaves_input_unchanged(self, monkeypatch, pools):
+        # 3 rotation chunks at 16 columns, each a task on the workers.
+        x = wide(12_301, 66, 16)
+        assert len(_rotation_chunks(*x.shape)) >= 2
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            data = layout(x)
+            kept = data.copy()
+            with monkeypatch.context() as m:
+                force_workers(m)
+                fit(data, WIDE)
+            assert same_bits(data, kept)
+        assert len(pools) == 2 and all(pool.tasks for pool in pools)
+
+    @PCA_AND_HAAR
     def test_queries_bit_identical(self, both, kind):
         model = fit(skewed(3000, 33), FitConfig(rotation_kind=kind, seed=34))
         # Scaled out of the training support, so the tails run too.
@@ -972,7 +1003,7 @@ class TestColumnPool:
     ):
         model = fit(wide(3000, 37, 49), replace(WIDE, seed=38))
         # 3 chunks at 49 columns.
-        q = wide(3 * flow._CHUNK_ROWS + 13, 39, 49)
+        q = wide(3 * _CHUNK_ROWS + 13, 39, 49)
         rotate_rows = flow.rotate
         finished = []
         others = []
@@ -1200,21 +1231,21 @@ class TestRotationChunks:
     @pytest.mark.parametrize("n", [1, 4095, 8191, 8192, 12_301, 100_001])
     @pytest.mark.parametrize("d", [1, 2, 5, 15, 16, 49])
     def test_chunks_cover_rows_at_fixed_cuts(self, n, d):
-        chunks = flow._rotation_chunks(n, d)
+        chunks = _rotation_chunks(n, d)
         assert chunks[0].start == 0 and chunks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
         size = chunks[0].stop
         if len(chunks) > 1:
             # Every chunk but the last has one size, a multiple of
             # _CHUNK_ROWS whose product holds 2**20 multiply-adds or more.
-            assert size % flow._CHUNK_ROWS == 0 and size * d * d >= 2**20
-            assert (size - flow._CHUNK_ROWS) * d * d < 2**20
+            assert size % _CHUNK_ROWS == 0 and size * d * d >= 2**20
+            assert (size - _CHUNK_ROWS) * d * d < 2**20
             assert all(c.stop - c.start == size for c in chunks[:-1])
             assert size <= chunks[-1].stop - chunks[-1].start < 2 * size
 
     def test_serial_call_matches_whole_matrix_rotations(self, chunked_case):
         model, q = chunked_case
-        assert len(flow._rotation_chunks(*q.shape)) >= 2
+        assert len(_rotation_chunks(*q.shape)) >= 2
         z, logjac = model.transform(q)
         whole_z, whole_logjac = whole_matrix_transform(model, q)
         assert same_bits(z, whole_z) and same_bits(logjac, whole_logjac)
@@ -1237,3 +1268,26 @@ class TestRotationChunks:
         assert [pool.tasks >= 2 for pool in pools] == [True] * 4 * (workers > 1)
         for a, b in zip(serial, pooled):
             assert same_bits(a, b)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_pca_fit_workers_match_serial_call(self, chunked_case, monkeypatch, pools, workers):
+        # The Gram matrix is summed over the same chunks, in chunk order,
+        # whatever the worker count.
+        _, q = chunked_case
+        x = np.asfortranarray(q)
+
+        def pca_and_fit():
+            with flow._workers(*x.shape) as map_tasks:
+                rotation, deficient = fit_pca_rotation(x, map_tasks)
+            return rotation, deficient, fit(q, WIDE).to_dict()
+
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_cpu_count", lambda: 1)
+            serial = pca_and_fit()
+        with monkeypatch.context() as m:
+            force_workers(m, workers)
+            pooled = pca_and_fit()
+        # The PCA's pool, then the fit's.
+        assert [pool.tasks >= 2 for pool in pools] == [True] * 2 * (workers > 1)
+        assert same_bits(serial[0], pooled[0])
+        assert serial[1:] == pooled[1:]

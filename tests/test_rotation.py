@@ -17,7 +17,13 @@ from rbig import (
     fit,
     flow,
 )
-from rbig.rotation import fit_pca_rotation, random_haar_rotation, rotate, rotate_inverse
+from rbig.rotation import (
+    _rotation_chunks,
+    fit_pca_rotation,
+    random_haar_rotation,
+    rotate,
+    rotate_inverse,
+)
 from rbig.synth import equicorrelated_gaussian
 
 
@@ -87,6 +93,17 @@ class TestPcaRotation:
         rotated = rotate(r, data)
         corr = np.corrcoef(rotated.T)
         assert abs(corr[0, 1]) <= 0.02
+
+    def test_chunked_gram_matches_whole_covariance(self):
+        # 3 row chunks at 16 columns: the Gram matrix is summed over them.
+        data = np.random.default_rng(7).standard_normal((12_301, 16)) * np.arange(1, 17)
+        assert len(_rotation_chunks(*data.shape)) == 3
+        r, deficient = fit_pca_rotation(data)
+        assert not deficient
+        evals, evecs = np.linalg.eigh(np.cov(data, rowvar=False))
+        whole = evecs[:, ::-1].T
+        whole *= np.sign(whole[np.arange(16), np.argmax(np.abs(whole), axis=1)])[:, None]
+        assert np.max(np.abs(r - whole)) <= 1e-9
 
     def test_rank_deficient_warns(self):
         rng = np.random.default_rng(6)

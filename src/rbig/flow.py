@@ -24,10 +24,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import (
-    DegenerateDimension,
     DimensionMismatch,
     NonFiniteInput,
     NotConvergedWarning,
+    RbigError,
     _exact_keys,
     _finite,
     _integer,
@@ -37,11 +37,11 @@ from .marginal import (
     LN2,
     MIN_ENTROPY_SAMPLES,
     MarginalGaussianizer,
-    MarginalUniformizer,
+    _cdf,
+    _cdf_knots,
     _hist_entropy,
     _knot_grid,
     _segment,
-    _table,
     _tables,
     default_bins,
     default_clamp_eps,
@@ -227,11 +227,11 @@ def _check_rotations(block: np.ndarray) -> None:
 
 
 def _named(where: str, make, *args):
-    """Call a validating constructor, naming ``where`` in its ValueError."""
+    """Call a validating constructor, naming ``where`` in its error, raised as its type."""
     try:
         return make(*args)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    except (RbigError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +253,7 @@ class GaussModel:
     as a read-only float64 array.  It then checks the clamp and every table
     in one pass (:func:`rbig.marginal._tables`), which builds
     ``gaussianizers[i][j]`` from row views of one block of ``_knot_grid``
-    knots, of ``knots_p`` and of three blocks of segment slopes, and checks
+    knots, of ``knots_p`` and of two blocks of segment slopes, and checks
     every rotation at once (:func:`_check_rotations`), so each adds zero to
     the Jacobian log-determinant.  A bad block, clamp, table or rotation
     raises a one-line ``ValueError`` naming it.
@@ -557,22 +557,6 @@ def load_model(path) -> GaussModel:
     return GaussModel.load(path)
 
 
-def _validate_fit_input(data) -> np.ndarray:
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("data must be a 2-D sample matrix (rows = observations)")
-    n, d = x.shape
-    if n < MIN_ENTROPY_SAMPLES or d < 1:
-        raise ValueError(f"need at least {MIN_ENTROPY_SAMPLES} rows and 1 column, got {n} x {d}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("data contains NaN or infinite values")
-    spans = x.max(axis=0) - x.min(axis=0)
-    flat = np.nonzero(spans == 0)[0]
-    if flat.size:
-        raise DegenerateDimension(f"column {flat[0]} is constant")
-    return x
-
-
 def fit(data, config: FitConfig | None = None) -> GaussModel:
     """Fit the Gaussianization stack to a sample matrix.
 
@@ -593,20 +577,24 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
 
     Each column of a layer's output is binned once, over its range: the
     counts give its entropy, its KL to N(0, 1) (``non_gaussianity``) and
-    the next layer's table.  A later layer Gaussianizes the column in one
-    private step, the table's forward kernel then the probit.  When the
-    stopping rule cannot stop the fit after this layer (no degenerate
-    direction, fewer than ``patience - 1`` layers below tolerance so far and
-    ``max_layers`` not reached), the binning task takes that step from the
-    knot segments it found; else the next layer searches them once.  The
-    input is binned twice, once for ``marginal_entropies_input`` and once
-    for the first layer's tables, from one contiguous copy of each column,
-    which ``MarginalGaussianizer.forward`` Gaussianizes; a column that fails
-    there raises a ``ValueError`` naming it.  Each input column is scanned
-    for NaN and inf twice, here and by ``marginal_entropy``:
-    ``fit_gaussianizer`` checks nothing.  The data needs at least
-    ``MIN_ENTROPY_SAMPLES`` (10) rows, the fewest an entropy estimate takes,
-    and 1 column.
+    the next layer's table, a row of its two (D, K) knot blocks.  A later
+    layer Gaussianizes the column in one private step, the forward kernel
+    ``_cdf`` on those rows then the probit.  When the stopping rule cannot
+    stop the fit after this layer (no degenerate direction, fewer than
+    ``patience - 1`` layers below tolerance so far and ``max_layers`` not
+    reached), the binning task takes that step from the knot segments it
+    found; else the next layer searches them once.  The input is binned
+    twice, for ``marginal_entropies_input`` and the first layer's tables,
+    from one contiguous copy of each column, which
+    ``MarginalGaussianizer.forward`` Gaussianizes.  ``marginal_entropy`` is
+    the one check of an input column: NaN or inf, a zero range or a failing
+    table raises its own error type, naming the column (``column 1: ...``).
+    The model is the one check of a later table, which cannot fail: its
+    column, a rotation of probits, has a range that passed
+    ``_DEGENERATE_SPAN``, so both extension segments have positive width;
+    ``_hist_entropy`` refuses zero-width bins; and the smoothed cumulative
+    counts rise strictly for N below about 4e12.  The data needs at least
+    ``MIN_ENTROPY_SAMPLES`` (10) rows and 1 column.
 
     The fit keeps one column-major N x D working array.  The first layer
     Gaussianizes the input's columns into it, and the input is never written
@@ -617,12 +605,16 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     workers (see :func:`_workers`), so the saved model has the same bits
     whatever the worker count and whatever the input's memory order.
     """
-    x = _validate_fit_input(data)
+    x = np.asarray(data, dtype=float)
     # Not held here, so an input no caller holds is freed with the first layer.
     del data
+    if x.ndim != 2:
+        raise ValueError("data must be a 2-D sample matrix (rows = observations)")
+    n, d = x.shape
+    if n < MIN_ENTROPY_SAMPLES or d < 1:
+        raise ValueError(f"need at least {MIN_ENTROPY_SAMPLES} rows and 1 column, got {n} x {d}")
     if config is None:
         config = FitConfig()
-    n, d = x.shape
     if config.rotation_kind == "pca" and n <= d:
         raise ValueError("PCA rotations need more samples than dimensions")
     bins = config.bins if config.bins is not None else default_bins(n)
@@ -631,24 +623,25 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     # A 1 x 1 rotation is +-1: no later 1-D layer can undo a low delta-T.
     patience = config.patience if d > 1 else 1
 
-    h_input = np.empty(d)
     h_floor = math.log2(clamp_eps)
     chunks = _rotation_chunks(n, d)
     # The fit's one working array: every layer Gaussianizes its columns and
     # then rotates it in place.  Column-major, so each column is contiguous,
     # and fresh, so the caller's array is only read, whatever its layout.
     z = np.empty((n, d), order="F")
+    # A layer's D tables: (D, K) blocks of knot grids and CDF knots, by row.
+    knots_x, knots_p = np.empty((2, d, bins + 3))
     with _workers(n, d) as map_tasks:
-        # Per layer: its D fitted tables, its rotation, its rank flag and delta-T.
-        layer_tables: list[list[MarginalUniformizer]] = []
+        # Per layer: its knot blocks, its rotation, its rank flag and delta-T.
+        tables: list[tuple[np.ndarray, np.ndarray]] = []
         rotations: list[np.ndarray] = []
         deficient: list[bool] = []
         deltas: list[float] = []
         non_gauss: list[float] = []
         below = 0
         converged = False
-        # From the second layer on, ``tables`` holds the tables the previous
-        # binning made, and ``fused`` whether it Gaussianized z's columns.
+        # From the second layer on, the knot blocks hold the previous binning's
+        # tables, and ``fused`` says whether it Gaussianized z's columns.
         fused = False
         for layer in range(config.max_layers):
             if layer == 0:
@@ -657,19 +650,20 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                     # One contiguous copy of a strided input column feeds its
                     # entropy, its table and its forward.
                     col = np.ascontiguousarray(x[:, j])
-                    h_input[j] = _named(f"column {j}", marginal_entropy, col, bins)
+                    h_j = _named(f"column {j}", marginal_entropy, col, bins)
                     g = _named(f"column {j}", fit_gaussianizer, col, bins)
                     z[:, j], _ = g.forward(col)
-                    return g.uniformizer
+                    knots_x[j], knots_p[j] = g.uniformizer.knots_x, g.uniformizer.knots_p
+                    return h_j
 
-                tables = list(map_tasks(gaussianize, range(d)))
+                h_input = np.fromiter(map_tasks(gaussianize, range(d)), float, d)
                 del x
             elif not fused:
 
                 def gaussianize(j):
                     col = z[:, j]
-                    seg, left, _ = _segment(tables[j].knots_x, col)
-                    z[:, j] = probit(tables[j]._cdf(col, seg, left))
+                    seg, left, _ = _segment(knots_x[j], col)
+                    z[:, j] = probit(_cdf(col, seg, left, knots_x[j], knots_p[j], clamp_eps))
 
                 for _ in map_tasks(gaussianize, range(d)):
                     pass
@@ -697,35 +691,37 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                 and layer + 1 < config.max_layers
             )
 
+            # The next layer's tables: a degenerate column's rows stay unset.
+            next_x, next_p = np.empty((2, d, bins + 3))
+
             def bin_column(j):
                 if degenerate[j]:
                     value = z[0, j]
                     cross = (0.5 * value * value + 0.5 * math.log(2 * math.pi)) / LN2
-                    return h_floor, cross - h_floor, None
+                    return h_floor, cross - h_floor
                 # Not checked for NaN or inf: the rotation's input holds
                 # probit values, all finite and bounded.
                 col = z[:, j]
                 grid, (counts, seg, left), h_j, kl_j = _hist_entropy(
                     col, float(lo[j]), float(hi[j]), bins
                 )
-                table = _table(grid, counts, n)
+                next_x[j] = grid
+                next_p[j] = _cdf_knots(counts)
                 if fused:
-                    z[:, j] = probit(table._cdf(col, seg, left))
-                return h_j, kl_j, table
+                    z[:, j] = probit(_cdf(col, seg, left, grid, next_p[j], clamp_eps))
+                return h_j, kl_j
 
             delta_t = 0.0
             j_m = 0.0
-            next_tables = []
-            for h_j, kl_j, table in map_tasks(bin_column, range(d)):
+            for h_j, kl_j in map_tasks(bin_column, range(d)):
                 j_m += kl_j
                 delta_t += GAUSS_ENTROPY_BITS - h_j
-                next_tables.append(table)
-            layer_tables.append(tables)
+            tables.append((knots_x, knots_p))
             rotations.append(rotation)
             deficient.append(rank_deficient)
             deltas.append(delta_t)
             non_gauss.append(j_m)
-            tables = next_tables
+            knots_x, knots_p = next_x, next_p
             if degenerate.any():
                 converged = True
                 break
@@ -743,9 +739,9 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     # repeated 38,686 x 49 fits).
     del z
     return GaussModel(
-        x_min=[[u.knots_x[1] for u in tables] for tables in layer_tables],
-        x_max=[[u.knots_x[-2] for u in tables] for tables in layer_tables],
-        knots_p=[[u.knots_p for u in tables] for tables in layer_tables],
+        x_min=[kx[:, 1] for kx, _ in tables],
+        x_max=[kx[:, -2] for kx, _ in tables],
+        knots_p=[kp for _, kp in tables],
         rotation_entries=rotations,
         rank_deficient=deficient,
         delta_t=deltas,

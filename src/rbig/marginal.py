@@ -6,13 +6,13 @@ composition (which sends any marginal to a standard normal), and the histogram
 entropy estimator from which every information measure in this package is
 assembled.
 
-The column kernels (the two classes' ``forward``/``inverse``, ``probit`` and
-``normal_cdf``) are internal: they take and return 1-D float64 columns and
-check nothing per call.  ``GaussModel`` and ``fit`` check their input's
-finiteness once.  ``_tables`` checks and builds each knot table: once when
-``fit`` bins a column, and once more in the model's one pass over its
-(L, D, K) blocks.  The probability clamp, at least ``MIN_CLAMP_EPS``, keeps
-every probability the kernels see inside (0, 1).
+The column kernels (the two classes' ``forward``/``inverse``, ``_cdf``,
+``probit`` and ``normal_cdf``) are internal: they take and return 1-D float64
+columns and check nothing per call.  ``GaussModel`` checks a query once, and
+``fit`` each input column through ``marginal_entropy``.  ``_tables`` checks
+knot tables: a first layer's in ``fit_gaussianizer``, and all of a model's in
+one pass over its (L, D, K) blocks.  The probability clamp, at least
+``MIN_CLAMP_EPS``, keeps every probability the kernels see inside (0, 1).
 """
 
 from __future__ import annotations
@@ -132,6 +132,21 @@ def _p_segment(kp: np.ndarray, p: np.ndarray, table: np.ndarray | None = None):
     return _checked_segment(kp, p, table[guess.astype(np.intp)])
 
 
+def _cdf(xs, seg, lo, knots_x, knots_p, eps) -> np.ndarray:
+    """The forward kernel: a checked table's CDF at 1-D ``xs`` with the
+    arithmetic of ``np.interp``, clamped into ``(eps, 1 - eps)``, from each
+    value's knot segment ``seg`` and left knot ``lo`` (:func:`_segment`)."""
+    slopes = np.diff(knots_p) / np.diff(knots_x)
+    # Past the knots p leaves [0, 1] (to +-inf far out) where np.interp
+    # holds the end value; the clamp maps both to one bound.
+    with np.errstate(over="ignore"):
+        p = xs - lo
+        p *= slopes[seg]
+    p += knots_p[seg]
+    np.clip(p, eps, 1.0 - eps, out=p)
+    return p
+
+
 @dataclass(frozen=True)
 class MarginalUniformizer:
     """Invertible piecewise-linear map from data space to (0, 1).
@@ -142,9 +157,9 @@ class MarginalUniformizer:
     ``knots_p`` is the cumulative normalized histogram of the sample over
     it.
 
-    A record built by :func:`_tables`, which checks the table and adds its
-    segment slopes: dp/dx and its log for :meth:`forward`, dx/dp for
-    :meth:`inverse`.  A model's tables are row views of its blocks.  The
+    A record built by :func:`_tables`, which checks the table and adds the
+    log of dp/dx for :meth:`forward` and dx/dp for :meth:`inverse`.  A
+    model's tables are row views of its blocks.  The
     inverse's guess table (:func:`_p_guess_table`) is built on the first
     :meth:`inverse` call, so a fit or a load does not pay for it.
 
@@ -162,7 +177,6 @@ class MarginalUniformizer:
     knots_x: np.ndarray
     knots_p: np.ndarray
     clamp_eps: float
-    _dpdx: np.ndarray = field(repr=False, compare=False)
     _log_dpdx: np.ndarray = field(repr=False, compare=False)
     _dxdp: np.ndarray = field(repr=False, compare=False)
     _p_guess: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
@@ -171,29 +185,16 @@ class MarginalUniformizer:
         """Map a 1-D column of finite data values to probabilities.
 
         Each value's knot segment ``s`` is found once (:func:`_segment`).
-        It gives both the CDF value, ``kp[s] + dpdx[s] * (x - kx[s])`` (the
-        arithmetic of ``np.interp``), clamped into
-        ``(clamp_eps, 1 - clamp_eps)``, and the natural log of the local CDF
-        slope (the histogram density), both read from per-segment tables.
-        Out-of-support points get the slope of the nearest extension segment.
+        It gives both the clamped CDF value (:func:`_cdf`) and the natural
+        log of the local CDF slope (the histogram density), read from the
+        record's per-segment table.  Out-of-support points get the slope of
+        the nearest extension segment.
         """
         # A strided column (the first layer's, from a row-major input) is
         # copied once, since contiguous passes run faster.
         x = np.ascontiguousarray(x)
         seg, lo, _ = _segment(self.knots_x, x)
-        return self._cdf(x, seg, lo), self._log_dpdx[seg]
-
-    def _cdf(self, xs: np.ndarray, seg: np.ndarray, lo: np.ndarray) -> np.ndarray:
-        """The forward kernel: clamped CDF values of 1-D ``xs``, given each
-        value's knot segment ``seg`` and its left knot ``lo``."""
-        # Past the knots p leaves [0, 1] (to +-inf far out) where np.interp
-        # holds the end value; the clamp maps both to one bound.
-        with np.errstate(over="ignore"):
-            p = xs - lo
-            p *= self._dpdx[seg]
-        p += self.knots_p[seg]
-        np.clip(p, self.clamp_eps, 1.0 - self.clamp_eps, out=p)
-        return p
+        return _cdf(x, seg, lo, self.knots_x, self.knots_p, self.clamp_eps), self._log_dpdx[seg]
 
     def inverse(self, p: np.ndarray) -> np.ndarray:
         """Map a 1-D column of probabilities in (0, 1) back to data values.
@@ -265,7 +266,8 @@ def _tables(knots_x, knots_p, clamp_eps, axes=()):
     # Heap layout, not live data, moved the benchmark's peak RSS: filling the
     # slopes a layer at a time into views added 3 MB on patch-fit, and kept
     # blocks allocated after the temporaries 13 MB in 3 of 16 patch-query runs.
-    dpdx, log_dpdx, dxdp = (np.empty((*kp.shape[:-1], kp.shape[-1] - 1)) for _ in range(3))
+    # dp/dx is checked in the block that then holds its log.
+    dpdx, dxdp = (np.empty((*kp.shape[:-1], kp.shape[-1] - 1)) for _ in range(2))
     with np.errstate(all="ignore"):
         dx = np.diff(kx)
         dp = np.diff(kp)
@@ -286,8 +288,8 @@ def _tables(knots_x, knots_p, clamp_eps, axes=()):
             f"{where}knot segment {i} (x {kx[t][i:i + 2].tolist()}, p {kp[t][i:i + 2].tolist()})"
             " must rise on both axes with finite, positive slopes"
         )
-    np.log(dpdx, out=log_dpdx)
-    blocks = (kx, kp, dpdx, log_dpdx, dxdp)
+    log_dpdx = np.log(dpdx, out=dpdx)
+    blocks = (kx, kp, log_dpdx, dxdp)
     for a in blocks:
         a.setflags(write=False)
 
@@ -347,7 +349,7 @@ def fit_gaussianizer(x: np.ndarray, bins: int) -> MarginalGaussianizer:
     has a zero-width segment and is rejected with ``ValueError``.
 
     Nothing else is checked: :func:`rbig.flow.fit`, its caller, has checked
-    ``x`` and ``bins``.
+    ``bins``, and ``x`` through :func:`marginal_entropy`.
 
     Parameters
     ----------
@@ -358,17 +360,18 @@ def fit_gaussianizer(x: np.ndarray, bins: int) -> MarginalGaussianizer:
         Number of histogram bins, at least 2.
     """
     knots_x = _knot_grid(float(x.min()), float(x.max()), bins)
-    return MarginalGaussianizer(_table(knots_x, _bin_counts(x, knots_x)[0], x.size))
+    knots_p = _cdf_knots(_bin_counts(x, knots_x)[0])
+    return MarginalGaussianizer(_tables(knots_x, knots_p, default_clamp_eps(x.size)))
 
 
-def _table(knots_x: np.ndarray, counts: np.ndarray, n: int) -> MarginalUniformizer:
-    """The fitted table of ``n`` values with ``counts`` in the bins of
-    ``knots_x``: the cumulative smoothed counts, scaled to end at 1."""
+def _cdf_knots(counts: np.ndarray) -> np.ndarray:
+    """CDF knots of a fitted table whose bins hold ``counts``: the cumulative
+    smoothed counts, scaled to end at 1."""
     weights = np.concatenate([[HIST_SMOOTHING], counts + HIST_SMOOTHING, [HIST_SMOOTHING]])
     knots_p = np.concatenate([[0.0], np.cumsum(weights)])
     knots_p /= knots_p[-1]
     knots_p[-1] = 1.0
-    return _tables(knots_x, knots_p, default_clamp_eps(n))
+    return knots_p
 
 
 def normal_cdf(z: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from rbig import (
     GaussModel,
     NonFiniteInput,
     NotConvergedWarning,
+    RbigError,
     fit,
     marginal_entropy,
     marginal_kl_to_standard_normal,
@@ -377,7 +378,9 @@ class TestNonFiniteInput:
     def test_entry_point_raises(self, sine_model, sine_data, call, bad):
         x = sine_data[:200].copy()
         x[137, 1] = bad
-        with pytest.raises(NonFiniteInput, match="^data contains NaN or infinite values$"):
+        # fit checks each column, and names it; a query is checked whole.
+        data = "column 1: x" if call == "fit" else "data"
+        with pytest.raises(NonFiniteInput, match=f"^{data} contains NaN or infinite values$"):
             ENTRY_POINTS[call](sine_model, x)
 
 
@@ -474,25 +477,27 @@ class TestCarriedHistogram:
     @pytest.fixture(params=sorted(CARRIED_CASES), scope="class")
     def fitted(self, request):
         """The case's data and model, the fit's calls of
-        ``MarginalGaussianizer.forward`` and of the forward kernel, and the
-        warnings it raised."""
+        ``MarginalGaussianizer.forward``, of the forward kernel and of the
+        table check, and the warnings it raised."""
         make, config, _ = CARRIED_CASES[request.param]
         x = make()
-        calls = {"forward": 0, "kernel": 0}
-        forward, kernel = MarginalGaussianizer.forward, marginal.MarginalUniformizer._cdf
+        calls = {"forward": 0, "kernel": 0, "tables": 0}
+        forward, kernel, tables = MarginalGaussianizer.forward, marginal._cdf, marginal._tables
 
-        def counted_forward(g, v):
-            calls["forward"] += 1
-            return forward(g, v)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        def counted_kernel(u, *args):
-            calls["kernel"] += 1
-            return kernel(u, *args)
+            return call
 
         with pytest.MonkeyPatch.context() as m, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            m.setattr(MarginalGaussianizer, "forward", counted_forward)
-            m.setattr(marginal.MarginalUniformizer, "_cdf", counted_kernel)
+            m.setattr(MarginalGaussianizer, "forward", counted("forward", forward))
+            # Each through both bindings: the module's own, and the fit's.
+            for module in (marginal, flow):
+                m.setattr(module, "_cdf", counted("kernel", kernel))
+                m.setattr(module, "_tables", counted("tables", tables))
             model = fit(x, config)
         return request.param, x, model, calls, [w.category for w in caught]
 
@@ -510,6 +515,12 @@ class TestCarriedHistogram:
         # once per column-layer, and never for a layer past the last.
         assert calls["forward"] == model.dim
         assert calls["kernel"] == model.n_layers * model.dim
+
+    def test_each_table_checked_once_after_the_first_layer(self, fitted):
+        # The first layer's D tables when fit_gaussianizer builds them, then
+        # every table once, in the model's one pass over its blocks.
+        _, _, model, calls, _ = fitted
+        assert calls["tables"] == model.dim + 1
 
     def test_pooled_fit_matches_public_calls(self, both):
         # 2**15 rows: flow._POOL_MIN_ROWS, from which a fit pools unforced.
@@ -605,7 +616,7 @@ class TestSerialization:
             assert np.shares_memory(first.knots_x.base, last.knots_x)
         # Each kind of slope row is a read-only row of one (L, D, K - 1) block.
         shape = (*sine_model.knots_p.shape[:2], sine_model.knots_p.shape[2] - 1)
-        for name in ("_dpdx", "_log_dpdx", "_dxdp"):
+        for name in ("_log_dpdx", "_dxdp"):
             block = getattr(sine_model.gaussianizers[0][0].uniformizer, name).base
             assert block.shape == shape
             for gaussianizers in sine_model.gaussianizers:
@@ -1064,19 +1075,32 @@ class TestColumnPool:
             assert n_passes == 2 * d + n_layers * d
 
     def test_fit_error_same_through_pool(self, both):
-        x = unbinnable(np.random.default_rng(40).standard_normal((12, 3)))
+        x = np.random.default_rng(40).standard_normal((12, 3))
+        inputs = [unbinnable(x)]
+        for bad in (math.nan, math.inf, -math.inf):
+            inputs.append(x.copy())
+            inputs[-1][5, 2] = bad
+        inputs.append(x.copy())
+        inputs[-1][:, 1] = 4.2
 
-        def error():
-            with pytest.raises(ValueError) as info:
-                fit(x)
-            return type(info.value), str(info.value)
+        def errors():
+            caught = []
+            for data in inputs:
+                with pytest.raises((ValueError, RbigError)) as info:
+                    fit(data)
+                caught.append((type(info.value), str(info.value)))
+            return caught
 
-        serial, pooled = both(error)
-        assert serial == pooled == (
-            ValueError,
-            "column 1: cannot make 3 bins of positive width"
-            " over [9007199254740992.0, 9007199254740996.0]",
-        )
+        serial, pooled = both(errors)
+        assert serial == pooled == [
+            (
+                ValueError,
+                "column 1: cannot make 3 bins of positive width"
+                " over [9007199254740992.0, 9007199254740996.0]",
+            ),
+            *[(NonFiniteInput, "column 2: x contains NaN or infinite values")] * 3,
+            (DegenerateDimension, "column 1: sample has zero range"),
+        ]
 
     def test_first_failing_column_raises_and_pending_columns_are_cancelled(
         self, monkeypatch, pools

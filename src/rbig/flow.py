@@ -227,7 +227,7 @@ def _check_rotations(block: np.ndarray) -> None:
 
 
 def _named(where: str, make, *args):
-    """Call a validating constructor, naming ``where`` in its error, raised as its type."""
+    """Call a validating constructor or a fit, naming ``where`` in its error, raised as its type."""
     try:
         return make(*args)
     except (RbigError, ValueError) as exc:
@@ -369,21 +369,26 @@ class GaussModel:
             (rotations contribute zero).
         """
         x = self._check(data)
+        with _workers(*x.shape) as map_tasks:
+            return self._forward(x, self.n_layers, map_tasks)
+
+    def _forward(self, x, stop, map_tasks):
+        """Layers 0 to ``stop - 1`` of :meth:`transform` on a checked ``x``:
+        their output (``x`` itself if ``stop`` is 0) and log-Jacobian."""
         n, d = x.shape
-        z = np.empty((n, d), order="F")
+        z = np.empty((n, d), order="F") if stop else x
         logjac = np.zeros(n)
         chunks = _rotation_chunks(n, d)
-        with _workers(n, d) as map_tasks:
-            for gaussianizers, rotation in zip(self.gaussianizers, self.rotation_entries):
+        for gaussianizers, rotation in zip(self.gaussianizers[:stop], self.rotation_entries[:stop]):
 
-                def forward(j):
-                    z[:, j], lj = gaussianizers[j].forward(x[:, j])
-                    return lj
+            def forward(j):
+                z[:, j], lj = gaussianizers[j].forward(x[:, j])
+                return lj
 
-                for lj in map_tasks(forward, range(d)):
-                    logjac += lj
-                x = z = _rotated(rotate, rotation, z, z, chunks, map_tasks)
-        return z, logjac
+            for lj in map_tasks(forward, range(d)):
+                logjac += lj
+            x = z = _rotated(rotate, rotation, z, z, chunks, map_tasks)
+        return x, logjac
 
     def inverse(self, z):
         """Map Gaussian-domain points back to data space.
@@ -391,50 +396,75 @@ class GaussModel:
         Returns a new N x D array in column-contiguous (Fortran) order,
         mapped as in :meth:`transform`; ``z`` is left unchanged.
         """
-        x = self._check(z)
-        # Not held past the first rotation: sample's draw is freed there.
+        held = [self._check(z)]
         del z
-        n, d = x.shape
-        chunks = _rotation_chunks(n, d)
-        # The working array that the first rotation fills chunk by chunk.
-        out = np.empty((n, d), order="F") if len(chunks) > 1 else None
-        with _workers(n, d) as map_tasks:
-            for gaussianizers, rotation in zip(
-                reversed(self.gaussianizers), self.rotation_entries[::-1]
-            ):
+        with _workers(*held[0].shape) as map_tasks:
+            return self._inverse(held, None, self.n_layers, map_tasks)
 
-                def invert(j):
-                    x[:, j] = gaussianizers[j].inverse(x[:, j])
+    def _inverse(self, held, out, stop, map_tasks):
+        """Layers ``stop - 1`` down to 0 of :meth:`inverse` on the array in
+        the list ``held``, emptied so that the array can be freed at the first
+        rotation.  Each rotates back into ``out`` (:func:`_rotated`; that
+        array, or None for a fresh one), then maps its columns in place."""
+        x = held.pop()
+        chunks = _rotation_chunks(*x.shape)
+        if out is None and len(chunks) > 1:
+            out = np.empty(x.shape, order="F")
+        for gaussianizers, rotation in zip(
+            reversed(self.gaussianizers[:stop]), self.rotation_entries[:stop][::-1]
+        ):
 
-                x = out = _rotated(rotate_inverse, rotation, x, out, chunks, map_tasks)
-                for _ in map_tasks(invert, range(d)):
-                    pass
+            def invert(j):
+                x[:, j] = gaussianizers[j].inverse(x[:, j])
+
+            x = out = _rotated(rotate_inverse, rotation, x, out, chunks, map_tasks)
+            for _ in map_tasks(invert, range(x.shape[1])):
+                pass
         return x
 
     def log_density(self, data):
-        """log2 of the estimated density at each row, in bits."""
-        z, logjac = self.transform(data)
-        z *= z  # in place: z is this call's own array
-        log2_phi = (
-            -0.5 * self.dim * math.log2(2.0 * math.pi)
-            - np.sum(z, axis=1) / (2.0 * LN2)
-        )
-        return log2_phi + logjac / LN2
+        """log2 of the estimated density at each row, in bits.
+
+        The last rotation is orthogonal, so the N(0, I) log-density of the
+        Gaussian-domain point cancels the probit terms of the last layer's
+        log-Jacobian: that layer adds only its uniformizers' log-slopes.
+        """
+        x = self._check(data)
+        with _workers(*x.shape) as map_tasks:
+            x, logjac = self._forward(x, self.n_layers - 1, map_tasks)
+            out = x if self.n_layers > 1 else np.empty(x.shape, order="F")  # never the caller's
+
+            def log_slope(j):
+                out[:, j] = self.gaussianizers[-1][j].uniformizer.forward(x[:, j])[1]
+
+            for _ in map_tasks(log_slope, range(self.dim)):
+                pass
+        return (logjac + out.sum(axis=1)) / LN2
 
     def information(self, data):
-        """Per-sample information content -log2 p(x), in bits."""
+        """Per-sample information -log2 p(x) in bits, as :meth:`log_density`."""
         return -self.log_density(data)
 
     def sample(self, n: int, seed: int):
-        """Draw n synthetic rows by inverting seeded N(0, I) samples.
+        """Draw n synthetic rows, distributed as :meth:`inverse` of N(0, I).
 
-        ``n`` (>= 1) and ``seed`` (>= 0) follow the integer rule, as in
-        :class:`FitConfig`.  The rows come back as :meth:`inverse` returns
-        them, in column-contiguous (Fortran) order.
+        The last layer's inverse rotation keeps N(0, I) draws N(0, I) and its
+        clamped normal CDF makes them iid U(0, 1), so it maps clamped uniform
+        draws and the rest run as in :meth:`inverse`.  Column j takes draws
+        ``j * n`` to ``(j + 1) * n - 1`` of ``default_rng(seed).random``.
+        ``n`` (>= 1) and ``seed`` (>= 0) follow the integer rule; rows are column-major.
         """
         n = _integer("n", n, 1)
-        rng = np.random.default_rng(_integer("seed", seed, 0))
-        return self.inverse(rng.standard_normal((n, self.dim)))
+        x = np.random.default_rng(_integer("seed", seed, 0)).random((self.dim, n)).T
+        eps, last = self.clamp_eps, self.gaussianizers[-1]
+
+        def invert(j):
+            x[:, j] = last[j].uniformizer.inverse(np.clip(x[:, j], eps, 1 - eps, out=x[:, j]))
+
+        with _workers(n, self.dim) as map_tasks:
+            for _ in map_tasks(invert, range(self.dim)):
+                pass
+            return self._inverse([x], x, self.n_layers - 1, map_tasks)
 
     def to_dict(self) -> dict:
         """Model format 5 (see the README): each block as base64 float64."""

@@ -448,7 +448,7 @@ def _sample_terms(x, bins: int | None):
     if xs.size < MIN_ENTROPY_SAMPLES:
         raise ValueError(f"need at least {MIN_ENTROPY_SAMPLES} samples, got {xs.size}")
     if not np.all(np.isfinite(xs)):
-        raise NonFiniteInput("x contains NaN or infinite values")
+        raise NonFiniteInput("sample contains NaN or infinite values")
     x_min, x_max = float(xs.min()), float(xs.max())
     if x_max == x_min:
         raise DegenerateDimension("sample has zero range")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import PairedLengthMismatch, _exact_keys, _finite, _integer
-from .flow import FitConfig, GaussModel, _check_config_converged, fit
+from .flow import FitConfig, GaussModel, _check_config_converged, _named, fit
 
 __all__ = [
     "ITReport",
@@ -125,8 +125,8 @@ def mutual_information(x, y, config: FitConfig | None = None) -> ITReport:
     Row i of ``x`` must correspond to row i of ``y``; a 1-D array is one
     variable, an N x 1 column.  The report is ``converged`` only if all
     three fits are, and its per-layer trace is the joint fit's.  A
-    one-column side stops at its first layer below ``tol_delta_t``
-    (see :func:`rbig.flow.fit`).
+    one-column side stops at its first layer below ``tol_delta_t`` (see
+    :func:`rbig.flow.fit`).  A side's fit error names it (``y: ...``).
     """
     xa = _as_columns(x)
     ya = _as_columns(y)
@@ -134,8 +134,8 @@ def mutual_information(x, y, config: FitConfig | None = None) -> ITReport:
         raise PairedLengthMismatch(
             f"paired datasets need equal row counts, got {xa.shape[0]} and {ya.shape[0]}"
         )
-    gx = fit(xa, config)
-    gy = fit(ya, config)
+    gx = _named("x", fit, xa, config)
+    gy = _named("y", fit, ya, config)
     # Unnamed, the transforms are freed once stacked and the stack with the
     # joint fit's first layer: two N x (Dx + Dy) arrays at most.
     model = fit(np.hstack([gx.transform(xa)[0], gy.transform(ya)[0]]), config)

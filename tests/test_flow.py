@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 import rbig
 from rbig import (
@@ -379,7 +379,7 @@ class TestNonFiniteInput:
         x = sine_data[:200].copy()
         x[137, 1] = bad
         # fit checks each column, and names it; a query is checked whole.
-        data = "column 1: x" if call == "fit" else "data"
+        data = "column 1: sample" if call == "fit" else "data"
         with pytest.raises(NonFiniteInput, match=f"^{data} contains NaN or infinite values$"):
             ENTRY_POINTS[call](sine_model, x)
 
@@ -413,6 +413,93 @@ class TestSample:
         synth = uniform2d_model.sample(100000, seed=18)
         inside = np.all((synth >= -0.15) & (synth <= 1.15), axis=1)
         assert inside.mean() >= 0.99
+
+
+# One layer, far below tolerance: converged, with no warning.
+ONE_LAYER = FitConfig(tol_delta_t=1e3, patience=1)
+
+
+def counted(m, owner, name):
+    """Replace ``owner.name`` with a wrapper for the context ``m``; return
+    the list it appends one item to per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(None)
+        return original(*args)
+
+    m.setattr(owner, name, wrapper)
+    return calls
+
+
+def full_log_density(model, x):
+    """log2 p(x) from the whole transform: the N(0, I) log-density of z plus
+    the log-Jacobian, with no term cancelled."""
+    z, logjac = model.transform(x)
+    log2_phi = -0.5 * model.dim * math.log2(2 * math.pi) - np.sum(z * z, axis=1) / (2 * math.log(2))
+    return log2_phi + logjac / math.log(2)
+
+
+class TestLastLayerCancels:
+    """log_density and sample skip the work of the last layer that the
+    Gaussian base density cancels."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        model = fit(skewed(3000, 60), FitConfig(seed=61))
+        assert model.n_layers >= 3
+        return model
+
+    def test_log_density_skips_last_probits_and_rotation(self, monkeypatch, model):
+        q = skewed(500, 62)
+        assert len(_rotation_chunks(*q.shape)) == 1
+        with monkeypatch.context() as m:
+            probits = counted(m, marginal, "probit")
+            rotations = counted(m, flow, "rotate")
+            model.log_density(q)
+        assert len(probits) == (model.n_layers - 1) * model.dim
+        assert len(rotations) == model.n_layers - 1
+
+    def test_sample_skips_last_normal_cdfs_and_rotation(self, monkeypatch, model):
+        with monkeypatch.context() as m:
+            cdfs = counted(m, marginal, "normal_cdf")
+            rotations = counted(m, flow, "rotate_inverse")
+            model.sample(500, seed=63)
+        assert len(cdfs) == (model.n_layers - 1) * model.dim
+        assert len(rotations) == model.n_layers - 1
+
+    @pytest.mark.parametrize("kind", ["pca", "random"])
+    @pytest.mark.parametrize("config", [ONE_LAYER, FitConfig()], ids=["1-layer", "layers"])
+    @pytest.mark.parametrize("scale", [1.0, 1.5], ids=["in-support", "scaled"])
+    def test_log_density_matches_full_transform(self, kind, config, scale):
+        model = fit(skewed(3000, 64), replace(config, rotation_kind=kind, seed=65))
+        assert (model.n_layers == 1) == (config is ONE_LAYER)
+        q = scale * skewed(2000, 66)
+        diff = np.abs(model.log_density(q) - full_log_density(model, q))
+        assert diff.max() <= 1e-9
+
+    def test_one_layer_sample_maps_clamped_uniform_draws(self):
+        model = fit(skewed(3000, 67), ONE_LAYER)
+        assert model.n_layers == 1
+        n, seed, eps = 700, 68, model.clamp_eps
+        draws = np.random.default_rng(seed).random((model.dim, n))
+        expected = [
+            g.uniformizer.inverse(np.clip(draws[j], eps, 1 - eps))
+            for j, g in enumerate(model.gaussianizers[0])
+        ]
+        assert same_bits(model.sample(n, seed), np.column_stack(expected))
+
+    def test_sample_matches_inverse_of_normal_draws(self):
+        x = np.random.default_rng(69).standard_normal((5000, 2))
+        x[:, 0] = np.exp(x[:, 0])
+        x[:, 1] += x[:, 0] ** 2
+        model = fit(x, FitConfig(seed=70))
+        assert model.n_layers >= 2
+        synth = model.sample(5000, seed=71)
+        reference = model.inverse(np.random.default_rng(72).standard_normal((5000, 2)))
+        for j in range(2):
+            assert ks_2samp(synth[:, j], reference[:, j]).pvalue > 1e-3
 
 
 def post_rotation_columns(model, x):
@@ -1098,7 +1185,7 @@ class TestColumnPool:
                 "column 1: cannot make 3 bins of positive width"
                 " over [9007199254740992.0, 9007199254740996.0]",
             ),
-            *[(NonFiniteInput, "column 2: x contains NaN or infinite values")] * 3,
+            *[(NonFiniteInput, "column 2: sample contains NaN or infinite values")] * 3,
             (DegenerateDimension, "column 1: sample has zero range"),
         ]
 

@@ -594,7 +594,7 @@ class TestMarginalEntropy:
     def test_nonfinite_raises(self):
         x = np.random.default_rng(15).standard_normal(100)
         x[7] = np.nan
-        with pytest.raises(NonFiniteInput, match="^x contains NaN or infinite values$"):
+        with pytest.raises(NonFiniteInput, match="^sample contains NaN or infinite values$"):
             marginal_entropy(x)
 
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from rbig import (
+    DegenerateDimension,
     FitConfig,
     GAUSS_ENTROPY_BITS,
     ITReport,
+    NonFiniteInput,
     NotConvergedWarning,
     PairedLengthMismatch,
     RankDeficientWarning,
@@ -164,6 +166,29 @@ class TestMutualInformation:
     def test_paired_length_mismatch(self):
         with pytest.raises(PairedLengthMismatch):
             mutual_information(np.zeros((100, 1)), np.zeros((99, 1)))
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (math.nan, NonFiniteInput, "sample contains NaN or infinite values"),
+            (math.inf, NonFiniteInput, "sample contains NaN or infinite values"),
+            (None, DegenerateDimension, "sample has zero range"),
+        ],
+        ids=["nan", "inf", "constant"],
+    )
+    def test_bad_column_names_its_side(self, side, value, error, message):
+        # x has 2 columns and y 1: each side names its own last column.
+        pair = {"x": np.random.default_rng(30).standard_normal((50, 2)),
+                "y": np.random.default_rng(31).standard_normal((50, 1))}
+        bad = pair[side]
+        if value is None:
+            bad[:, -1] = 2.5
+        else:
+            bad[7, -1] = value
+        with pytest.raises(error) as info:
+            mutual_information(pair["x"], pair["y"])
+        assert str(info.value) == f"{side}: column {bad.shape[1] - 1}: {message}"
 
     def test_symmetry(self):
         data = equicorrelated_gaussian(50000, 2, 0.7, 12)

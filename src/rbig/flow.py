@@ -69,24 +69,52 @@ MODEL_VERSION = 5
 _POOL_MIN_ROWS = 2**15
 
 
-def _rotated(turn, rotation, x, out, chunks, map_tasks):
+def _loaded(x, chunks, map_tasks):
+    """A fresh column-major copy of ``x``, each of the row ``chunks`` of
+    :func:`_rotation_chunks` copied by a task of ``map_tasks``: the strided
+    reads of a row-major ``x`` run on the workers, and every column of the
+    copy is contiguous."""
+    z = np.empty(x.shape, order="F")
+
+    def load(rows):
+        z[rows] = x[rows]
+
+    for _ in map_tasks(load, chunks):
+        pass
+    return z
+
+
+def _column_ranges(a):
+    return a.max(axis=0), a.min(axis=0)
+
+
+def _rotated(turn, rotation, x, out, chunks, map_tasks, ranges=False):
     """``turn(rotation, x)``, ``turn`` being :func:`rotate` or
     :func:`rotate_inverse`, over the row ``chunks`` of
     :func:`_rotation_chunks`.
 
     For one chunk this is the fresh product, with no copy.  For several,
     each chunk's product is a task of ``map_tasks``, written into the same
-    rows of ``out`` (which may be ``x``), and ``out`` is returned.
+    rows of ``out`` (which may be ``x``), and ``out`` is returned.  With
+    ``ranges``, ``(out, hi, lo)`` is returned, ``hi`` and ``lo`` being the
+    column max and min of ``out``: each chunk's task takes them over its
+    own rows, and they are exact, so the reduction here has the same bits
+    however the tasks run.
     """
     if len(chunks) == 1:
-        return turn(rotation, x)
+        out = turn(rotation, x)
+        parts = [_column_ranges(out)] if ranges else []
+    else:
 
-    def rotate_chunk(rows):
-        out[rows] = turn(rotation, x[rows])
+        def rotate_chunk(rows):
+            out[rows] = part = turn(rotation, x[rows])
+            return _column_ranges(part) if ranges else None
 
-    for _ in map_tasks(rotate_chunk, chunks):
-        pass
-    return out
+        parts = list(map_tasks(rotate_chunk, chunks))
+    if not ranges:
+        return out
+    highs, lows = zip(*parts)
+    return out, np.max(highs, axis=0), np.min(lows, axis=0)
 
 
 # A rotated direction whose range is at most this many times the layer's
@@ -354,10 +382,11 @@ class GaussModel:
     def transform(self, data):
         """Map data to the Gaussian domain.
 
-        Each layer maps its columns into the working array, then rotates
-        it (:func:`_rotated`): in place, chunk by chunk, when its rows make
-        several chunks.  Columns and chunks are tasks on the call's workers
-        (see :func:`_workers`).
+        The query is loaded into a column-major working array chunk by chunk
+        (:func:`_loaded`).  Each layer maps its columns in place, then
+        rotates the array (:func:`_rotated`): in place, chunk by chunk, when
+        its rows make several chunks.  Columns and chunks are tasks on the
+        call's workers (see :func:`_workers`).
 
         Returns
         -------
@@ -374,20 +403,23 @@ class GaussModel:
 
     def _forward(self, x, stop, map_tasks):
         """Layers 0 to ``stop - 1`` of :meth:`transform` on a checked ``x``:
-        their output (``x`` itself if ``stop`` is 0) and log-Jacobian."""
+        their output (``x`` itself if ``stop`` is 0) and log-Jacobian.  When
+        ``stop`` is at least 1, ``x`` is first loaded into the working array
+        (:func:`_loaded`), so each layer reads contiguous columns."""
         n, d = x.shape
-        z = np.empty((n, d), order="F") if stop else x
         logjac = np.zeros(n)
         chunks = _rotation_chunks(n, d)
+        if stop:
+            x = _loaded(x, chunks, map_tasks)
         for gaussianizers, rotation in zip(self.gaussianizers[:stop], self.rotation_entries[:stop]):
 
             def forward(j):
-                z[:, j], lj = gaussianizers[j].forward(x[:, j])
+                x[:, j], lj = gaussianizers[j].forward(x[:, j])
                 return lj
 
             for lj in map_tasks(forward, range(d)):
                 logjac += lj
-            x = z = _rotated(rotate, rotation, z, z, chunks, map_tasks)
+            x = _rotated(rotate, rotation, x, x, chunks, map_tasks)
         return x, logjac
 
     def inverse(self, z):
@@ -427,7 +459,8 @@ class GaussModel:
 
         The last rotation is orthogonal, so the N(0, I) log-density of the
         Gaussian-domain point cancels the probit terms of the last layer's
-        log-Jacobian: that layer adds only its uniformizers' log-slopes.
+        log-Jacobian: that layer adds only its uniformizers' log-slopes, with
+        no CDF (``MarginalUniformizer.log_slope``).
         """
         x = self._check(data)
         with _workers(*x.shape) as map_tasks:
@@ -435,7 +468,7 @@ class GaussModel:
             out = x if self.n_layers > 1 else np.empty(x.shape, order="F")  # never the caller's
 
             def log_slope(j):
-                out[:, j] = self.gaussianizers[-1][j].uniformizer.forward(x[:, j])[1]
+                out[:, j] = self.gaussianizers[-1][j].uniformizer.log_slope(x[:, j])
 
             for _ in map_tasks(log_slope, range(self.dim)):
                 pass
@@ -615,7 +648,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     reached), the binning task takes that step from the knot segments it
     found; else the next layer searches them once.  The input is binned
     twice, for ``marginal_entropies_input`` and the first layer's tables,
-    from one contiguous copy of each column, which
+    from its column of the working array, which
     ``MarginalGaussianizer.forward`` Gaussianizes.  ``marginal_entropy`` is
     the one check of an input column: NaN or inf, a zero range or a failing
     table raises its own error type, naming the column (``column 1: ...``).
@@ -626,17 +659,23 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     counts rise strictly for N below about 4e12.  The data needs at least
     ``MIN_ENTROPY_SAMPLES`` (10) rows and 1 column.
 
-    The fit keeps one column-major N x D working array.  The first layer
-    Gaussianizes the input's columns into it, and the input is never written
-    to; every later layer Gaussianizes its columns in place.  Each layer
-    rotates the array in place over the row chunks of
-    :func:`_rotation_chunks` (:func:`_rotated`), and the PCA sums its Gram
-    matrix over the same chunks.  Columns and chunks are tasks on the call's
-    workers (see :func:`_workers`), so the saved model has the same bits
-    whatever the worker count and whatever the input's memory order.
+    The fit keeps one column-major N x D working array.  The input is
+    copied into it over the row chunks of :func:`_rotation_chunks`
+    (:func:`_loaded`) and never written to; every layer Gaussianizes its
+    columns in place, and each task that writes a column also takes its
+    mean, which the PCA centers by.  Each layer rotates the array in place
+    over the same chunks (:func:`_rotated`), whose tasks also take each
+    rotated column's range for the degenerate check and the binning, and
+    the PCA sums its Gram matrix over them.  Columns and chunks are tasks on
+    the call's workers (see :func:`_workers`), so the saved model has the
+    same bits whatever the worker count and whatever the input's memory
+    order.  When the rows make several chunks, the calling thread makes no
+    pass over the N x D data: per layer it adds up the tasks' results in
+    column or chunk order, runs the PCA's eigensolver and applies the
+    stopping rule.
     """
     x = np.asarray(data, dtype=float)
-    # Not held here, so an input no caller holds is freed with the first layer.
+    # Not held here, so an input no caller holds is freed after the load.
     del data
     if x.ndim != 2:
         raise ValueError("data must be a 2-D sample matrix (rows = observations)")
@@ -655,13 +694,23 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
 
     h_floor = math.log2(clamp_eps)
     chunks = _rotation_chunks(n, d)
-    # The fit's one working array: every layer Gaussianizes its columns and
-    # then rotates it in place.  Column-major, so each column is contiguous,
-    # and fresh, so the caller's array is only read, whatever its layout.
-    z = np.empty((n, d), order="F")
     # A layer's D tables: (D, K) blocks of knot grids and CDF knots, by row.
     knots_x, knots_p = np.empty((2, d, bins + 3))
+    # The column means of z's Gaussianized columns, for the next PCA.
+    means = np.empty(d)
     with _workers(n, d) as map_tasks:
+        # The fit's one working array: every layer Gaussianizes its columns
+        # and then rotates it in place.  Column-major, so each column is
+        # contiguous, and fresh, so the caller's array is only read, whatever
+        # its layout.
+        z = _loaded(x, chunks, map_tasks)
+        del x
+
+        def put(j, column):
+            """Write Gaussianized column j, and its mean for the PCA."""
+            z[:, j] = column
+            means[j] = column.mean()
+
         # Per layer: its knot blocks, its rotation, its rank flag and delta-T.
         tables: list[tuple[np.ndarray, np.ndarray]] = []
         rotations: list[np.ndarray] = []
@@ -677,40 +726,37 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             if layer == 0:
 
                 def gaussianize(j):
-                    # One contiguous copy of a strided input column feeds its
-                    # entropy, its table and its forward.
-                    col = np.ascontiguousarray(x[:, j])
+                    col = z[:, j]
                     h_j = _named(f"column {j}", marginal_entropy, col, bins)
                     g = _named(f"column {j}", fit_gaussianizer, col, bins)
-                    z[:, j], _ = g.forward(col)
+                    put(j, g.forward(col)[0])
                     knots_x[j], knots_p[j] = g.uniformizer.knots_x, g.uniformizer.knots_p
                     return h_j
 
                 h_input = np.fromiter(map_tasks(gaussianize, range(d)), float, d)
-                del x
             elif not fused:
 
                 def gaussianize(j):
                     col = z[:, j]
                     seg, left, _ = _segment(knots_x[j], col)
-                    z[:, j] = probit(_cdf(col, seg, left, knots_x[j], knots_p[j], clamp_eps))
+                    put(j, probit(_cdf(col, seg, left, knots_x[j], knots_p[j], clamp_eps)))
 
                 for _ in map_tasks(gaussianize, range(d)):
                     pass
             if config.rotation_kind == "pca":
-                rotation, rank_deficient = fit_pca_rotation(z, map_tasks)
+                rotation, rank_deficient = fit_pca_rotation(z, map_tasks, means)
             else:
                 rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))
                 rank_deficient = False
             # In place when the rows make several chunks; one chunk is one
-            # fresh product, which replaces z.
-            z = _rotated(rotate, rotation, z, z, chunks, map_tasks)
+            # fresh product, which replaces z.  The chunk tasks also take the
+            # rotated columns' ranges.
+            z, hi, lo = _rotated(rotate, rotation, z, z, chunks, map_tasks, ranges=True)
             # A rotation of exactly dependent columns can produce a direction
             # of zero range, or of rounding-noise range (e.g. duplicated
             # variables).  Its differential entropy is unboundedly negative;
             # floor it at the flow's probability resolution and stop
             # stacking, since no further layer can be fitted.
-            hi, lo = z.max(axis=0), z.min(axis=0)
             scale = max(np.abs(hi).max(), np.abs(lo).max())
             degenerate = hi - lo <= _DEGENERATE_SPAN * scale
             # Whatever this layer's delta-T, the stopping rule cannot stop the
@@ -738,7 +784,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                 next_x[j] = grid
                 next_p[j] = _cdf_knots(counts)
                 if fused:
-                    z[:, j] = probit(_cdf(col, seg, left, grid, next_p[j], clamp_eps))
+                    put(j, probit(_cdf(col, seg, left, grid, next_p[j], clamp_eps)))
                 return h_j, kl_j
 
             delta_t = 0.0

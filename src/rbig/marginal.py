@@ -190,11 +190,12 @@ class MarginalUniformizer:
         record's per-segment table.  Out-of-support points get the slope of
         the nearest extension segment.
         """
-        # A strided column (the first layer's, from a row-major input) is
-        # copied once, since contiguous passes run faster.
-        x = np.ascontiguousarray(x)
         seg, lo, _ = _segment(self.knots_x, x)
         return _cdf(x, seg, lo, self.knots_x, self.knots_p, self.clamp_eps), self._log_dpdx[seg]
+
+    def log_slope(self, x: np.ndarray) -> np.ndarray:
+        """The log-slopes of :meth:`forward`, bit for bit, without its CDF."""
+        return self._log_dpdx[_segment(self.knots_x, x)[0]]
 
     def inverse(self, p: np.ndarray) -> np.ndarray:
         """Map a 1-D column of probabilities in (0, 1) back to data values.
@@ -447,9 +448,10 @@ def _sample_terms(x, bins: int | None):
     xs = np.asarray(x, dtype=float).ravel()
     if xs.size < MIN_ENTROPY_SAMPLES:
         raise ValueError(f"need at least {MIN_ENTROPY_SAMPLES} samples, got {xs.size}")
-    if not np.all(np.isfinite(xs)):
-        raise NonFiniteInput("sample contains NaN or infinite values")
     x_min, x_max = float(xs.min()), float(xs.max())
+    # NaN and +-inf carry through min and max: no separate finiteness pass.
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise NonFiniteInput("sample contains NaN or infinite values")
     if x_max == x_min:
         raise DegenerateDimension("sample has zero range")
     return _hist_entropy(xs, x_min, x_max, default_bins(xs.size) if bins is None else bins)

@@ -38,22 +38,27 @@ def _rotation_chunks(n: int, d: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def fit_pca_rotation(x: np.ndarray, map_tasks=map) -> tuple[np.ndarray, bool]:
+def fit_pca_rotation(
+    x: np.ndarray, map_tasks=map, mean: np.ndarray | None = None
+) -> tuple[np.ndarray, bool]:
     """Principal-component rotation of an N x D sample matrix, N > D, and
     whether its spectrum is numerically rank deficient (which also issues a
     :class:`RankDeficientWarning`).
 
     Rows are unit eigenvectors of the sample covariance of the mean-centered
     data, ordered by descending eigenvalue (ties keep the eigensolver's
-    order), each sign-fixed so its largest-magnitude entry is positive.  The
-    centered Gram matrix is summed over the row chunks of
-    :func:`_rotation_chunks` in chunk order, each chunk centered in a
-    temporary of its own and run as a task of ``map_tasks`` (which yields
-    its results in order, as ``map`` does), so no centered N x D copy is
-    made and the bits do not depend on how the tasks run.
+    order), each sign-fixed so its largest-magnitude entry is positive.
+    ``mean`` is the column means of ``x``, which a caller that has just
+    written the columns passes in; without it they are computed here, as
+    ``x.mean(axis=0)``.  The centered Gram matrix is summed over the row
+    chunks of :func:`_rotation_chunks` in chunk order, each chunk centered
+    in a temporary of its own and run as a task of ``map_tasks`` (which
+    yields its results in order, as ``map`` does), so no centered N x D copy
+    is made and the bits do not depend on how the tasks run.
     """
     n, d = x.shape
-    mean = x.mean(axis=0)
+    if mean is None:
+        mean = x.mean(axis=0)
 
     def gram(rows):
         centered = x[rows] - mean

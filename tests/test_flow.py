@@ -461,6 +461,13 @@ class TestLastLayerCancels:
         assert len(probits) == (model.n_layers - 1) * model.dim
         assert len(rotations) == model.n_layers - 1
 
+    def test_log_density_skips_last_cdfs(self, monkeypatch, model):
+        # The last layer takes only the log-slopes of its tables.
+        with monkeypatch.context() as m:
+            kernels = counted(m, marginal, "_cdf")
+            model.log_density(skewed(500, 62))
+        assert len(kernels) == (model.n_layers - 1) * model.dim
+
     def test_sample_skips_last_normal_cdfs_and_rotation(self, monkeypatch, model):
         with monkeypatch.context() as m:
             cdfs = counted(m, marginal, "normal_cdf")
@@ -1042,16 +1049,20 @@ class TestColumnPool:
         assert len(_rotation_chunks(*x.shape)) >= 2
         config = replace(WIDE, rotation_kind=kind, seed=65)
 
+        # C order, Fortran order and a strided view of every other row.
+        layouts = [np.ascontiguousarray(x), np.asfortranarray(x), np.repeat(x, 2, axis=0)[::2]]
+        assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+
         def saved():
             docs = []
-            for layout in (np.ascontiguousarray, np.asfortranarray):
-                path = tmp_path / f"{layout.__name__}.json"
-                fit(layout(x), config).save(path)
+            for i, data in enumerate(layouts):
+                path = tmp_path / f"{i}.json"
+                fit(data, config).save(path)
                 docs.append(path.read_bytes())
             return docs
 
         serial, pooled = both(saved)
-        assert serial[0] == serial[1] == pooled[0] == pooled[1]
+        assert len(set(serial + pooled)) == 1
 
     def test_fit_leaves_input_unchanged(self, monkeypatch, pools):
         # 3 rotation chunks at 16 columns, each a task on the workers.
@@ -1136,6 +1147,20 @@ class TestColumnPool:
         d = skewed(3000, 39)
         serial, pooled = both(lambda: mutual_information(d[:, :2], d[:, 2]).raw_value_bits)
         assert serial == pooled
+
+    def test_degenerate_direction_fit_same_through_pool(self, both):
+        # Two equal columns, as mutual_information(x, x) fits: the first
+        # rotation leaves a direction of rounding-noise range, which stops
+        # the fit.
+        a = skewed(3000, 48)[:, :1]
+
+        def fitted():
+            with pytest.warns(rbig.RankDeficientWarning):
+                return fit(np.hstack([a, a])).to_dict()
+
+        serial, pooled = both(fitted)
+        assert serial == pooled
+        assert serial["n_layers"] == 1 and serial["converged"]
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_fit_bins_each_column_once_per_layer(self, both, monkeypatch, d):
@@ -1379,6 +1404,15 @@ class TestRotationChunks:
         assert [pool.tasks >= 2 for pool in pools] == [True] * 4 * (workers > 1)
         for a, b in zip(serial, pooled):
             assert same_bits(a, b)
+
+    def test_pca_given_column_means_keeps_bits(self, chunked_case):
+        # The fit passes the means its column tasks take, one column each.
+        _, q = chunked_case
+        x = np.asfortranarray(q)
+        means = np.array([x[:, j].mean() for j in range(x.shape[1])])
+        assert same_bits(means, x.mean(axis=0))
+        given, own = fit_pca_rotation(x, mean=means), fit_pca_rotation(x)
+        assert same_bits(given[0], own[0]) and given[1] == own[1]
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_pca_fit_workers_match_serial_call(self, chunked_case, monkeypatch, pools, workers):

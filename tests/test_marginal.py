@@ -340,6 +340,7 @@ class TestSegmentLookup:
         p_ref, logdpdx_ref = reference_forward(u, x)
         assert np.array_equal(p, p_ref)
         assert np.array_equal(logdpdx, logdpdx_ref)
+        assert same_bits(u.log_slope(x), logdpdx)
         for i in range(0, x.size, max(1, x.size // 8)):
             p1, logdpdx1 = u.forward(x[i : i + 1])
             assert same_bits(p1, p_ref[i : i + 1])
@@ -353,8 +354,9 @@ class TestSegmentLookup:
         assert np.all((p >= u.clamp_eps) & (p <= 1.0 - u.clamp_eps))
 
     def test_shape_preserved(self):
-        # A strided column, as the first layer of a row-major input gives:
-        # one value per row, the bits of its contiguous copy.
+        # A strided column, as the last layer of a one-layer log_density
+        # reads from a row-major query: one value per row, the bits of its
+        # contiguous copy.
         u = fit_table(np.random.default_rng(21).standard_normal(500), bins=20)
         x = np.random.default_rng(22).standard_normal((60, 5))[:, 3]
         assert not x.flags.contiguous
@@ -363,6 +365,7 @@ class TestSegmentLookup:
         assert p.shape == logdpdx.shape == x.shape
         assert same_bits(p, p_ref)
         assert same_bits(logdpdx, logdpdx_ref)
+        assert same_bits(u.log_slope(x), logdpdx_ref)
 
 
 def reference_inverse(u, p):

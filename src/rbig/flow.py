@@ -32,15 +32,16 @@ from .errors import (
     _finite,
     _integer,
 )
+# The binning's kernels (marginal._knot_grid, _check_widths, _bin_counts,
+# _cdf_knots and _entropies) are looked up on their module at each call, so
+# a wrapper set there, such as the tests' call counters, sees the fit's calls.
+from . import marginal
 from .marginal import (
     GAUSS_ENTROPY_BITS,
     LN2,
     MIN_ENTROPY_SAMPLES,
     MarginalGaussianizer,
     _cdf,
-    _cdf_knots,
-    _hist_entropy,
-    _knot_grid,
     _segment,
     _tables,
     default_bins,
@@ -62,25 +63,29 @@ MODEL_VERSION = 5
 
 
 # Rows from which a call's tasks run on worker threads: a layer's columns, or
-# its row chunks.  The column kernels (binning, ndtri, ndtr) and the matrix
-# products release the GIL, but each pooled call pays a hand-off.
+# its row chunks.  The column kernels' passes over long columns (the segment
+# lookup, ndtri, ndtr) and the matrix products release the GIL; np.bincount
+# and calls on short arrays hold it, and each pooled call pays a hand-off.
 # Per column-layer of a 49-column fit on a 2-CPU x86_64 host, the workers
-# broke even at 20,000 rows and won from 30,000 (README, "Worker threads").
+# lost at 10,000 rows and won from 20,000 (README, "Worker threads").
 _POOL_MIN_ROWS = 2**15
 
 
-def _loaded(x, chunks, map_tasks):
+def _loaded(x, chunks, map_tasks, finite=False):
     """A fresh column-major copy of ``x``, each of the row ``chunks`` of
     :func:`_rotation_chunks` copied by a task of ``map_tasks``: the strided
     reads of a row-major ``x`` run on the workers, and every column of the
-    copy is contiguous."""
+    copy is contiguous.  With ``finite``, each task also checks its rows,
+    and a NaN or +-inf raises :class:`NonFiniteInput`."""
     z = np.empty(x.shape, order="F")
 
     def load(rows):
-        z[rows] = x[rows]
+        part = x[rows]
+        z[rows] = part
+        return not finite or np.isfinite(part).all()
 
-    for _ in map_tasks(load, chunks):
-        pass
+    if not all(map_tasks(load, chunks)):
+        raise NonFiniteInput("data contains NaN or infinite values")
     return z
 
 
@@ -336,7 +341,7 @@ class GaussModel:
         knots_x = np.empty_like(self.knots_p)
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n_layers):
-                knots_x[i] = _knot_grid(self.x_min[i], self.x_max[i], self.resolved_bins)
+                knots_x[i] = marginal._knot_grid(self.x_min[i], self.x_max[i], self.resolved_bins)
         tables = _tables(knots_x, self.knots_p, self.clamp_eps, axes=("layer", "column"))
         _check_rotations(self.rotation_entries)
         object.__setattr__(self, "clamp_eps", tables[0][0].clamp_eps)
@@ -367,15 +372,16 @@ class GaussModel:
         """Sum of the per-layer reductions, in bits."""
         return float(self.delta_t.sum())
 
-    def _check(self, data) -> np.ndarray:
-        """The one check of a query's shape and finiteness: the column
-        kernels check nothing."""
+    def _check(self, data, finite) -> np.ndarray:
+        """The one check of a query's shape and, with ``finite``, of its
+        finiteness: the column kernels check nothing.  :meth:`_forward`
+        checks finiteness as it loads the query."""
         x = np.asarray(data, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"data must be N x {self.dim}, got shape {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
+        if finite and not np.all(np.isfinite(x)):
             raise NonFiniteInput("data contains NaN or infinite values")
         return x
 
@@ -397,20 +403,20 @@ class GaussModel:
             Natural-log Jacobian determinant of the full map at each row
             (rotations contribute zero).
         """
-        x = self._check(data)
+        x = self._check(data, finite=False)
         with _workers(*x.shape) as map_tasks:
             return self._forward(x, self.n_layers, map_tasks)
 
     def _forward(self, x, stop, map_tasks):
-        """Layers 0 to ``stop - 1`` of :meth:`transform` on a checked ``x``:
-        their output (``x`` itself if ``stop`` is 0) and log-Jacobian.  When
-        ``stop`` is at least 1, ``x`` is first loaded into the working array
-        (:func:`_loaded`), so each layer reads contiguous columns."""
+        """Layers 0 to ``stop - 1`` of :meth:`transform` on an ``x`` of
+        checked shape: their output and log-Jacobian.  ``x`` is first loaded
+        into the working array (:func:`_loaded`), whose tasks check its
+        finiteness before any layer runs, so each layer reads contiguous
+        columns."""
         n, d = x.shape
         logjac = np.zeros(n)
         chunks = _rotation_chunks(n, d)
-        if stop:
-            x = _loaded(x, chunks, map_tasks)
+        x = _loaded(x, chunks, map_tasks, finite=True)
         for gaussianizers, rotation in zip(self.gaussianizers[:stop], self.rotation_entries[:stop]):
 
             def forward(j):
@@ -428,7 +434,7 @@ class GaussModel:
         Returns a new N x D array in column-contiguous (Fortran) order,
         mapped as in :meth:`transform`; ``z`` is left unchanged.
         """
-        held = [self._check(z)]
+        held = [self._check(z, finite=True)]
         del z
         with _workers(*held[0].shape) as map_tasks:
             return self._inverse(held, None, self.n_layers, map_tasks)
@@ -462,17 +468,16 @@ class GaussModel:
         log-Jacobian: that layer adds only its uniformizers' log-slopes, with
         no CDF (``MarginalUniformizer.log_slope``).
         """
-        x = self._check(data)
+        x = self._check(data, finite=False)
         with _workers(*x.shape) as map_tasks:
             x, logjac = self._forward(x, self.n_layers - 1, map_tasks)
-            out = x if self.n_layers > 1 else np.empty(x.shape, order="F")  # never the caller's
 
             def log_slope(j):
-                out[:, j] = self.gaussianizers[-1][j].uniformizer.log_slope(x[:, j])
+                x[:, j] = self.gaussianizers[-1][j].uniformizer.log_slope(x[:, j])
 
             for _ in map_tasks(log_slope, range(self.dim)):
                 pass
-        return (logjac + out.sum(axis=1)) / LN2
+        return (logjac + x.sum(axis=1)) / LN2
 
     def information(self, data):
         """Per-sample information -log2 p(x) in bits, as :meth:`log_density`."""
@@ -638,15 +643,24 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     per-layer values telescope so their sum estimates the total correlation
     of the input.
 
-    Each column of a layer's output is binned once, over its range: the
+    Each column of a layer's output is binned once, over its range, and the
     counts give its entropy, its KL to N(0, 1) (``non_gaussianity``) and
-    the next layer's table, a row of its two (D, K) knot blocks.  A later
-    layer Gaussianizes the column in one private step, the forward kernel
-    ``_cdf`` on those rows then the probit.  When the stopping rule cannot
-    stop the fit after this layer (no degenerate direction, fewer than
-    ``patience - 1`` layers below tolerance so far and ``max_layers`` not
-    reached), the binning task takes that step from the knot segments it
-    found; else the next layer searches them once.  The input is binned
+    the next layer's table, a row of its two (D, K) knot blocks.  The column
+    task does only the per-value work: it bins its column into its row of a
+    (D, bins) counts block.  The calling thread does the small-array work
+    once per layer, on blocks: one ``_knot_grid`` call makes the layer's
+    knot grids from the rotation's column ranges before the tasks run, and
+    one ``_entropies`` call gives every column's entropy and KL after them,
+    each row with the bits of ``marginal_entropy`` and
+    ``marginal_kl_to_standard_normal`` on that column.  A later layer
+    Gaussianizes the column in one private step, the forward kernel
+    ``_cdf`` on its table's rows then the probit, written over the column.
+    When the stopping rule cannot stop the fit after this layer (no
+    degenerate direction, fewer than ``patience - 1`` layers below
+    tolerance so far and ``max_layers`` not reached), the binning task
+    makes its row's CDF knots and takes that step from the knot segments it
+    found; else the calling thread makes the layer's CDF knots in one call,
+    and the next layer searches the segments once.  The input is binned
     twice, for ``marginal_entropies_input`` and the first layer's tables,
     from its column of the working array, which
     ``MarginalGaussianizer.forward`` Gaussianizes.  ``marginal_entropy`` is
@@ -655,7 +669,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     The model is the one check of a later table, which cannot fail: its
     column, a rotation of probits, has a range that passed
     ``_DEGENERATE_SPAN``, so both extension segments have positive width;
-    ``_hist_entropy`` refuses zero-width bins; and the smoothed cumulative
+    ``_check_widths`` refuses zero-width bins; and the smoothed cumulative
     counts rise strictly for N below about 4e12.  The data needs at least
     ``MIN_ENTROPY_SAMPLES`` (10) rows and 1 column.
 
@@ -671,8 +685,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     same bits whatever the worker count and whatever the input's memory
     order.  When the rows make several chunks, the calling thread makes no
     pass over the N x D data: per layer it adds up the tasks' results in
-    column or chunk order, runs the PCA's eigensolver and applies the
-    stopping rule.
+    column or chunk order, runs the PCA's eigensolver, makes the binning's
+    (D, K) blocks and applies the stopping rule.
     """
     x = np.asarray(data, dtype=float)
     # Not held here, so an input no caller holds is freed after the load.
@@ -696,6 +710,9 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     chunks = _rotation_chunks(n, d)
     # A layer's D tables: (D, K) blocks of knot grids and CDF knots, by row.
     knots_x, knots_p = np.empty((2, d, bins + 3))
+    # Each layer's bin counts, a column's row written by its binning task;
+    # a degenerate column's row is not binned and means nothing.
+    counts = np.zeros((d, bins), dtype=np.intp)
     # The column means of z's Gaussianized columns, for the next PCA.
     means = np.empty(d)
     with _workers(n, d) as map_tasks:
@@ -706,10 +723,13 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         z = _loaded(x, chunks, map_tasks)
         del x
 
-        def put(j, column):
-            """Write Gaussianized column j, and its mean for the PCA."""
-            z[:, j] = column
-            means[j] = column.mean()
+        def gaussianize_in_place(j, seg, left, kx, kp):
+            """Gaussianize column j through a table's rows ``kx`` and ``kp``
+            in one private step, from its values' knot segments and left
+            knots, writing the probits over it; take its mean for the PCA."""
+            col = z[:, j]
+            probit(_cdf(col, seg, left, kx, kp, clamp_eps), out=col)
+            means[j] = col.mean()
 
         # Per layer: its knot blocks, its rotation, its rank flag and delta-T.
         tables: list[tuple[np.ndarray, np.ndarray]] = []
@@ -729,7 +749,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                     col = z[:, j]
                     h_j = _named(f"column {j}", marginal_entropy, col, bins)
                     g = _named(f"column {j}", fit_gaussianizer, col, bins)
-                    put(j, g.forward(col)[0])
+                    z[:, j] = column = g.forward(col)[0]
+                    means[j] = column.mean()
                     knots_x[j], knots_p[j] = g.uniformizer.knots_x, g.uniformizer.knots_p
                     return h_j
 
@@ -737,9 +758,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             elif not fused:
 
                 def gaussianize(j):
-                    col = z[:, j]
-                    seg, left, _ = _segment(knots_x[j], col)
-                    put(j, probit(_cdf(col, seg, left, knots_x[j], knots_p[j], clamp_eps)))
+                    seg, left, _ = _segment(knots_x[j], z[:, j])
+                    gaussianize_in_place(j, seg, left, knots_x[j], knots_p[j])
 
                 for _ in map_tasks(gaussianize, range(d)):
                     pass
@@ -767,29 +787,41 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
                 and layer + 1 < config.max_layers
             )
 
-            # The next layer's tables: a degenerate column's rows stay unset.
+            # The binning's small-array steps run here, once per layer on
+            # (D, K) blocks: the next layer's knot grids, the CDF knots of a
+            # layer that may be the last, and every column's entropy and KL.
+            # A column task does only per-value work: it bins its column
+            # into its row of the counts, and in a fused layer Gaussianizes
+            # it through its row's CDF knots.  A degenerate column is not
+            # binned; its grid and counts rows mean nothing.
+            live = np.flatnonzero(~degenerate)
             next_x, next_p = np.empty((2, d, bins + 3))
+            next_x[:] = marginal._knot_grid(lo, hi, bins)
+            marginal._check_widths(next_x[live], lo[live], hi[live])
 
             def bin_column(j):
-                if degenerate[j]:
-                    value = z[0, j]
-                    cross = (0.5 * value * value + 0.5 * math.log(2 * math.pi)) / LN2
-                    return h_floor, cross - h_floor
                 # Not checked for NaN or inf: the rotation's input holds
                 # probit values, all finite and bounded.
-                col = z[:, j]
-                grid, (counts, seg, left), h_j, kl_j = _hist_entropy(
-                    col, float(lo[j]), float(hi[j]), bins
-                )
-                next_x[j] = grid
-                next_p[j] = _cdf_knots(counts)
+                counts[j], seg, left = marginal._bin_counts(z[:, j], next_x[j])
                 if fused:
-                    put(j, probit(_cdf(col, seg, left, grid, next_p[j], clamp_eps)))
-                return h_j, kl_j
+                    next_p[j] = marginal._cdf_knots(counts[j])
+                    gaussianize_in_place(j, seg, left, next_x[j], next_p[j])
 
+            for _ in map_tasks(bin_column, live):
+                pass
+            if not fused:
+                next_p[:] = marginal._cdf_knots(counts)
+            h, kl = marginal._entropies(counts, next_x, n)
+            if degenerate.any():
+                # A degenerate column's entropy is floored at the flow's
+                # probability resolution, and its cross-entropy taken at its
+                # one value.
+                value = z[0, degenerate]
+                h[degenerate] = h_floor
+                kl[degenerate] = (0.5 * value * value + 0.5 * math.log(2 * math.pi)) / LN2 - h_floor
             delta_t = 0.0
             j_m = 0.0
-            for h_j, kl_j in map_tasks(bin_column, range(d)):
+            for h_j, kl_j in zip(h.tolist(), kl.tolist()):
                 j_m += kl_j
                 delta_t += GAUSS_ENTROPY_BITS - h_j
             tables.append((knots_x, knots_p))

@@ -70,8 +70,12 @@ def _checked_segment(knots: np.ndarray, v: np.ndarray, seg: np.ndarray):
     """
     lo = knots[seg]
     hi = knots[1:][seg]
-    miss = np.flatnonzero((v < lo) | (v >= hi))
-    if miss.size:
+    miss = v < lo
+    miss |= v >= hi
+    # Misses are rare on fitted data-side tables (about 1e-6 of a patch
+    # fit's values): the search and the scatters run only when there is one.
+    if miss.any():
+        miss = np.flatnonzero(miss)
         last = knots.size - 2
         found = np.clip(np.searchsorted(knots, v[miss], side="right") - 1, 0, last)
         seg[miss] = found
@@ -84,18 +88,21 @@ def _segment(kx: np.ndarray, x: np.ndarray):
     """Knot segment of each data value of 1-D ``x``, and its two knots.
 
     Fitted knots are equal-width from ``kx[1]`` to ``kx[-2]``, so a floor
-    division guesses each segment; :func:`_checked_segment` checks it.
-    Misses are values at a knot or outside the knots, and hand-built
-    non-uniform tables.
+    division guesses each segment, ``x / width + (1 - kx[1] / width)`` in
+    two passes; :func:`_checked_segment` checks it.  Misses are values at a
+    knot or outside the knots, hand-built non-uniform tables, and values
+    within rounding of a knot: the guess's rounding error grows with
+    ``|x| / width``, so data whose offset is some 1e10 times its range
+    misses more.
     """
     last = kx.size - 2
     inv_width = (kx.size - 3) / float(kx[-2] - kx[1]) if kx.size > 3 else 0.0
     # Far-out points or near-coincident knots can overflow the guess to inf
-    # or make it NaN (0 * inf); fmax/fmin send both to a valid index.
+    # or make it NaN (0 * inf, inf - inf); fmax/fmin send both to a valid
+    # index, where np.clip would keep a NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        guess = np.subtract(x, kx[1])
-        guess *= inv_width
-    guess += 1.0
+        guess = np.multiply(x, inv_width)
+        guess += 1.0 - kx[1] * inv_width
     np.fmax(guess, 0.0, out=guess)
     np.fmin(guess, last, out=guess)
     return _checked_segment(kx, x, guess.astype(np.intp))
@@ -367,11 +374,13 @@ def fit_gaussianizer(x: np.ndarray, bins: int) -> MarginalGaussianizer:
 
 def _cdf_knots(counts: np.ndarray) -> np.ndarray:
     """CDF knots of a fitted table whose bins hold ``counts``: the cumulative
-    smoothed counts, scaled to end at 1."""
-    weights = np.concatenate([[HIST_SMOOTHING], counts + HIST_SMOOTHING, [HIST_SMOOTHING]])
-    knots_p = np.concatenate([[0.0], np.cumsum(weights)])
-    knots_p /= knots_p[-1]
-    knots_p[-1] = 1.0
+    smoothed counts, scaled to end at 1.  A (D, bins) block of counts gives
+    a (D, K) block of knots, each row the bits of its own call."""
+    pad = np.full((*counts.shape[:-1], 1), HIST_SMOOTHING)
+    weights = np.concatenate([pad, counts + HIST_SMOOTHING, pad], axis=-1)
+    knots_p = np.concatenate([np.zeros_like(pad), np.cumsum(weights, axis=-1)], axis=-1)
+    knots_p /= knots_p[..., -1:]
+    knots_p[..., -1] = 1.0
     return knots_p
 
 
@@ -381,9 +390,10 @@ def normal_cdf(z: np.ndarray) -> np.ndarray:
     return ndtr(z)
 
 
-def probit(p: np.ndarray) -> np.ndarray:
+def probit(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse standard normal CDF, ``scipy.special.ndtri``, of a 1-D column
-    of clamped probabilities, each in ``[MIN_CLAMP_EPS, 1 - MIN_CLAMP_EPS]``.
+    of clamped probabilities, each in ``[MIN_CLAMP_EPS, 1 - MIN_CLAMP_EPS]``,
+    into ``out`` (a fresh array by default).
 
     Evaluated on ``q = min(p, 1-p)`` and mirrored, so
     ``probit(1 - p) == -probit(p)`` holds exactly.
@@ -395,37 +405,58 @@ def probit(p: np.ndarray) -> np.ndarray:
     np.maximum(p, q, out=q)
     np.subtract(1.0, q, out=q)
     z = ndtri(q, out=q)
-    np.copysign(z, np.subtract(p, 0.5), out=z)
-    return z
+    return np.copysign(z, np.subtract(p, 0.5), out=z if out is None else out)
+
+
+def _check_widths(grids: np.ndarray, x_min, x_max) -> None:
+    """Refuse knot grids, stacked on the last axis, that have a bin of no
+    positive width: a ``ValueError`` names the first such grid's bin count
+    and its range, from ``x_min`` and ``x_max`` (the grids' leading shape)."""
+    ok = (np.diff(grids[..., 1:-1], axis=-1) > 0).all(axis=-1)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        lo, hi = float(np.asarray(x_min)[i]), float(np.asarray(x_max)[i])
+        raise ValueError(
+            f"cannot make {grids.shape[-1] - 3} bins of positive width over [{lo!r}, {hi!r}]"
+        )
+
+
+def _entropies(counts: np.ndarray, grids: np.ndarray, n: int):
+    """Entropy and KL to N(0, 1), both in bits, of each row of a (D, bins)
+    block of bin ``counts`` of ``n`` values over the (D, bins + 3) knot
+    ``grids`` (see :func:`marginal_entropy` and
+    :func:`marginal_kl_to_standard_normal`): two (D,) arrays.
+
+    Each row's terms are summed along the row, with empty bins' terms
+    zero-filled rather than dropped, so a row has the bits of its own
+    one-row call.  A KL is ``inf``, without a warning, where a non-empty
+    bin's center squared overflows (|x| beyond about 1.3e154).  Rows whose
+    bins are not all of positive width give values of no meaning.
+    """
+    lower, upper = grids[:, 1:-2], grids[:, 2:-1]
+    probs = counts / n
+    nz = counts > 0
+    # An empty bin's terms are 0 * -inf (its log) and, where a center's
+    # log-density overflows, 0 * -inf again: NaN, which np.where drops.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = -np.where(nz, probs * np.log2(probs / (upper - lower)), 0.0).sum(axis=-1)
+        h += (nz.sum(axis=-1) - 1) / (2.0 * n * LN2)
+        centers = 0.5 * (lower + upper)
+        log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
+        cross = -np.where(nz, probs * log2_phi, 0.0).sum(axis=-1)
+    return h, cross - h
 
 
 def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
-    """Bin ``x`` over its range ``[x_min, x_max]`` once: the knot grid of the
-    range, what :func:`_bin_counts` returns on it, the entropy and the KL to
-    N(0, 1), both in bits (see :func:`marginal_entropy` and
-    :func:`marginal_kl_to_standard_normal`).  The KL is ``inf``, without a
-    warning, where a non-empty bin's center squared overflows (|x| beyond
-    about 1.3e154)."""
+    """Entropy and KL to N(0, 1), both in bits, of ``x`` binned once over its
+    range ``[x_min, x_max]``: :func:`_entropies` of the one row of its
+    :func:`_bin_counts` on the range's knot grid, which must have ``bins``
+    bins of positive width (``ValueError``)."""
     grid = _knot_grid(x_min, x_max, bins)
-    edges = grid[1:-1]
-    widths = np.diff(edges)
-    if not np.all(widths > 0):
-        raise ValueError(
-            f"cannot make {bins} bins of positive width over [{x_min!r}, {x_max!r}]"
-        )
-    binned = _bin_counts(x, grid)
-    probs = binned[0] / x.size
-    nz = probs > 0
-    h = float(-np.sum(probs[nz] * np.log2(probs[nz] / widths[nz])))
-    h += (int(np.count_nonzero(nz)) - 1) / (2.0 * x.size * LN2)
-    # Empty bins' terms are zeroed in place, not dropped, so the sum adds in
-    # the same order; where a center's log-density overflows to -inf, their
-    # product would be NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        log2_phi = (-0.5 * centers**2 - 0.5 * math.log(2.0 * math.pi)) / LN2
-        cross = -float(np.sum(np.where(nz, probs * log2_phi, 0.0)))
-    return grid, binned, h, cross - h
+    _check_widths(grid, x_min, x_max)
+    counts = _bin_counts(x, grid)[0]
+    h, kl = _entropies(counts[None], grid[None], x.size)
+    return float(h[0]), float(kl[0])
 
 
 def default_bins(n: int) -> int:
@@ -440,9 +471,9 @@ def default_clamp_eps(n: int) -> float:
 
 
 def _sample_terms(x, bins: int | None):
-    """:func:`_hist_entropy` of a sample of at least ``MIN_ENTROPY_SAMPLES``
-    finite values with a positive range, in ``bins`` bins (None for
-    :func:`default_bins`, else an integer >= 1)."""
+    """:func:`_hist_entropy`, the entropy and the KL, of a sample of at least
+    ``MIN_ENTROPY_SAMPLES`` finite values with a positive range, in ``bins``
+    bins (None for :func:`default_bins`, else an integer >= 1)."""
     if bins is not None:
         bins = _integer("bins", bins, 1)
     xs = np.asarray(x, dtype=float).ravel()
@@ -465,7 +496,7 @@ def marginal_entropy(x, bins: int | None = None) -> float:
     (:func:`default_bins`) or an integer >= 1 by the integer rule of
     :mod:`rbig.errors`.
     """
-    return _sample_terms(x, bins)[2]
+    return _sample_terms(x, bins)[0]
 
 
 def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
@@ -476,4 +507,4 @@ def marginal_kl_to_standard_normal(x, bins: int | None = None) -> float:
     :func:`marginal_entropy`.  ``inf`` for a sample reaching beyond about
     +-1.3e154, where the normal log-density at a bin center overflows.
     """
-    return _sample_terms(x, bins)[3]
+    return _sample_terms(x, bins)[1]

@@ -1186,6 +1186,66 @@ class TestColumnPool:
             assert n_layers >= 2
             assert n_passes == 2 * d + n_layers * d
 
+    def test_fit_builds_grids_and_entropies_once_per_layer(self, both, monkeypatch):
+        # The input's D columns each make two knot grids (their entropy and
+        # their first table) and one entropy call; after that, each layer's
+        # binning makes one (D, K) block of grids and one block of
+        # entropies, however many columns it bins.
+        calls = {"_knot_grid": 0, "_entropies": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(marginal, name, counted(name, getattr(marginal, name)))
+        x = skewed(3000, 47)
+        d = x.shape[1]
+
+        def counted_fit():
+            calls.update(dict.fromkeys(calls, 0))
+            model = fit(x)
+            made = dict(calls)
+            # The model's own knot block, one grid per layer, as a load
+            # builds it.
+            calls["_knot_grid"] = 0
+            GaussModel.from_dict(model.to_dict())
+            made["_knot_grid"] -= calls["_knot_grid"]
+            return model.n_layers, made
+
+        for n_layers, made in both(counted_fit):
+            assert n_layers >= 2
+            assert made == {"_knot_grid": 2 * d + n_layers, "_entropies": d + n_layers}
+
+    def test_nonfinite_query_raises_before_any_layer(self, both, monkeypatch):
+        # The load's chunk tasks check the query: a NaN in the last row
+        # chunk raises before any column is mapped.
+        model = fit(wide(3000, 37, 49), replace(WIDE, seed=38))
+        q = wide(3 * _CHUNK_ROWS + 13, 39, 49)
+        assert len(_rotation_chunks(*q.shape)) == 3
+        q[-1, 5] = math.nan
+        forwards = []
+        forward = MarginalGaussianizer.forward
+
+        def counted(self, v):
+            forwards.append(1)
+            return forward(self, v)
+
+        monkeypatch.setattr(MarginalGaussianizer, "forward", counted)
+
+        def raised():
+            for call in (model.transform, model.log_density, model.information):
+                with pytest.raises(
+                    NonFiniteInput, match="^data contains NaN or infinite values$"
+                ):
+                    call(q)
+            return len(forwards)
+
+        assert both(raised) == (0, 0)
+
     def test_fit_error_same_through_pool(self, both):
         x = np.random.default_rng(40).standard_normal((12, 3))
         inputs = [unbinnable(x)]

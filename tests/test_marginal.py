@@ -21,6 +21,8 @@ from rbig.marginal import (
     MIN_CLAMP_EPS,
     MarginalGaussianizer,
     _bin_counts,
+    _checked_segment,
+    _entropies,
     _knot_grid,
     _p_segment,
     _segment,
@@ -240,6 +242,66 @@ class TestBinCounts:
         assert np.array_equal(np.histogram(x, bins)[1], edges)
 
 
+def entropy_rows(counts, grids, n):
+    """``_entropies`` of each row of a block, called on that row alone."""
+    rows = [_entropies(counts[j : j + 1], grids[j : j + 1], n) for j in range(len(counts))]
+    return tuple(np.concatenate(part) for part in zip(*rows))
+
+
+class TestEntropyBlock:
+    """The entropies and KLs of a layer's columns, from one (D, bins) block
+    of counts: each row has the bits of its own call, and so of the public
+    per-column calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        bins=st.integers(1, 60),
+        n=st.integers(1, 500),
+        single=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_one_row_calls(self, d, bins, n, single, seed):
+        # Sparse histograms: most bins empty, and some rows (every row at
+        # one bin) with a single non-empty bin.
+        rng = np.random.default_rng(seed)
+        weights = rng.random((d, bins)) * (rng.random((d, bins)) < 0.3)
+        lone = rng.random(d) < single
+        weights[lone] = 0.0
+        weights[lone, rng.integers(0, bins, d)[lone]] = 1.0
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        counts = np.array([rng.multinomial(n, w / w.sum()) for w in weights])
+        lo = rng.normal(0.0, 10.0, d)
+        grids = _knot_grid(lo, lo + rng.uniform(1e-3, 1e3, d), bins)
+        h, kl = _entropies(counts, grids, n)
+        h_rows, kl_rows = entropy_rows(counts, grids, n)
+        assert same_bits(h, h_rows)
+        assert same_bits(kl, kl_rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(BIN_COUNT_DRAWS)), min_size=1, max_size=6),
+        scale=st.sampled_from([1e-200, 1.0, 1e200]),
+        n=st.integers(10, 400),
+        bins=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_public_calls(self, kinds, scale, n, bins, seed):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([scale * BIN_COUNT_DRAWS[kind](rng, n) for kind in kinds])
+        x = x[:, x.min(axis=0) < x.max(axis=0)]
+        if not x.shape[1]:
+            return
+        grids = _knot_grid(x.min(axis=0), x.max(axis=0), bins)
+        counts = np.array([_bin_counts(x[:, j], grids[j])[0] for j in range(x.shape[1])])
+        h, kl = _entropies(counts, grids, n)
+        assert same_bits(h, np.array([marginal_entropy(c, bins) for c in x.T]))
+        assert same_bits(kl, np.array([marginal_kl_to_standard_normal(c, bins) for c in x.T]))
+        h_rows, kl_rows = entropy_rows(counts, grids, n)
+        assert same_bits(h, h_rows)
+        assert same_bits(kl, kl_rows)
+
+
 class TestUniformizeForward:
     def test_identity_cdf_unit_slope(self):
         u = identity_uniformizer()
@@ -331,6 +393,35 @@ class TestSegmentLookup:
     def test_hand_built_tables(self, knots, draws):
         kx = np.sort(np.array(knots))
         check_segment(kx, probe_points(kx, draws))
+
+    @pytest.mark.parametrize(
+        "kx",
+        [
+            # 1e-300 wide: values of +-1e308 overflow the guess to +-inf.
+            np.linspace(-0.3e-300, 0.7e-300, 12),
+            # Subnormal knot spacing: 1 / width overflows to inf, and the
+            # guess is NaN (0 * inf, inf - inf) or +-inf for every value.
+            5e-324 * np.arange(12.0),
+        ],
+        ids=["1e-300-wide", "subnormal-spacing"],
+    )
+    def test_overflowing_guesses(self, kx):
+        x = np.concatenate([[-1e308, 1e308, -1.0, 1.0, 0.0, -0.0], probe_points(kx, [0.25, 0.5])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_segment(kx, x)
+
+    @pytest.mark.parametrize("guesses", ["all-hit", "all-miss"])
+    def test_checked_guesses(self, guesses):
+        kx = np.cumsum(np.random.default_rng(25).uniform(0.1, 2.0, 30))
+        x = probe_points(kx, np.random.default_rng(26).uniform(size=200))
+        ref = reference_segment(kx, x)
+        # Every guess right, or every guess a segment off.
+        guess = ref.copy() if guesses == "all-hit" else (ref + 1) % (kx.size - 1)
+        seg, lo, hi = _checked_segment(kx, x, guess)
+        assert np.array_equal(seg, ref)
+        assert np.array_equal(lo, kx[ref])
+        assert np.array_equal(hi, kx[ref + 1])
 
     @settings(deadline=None)
     @given(u=fitted_tables, draws=draws)

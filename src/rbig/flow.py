@@ -93,33 +93,32 @@ def _column_ranges(a):
     return a.max(axis=0), a.min(axis=0)
 
 
-def _rotated(turn, rotation, x, out, chunks, map_tasks, ranges=False):
+def _rotated(turn, rotation, x, chunks, map_tasks, ranges=False):
     """``turn(rotation, x)``, ``turn`` being :func:`rotate` or
     :func:`rotate_inverse`, over the row ``chunks`` of
     :func:`_rotation_chunks`.
 
     For one chunk this is the fresh product, with no copy.  For several,
-    each chunk's product is a task of ``map_tasks``, written into the same
-    rows of ``out`` (which may be ``x``), and ``out`` is returned.  With
-    ``ranges``, ``(out, hi, lo)`` is returned, ``hi`` and ``lo`` being the
-    column max and min of ``out``: each chunk's task takes them over its
-    own rows, and they are exact, so the reduction here has the same bits
-    however the tasks run.
+    each chunk's product is a task of ``map_tasks``, written back into the
+    same rows of ``x``, and ``x`` is returned.  With ``ranges``, ``(x, hi,
+    lo)`` is returned, ``hi`` and ``lo`` being the column max and min of the
+    product: each chunk's task takes them over its own rows, and they are
+    exact, so the reduction here has the same bits however the tasks run.
     """
     if len(chunks) == 1:
-        out = turn(rotation, x)
-        parts = [_column_ranges(out)] if ranges else []
+        x = turn(rotation, x)
+        parts = [_column_ranges(x)] if ranges else []
     else:
 
         def rotate_chunk(rows):
-            out[rows] = part = turn(rotation, x[rows])
+            x[rows] = part = turn(rotation, x[rows])
             return _column_ranges(part) if ranges else None
 
         parts = list(map_tasks(rotate_chunk, chunks))
     if not ranges:
-        return out
+        return x
     highs, lows = zip(*parts)
-    return out, np.max(highs, axis=0), np.min(lows, axis=0)
+    return x, np.max(highs, axis=0), np.min(lows, axis=0)
 
 
 # A rotated direction whose range is at most this many times the layer's
@@ -372,17 +371,15 @@ class GaussModel:
         """Sum of the per-layer reductions, in bits."""
         return float(self.delta_t.sum())
 
-    def _check(self, data, finite) -> np.ndarray:
-        """The one check of a query's shape and, with ``finite``, of its
-        finiteness: the column kernels check nothing.  :meth:`_forward`
-        checks finiteness as it loads the query."""
+    def _check(self, data) -> np.ndarray:
+        """The one check of a query's shape: the column kernels check
+        nothing, and :func:`_loaded` checks finiteness as it loads the
+        query."""
         x = np.asarray(data, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"data must be N x {self.dim}, got shape {x.shape}"
             )
-        if finite and not np.all(np.isfinite(x)):
-            raise NonFiniteInput("data contains NaN or infinite values")
         return x
 
     def transform(self, data):
@@ -403,7 +400,7 @@ class GaussModel:
             Natural-log Jacobian determinant of the full map at each row
             (rotations contribute zero).
         """
-        x = self._check(data, finite=False)
+        x = self._check(data)
         with _workers(*x.shape) as map_tasks:
             return self._forward(x, self.n_layers, map_tasks)
 
@@ -425,29 +422,32 @@ class GaussModel:
 
             for lj in map_tasks(forward, range(d)):
                 logjac += lj
-            x = _rotated(rotate, rotation, x, x, chunks, map_tasks)
+            x = _rotated(rotate, rotation, x, chunks, map_tasks)
         return x, logjac
 
     def inverse(self, z):
         """Map Gaussian-domain points back to data space.
 
-        Returns a new N x D array in column-contiguous (Fortran) order,
-        mapped as in :meth:`transform`; ``z`` is left unchanged.
+        Returns a new N x D array in column-contiguous (Fortran) order; ``z``
+        is left unchanged.  As in :meth:`transform`, ``z`` is first loaded
+        into that column-major working array (:func:`_loaded`), whose tasks
+        check its finiteness before any layer runs.  It is then no longer
+        held here, so an array no caller holds is freed before the first
+        layer, and every layer maps the working array in place.
         """
-        held = [self._check(z, finite=True)]
+        x = self._check(z)
         del z
-        with _workers(*held[0].shape) as map_tasks:
-            return self._inverse(held, None, self.n_layers, map_tasks)
+        with _workers(*x.shape) as map_tasks:
+            x = _loaded(x, _rotation_chunks(*x.shape), map_tasks, finite=True)
+            return self._inverse(x, self.n_layers, map_tasks)
 
-    def _inverse(self, held, out, stop, map_tasks):
-        """Layers ``stop - 1`` down to 0 of :meth:`inverse` on the array in
-        the list ``held``, emptied so that the array can be freed at the first
-        rotation.  Each rotates back into ``out`` (:func:`_rotated`; that
-        array, or None for a fresh one), then maps its columns in place."""
-        x = held.pop()
+    def _inverse(self, x, stop, map_tasks):
+        """Layers ``stop - 1`` down to 0 of :meth:`inverse` on the
+        column-major working array ``x``: :meth:`inverse`'s loaded argument,
+        or :meth:`sample`'s uniform draws.  Each rotates back
+        (:func:`_rotated`: in place, chunk by chunk, when the rows make
+        several chunks), then maps its columns in place."""
         chunks = _rotation_chunks(*x.shape)
-        if out is None and len(chunks) > 1:
-            out = np.empty(x.shape, order="F")
         for gaussianizers, rotation in zip(
             reversed(self.gaussianizers[:stop]), self.rotation_entries[:stop][::-1]
         ):
@@ -455,7 +455,7 @@ class GaussModel:
             def invert(j):
                 x[:, j] = gaussianizers[j].inverse(x[:, j])
 
-            x = out = _rotated(rotate_inverse, rotation, x, out, chunks, map_tasks)
+            x = _rotated(rotate_inverse, rotation, x, chunks, map_tasks)
             for _ in map_tasks(invert, range(x.shape[1])):
                 pass
         return x
@@ -468,7 +468,7 @@ class GaussModel:
         log-Jacobian: that layer adds only its uniformizers' log-slopes, with
         no CDF (``MarginalUniformizer.log_slope``).
         """
-        x = self._check(data, finite=False)
+        x = self._check(data)
         with _workers(*x.shape) as map_tasks:
             x, logjac = self._forward(x, self.n_layers - 1, map_tasks)
 
@@ -502,7 +502,7 @@ class GaussModel:
         with _workers(n, self.dim) as map_tasks:
             for _ in map_tasks(invert, range(self.dim)):
                 pass
-            return self._inverse([x], x, self.n_layers - 1, map_tasks)
+            return self._inverse(x, self.n_layers - 1, map_tasks)
 
     def to_dict(self) -> dict:
         """Model format 5 (see the README): each block as base64 float64."""
@@ -771,7 +771,7 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             # In place when the rows make several chunks; one chunk is one
             # fresh product, which replaces z.  The chunk tasks also take the
             # rotated columns' ranges.
-            z, hi, lo = _rotated(rotate, rotation, z, z, chunks, map_tasks, ranges=True)
+            z, hi, lo = _rotated(rotate, rotation, z, chunks, map_tasks, ranges=True)
             # A rotation of exactly dependent columns can produce a direction
             # of zero range, or of rounding-noise range (e.g. duplicated
             # variables).  Its differential entropy is unboundedly negative;

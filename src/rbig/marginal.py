@@ -121,17 +121,15 @@ def _p_guess_table(kp: np.ndarray) -> np.ndarray:
     return table
 
 
-def _p_segment(kp: np.ndarray, p: np.ndarray, table: np.ndarray | None = None):
+def _p_segment(kp: np.ndarray, p: np.ndarray, table: np.ndarray):
     """Knot segment of each probability of 1-D ``p``, and its two knots.
 
     CDF knots are not equal-width, so the guess comes from a table of equal
-    cells over [0, 1] (:func:`_p_guess_table`, built here unless given).  A
+    cells over [0, 1], ``table`` (:func:`_p_guess_table` of ``kp``).  A
     value's guess is its cell's entry, which is right unless a knot lies
     between the cell's left edge and the value (about 4% of values on a
     fitted table); :func:`_checked_segment` checks it.
     """
-    if table is None:
-        table = _p_guess_table(kp)
     cells = table.size - 1
     guess = np.multiply(p, cells)
     np.fmax(guess, 0.0, out=guess)

@@ -1222,29 +1222,55 @@ class TestColumnPool:
 
     def test_nonfinite_query_raises_before_any_layer(self, both, monkeypatch):
         # The load's chunk tasks check the query: a NaN in the last row
-        # chunk raises before any column is mapped.
+        # chunk raises before any column is mapped, forward or back.
         model = fit(wide(3000, 37, 49), replace(WIDE, seed=38))
         q = wide(3 * _CHUNK_ROWS + 13, 39, 49)
         assert len(_rotation_chunks(*q.shape)) == 3
         q[-1, 5] = math.nan
-        forwards = []
-        forward = MarginalGaussianizer.forward
+        mapped = []
 
-        def counted(self, v):
-            forwards.append(1)
-            return forward(self, v)
+        def counted(name):
+            kernel = getattr(MarginalGaussianizer, name)
 
-        monkeypatch.setattr(MarginalGaussianizer, "forward", counted)
+            def call(self, v):
+                mapped.append(name)
+                return kernel(self, v)
+
+            return call
+
+        for name in ("forward", "inverse"):
+            monkeypatch.setattr(MarginalGaussianizer, name, counted(name))
 
         def raised():
-            for call in (model.transform, model.log_density, model.information):
+            mapped.clear()
+            for call in (model.transform, model.log_density, model.information, model.inverse):
                 with pytest.raises(
                     NonFiniteInput, match="^data contains NaN or infinite values$"
                 ):
                     call(q)
-            return len(forwards)
+            return len(mapped)
 
         assert both(raised) == (0, 0)
+
+    @pytest.mark.parametrize("n", [300, 3 * _CHUNK_ROWS + 13])
+    def test_inverse_bits_independent_of_input_layout(self, both, n):
+        # One row chunk at 300 rows, 3 at the other size.
+        model = fit(wide(3000, 41, 49), replace(WIDE, seed=42))
+        z = model.transform(1.2 * wide(n, 43, 49))[0]
+        assert len(_rotation_chunks(*z.shape)) == (1 if n == 300 else 3)
+        # C order, Fortran order and a strided view of every other row.
+        layouts = [np.ascontiguousarray(z), np.asfortranarray(z), np.repeat(z, 2, axis=0)[::2]]
+        assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+        kept = [a.copy() for a in layouts]
+
+        def inverted():
+            return [model.inverse(a) for a in layouts]
+
+        serial, pooled = both(inverted)
+        for back in serial + pooled:
+            assert same_bits(back, serial[0])
+        for a, b in zip(layouts, kept):
+            assert same_bits(a, b)
 
     def test_fit_error_same_through_pool(self, both):
         x = np.random.default_rng(40).standard_normal((12, 3))

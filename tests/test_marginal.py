@@ -24,6 +24,7 @@ from rbig.marginal import (
     _checked_segment,
     _entropies,
     _knot_grid,
+    _p_guess_table,
     _p_segment,
     _segment,
     _tables,
@@ -480,7 +481,7 @@ def p_probe_points(u, draws):
 
 
 def check_p_segment(kp, p):
-    seg, lo, hi = _p_segment(kp, p)
+    seg, lo, hi = _p_segment(kp, p, _p_guess_table(kp))
     ref = reference_segment(kp, p)
     assert np.array_equal(seg, ref)
     assert np.array_equal(lo, kp[ref])

@@ -2,13 +2,13 @@
 
 numpy reports its array buffers to tracemalloc, so a call's traced peak
 above the memory traced before it is its working set, returned arrays
-included.  fit, transform, log_density and sample hold one N x D array
-here: every layer maps its columns in one working array and rotates it in
-place through chunk-sized temporaries (fit's PCA sums its Gram matrix over
-such chunks too).  fit only reads the caller's input, which is not counted.
-sample's working array is its uniform draw, which its last layer maps in
-place.  inverse holds its input beside its working array until the first
-rotation.  The column kernels add their temporaries, a few columns per
+included.  fit, transform, log_density, inverse and sample hold one N x D
+array here: every layer maps its columns in one working array and rotates
+it in place through chunk-sized temporaries (fit's PCA sums its Gram matrix
+over such chunks too).  fit only reads the caller's input, which is not
+counted.  sample's working array is its uniform draw, which its last layer
+maps in place.  inverse holds its input beside its working array only while
+it loads it.  The column kernels add their temporaries, a few columns per
 worker thread.
 """
 
@@ -103,10 +103,10 @@ class TestWorkingMemory:
 
     def test_inverse(self, model, data):
         z = np.ascontiguousarray(model.transform(data)[0])
-        # Made inside the traced call and held by inverse alone: 2.13
-        # matrices on 2 CPUs, the input, the working array and each worker's
-        # rotated chunk of 2,048 rows (2.00 when the first rotation made the
-        # whole working array at once).
+        # Made inside the traced call and held by inverse alone: 2.01-2.02
+        # matrices on 2 CPUs, the input beside the working array it is
+        # loaded into, then freed before the first layer.  Held by the
+        # caller, the input is not counted: 1.38.
         peak = traced_peak(lambda: model.inverse(z.copy()))
         assert peak <= BOUND, in_matrices(peak)
 

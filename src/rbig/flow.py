@@ -71,9 +71,9 @@ MODEL_VERSION = 5
 _POOL_MIN_ROWS = 2**15
 
 
-def _loaded(x, chunks, map_tasks, finite=False):
-    """A fresh column-major copy of ``x``, each of the row ``chunks`` of
-    :func:`_rotation_chunks` copied by a task of ``map_tasks``: the strided
+def _loaded(x, map_tasks, finite=False):
+    """A fresh column-major copy of ``x``, each of its row chunks
+    (:func:`_rotation_chunks`) copied by a task of ``map_tasks``: the strided
     reads of a row-major ``x`` run on the workers, and every column of the
     copy is contiguous.  With ``finite``, each task also checks its rows,
     and a NaN or +-inf raises :class:`NonFiniteInput`."""
@@ -84,41 +84,29 @@ def _loaded(x, chunks, map_tasks, finite=False):
         z[rows] = part
         return not finite or np.isfinite(part).all()
 
-    if not all(map_tasks(load, chunks)):
+    if not all(map_tasks(load, _rotation_chunks(*x.shape))):
         raise NonFiniteInput("data contains NaN or infinite values")
     return z
 
 
-def _column_ranges(a):
-    return a.max(axis=0), a.min(axis=0)
-
-
-def _rotated(turn, rotation, x, chunks, map_tasks, ranges=False):
-    """``turn(rotation, x)``, ``turn`` being :func:`rotate` or
-    :func:`rotate_inverse`, over the row ``chunks`` of
-    :func:`_rotation_chunks`.
-
-    For one chunk this is the fresh product, with no copy.  For several,
-    each chunk's product is a task of ``map_tasks``, written back into the
-    same rows of ``x``, and ``x`` is returned.  With ``ranges``, ``(x, hi,
-    lo)`` is returned, ``hi`` and ``lo`` being the column max and min of the
-    product: each chunk's task takes them over its own rows, and they are
-    exact, so the reduction here has the same bits however the tasks run.
+def _rotated(turn, rotation, x, map_tasks, ranges=False):
+    """Rotate the working array ``x`` in place by ``turn(rotation, .)``,
+    ``turn`` being :func:`rotate` or :func:`rotate_inverse`: each of its row
+    chunks (:func:`_rotation_chunks`) is a task of ``map_tasks`` that writes
+    its product back into the same rows.  With ``ranges``, ``(hi, lo)`` is
+    returned, the column max and min of the product: each chunk's task takes
+    them over its own rows, and they are exact, so the reduction here has
+    the same bits however the tasks run.
     """
-    if len(chunks) == 1:
-        x = turn(rotation, x)
-        parts = [_column_ranges(x)] if ranges else []
-    else:
 
-        def rotate_chunk(rows):
-            x[rows] = part = turn(rotation, x[rows])
-            return _column_ranges(part) if ranges else None
+    def rotate_chunk(rows):
+        x[rows] = part = turn(rotation, x[rows])
+        return (part.max(axis=0), part.min(axis=0)) if ranges else None
 
-        parts = list(map_tasks(rotate_chunk, chunks))
-    if not ranges:
-        return x
-    highs, lows = zip(*parts)
-    return x, np.max(highs, axis=0), np.min(lows, axis=0)
+    parts = list(map_tasks(rotate_chunk, _rotation_chunks(*x.shape)))
+    if ranges:
+        highs, lows = zip(*parts)
+        return np.max(highs, axis=0), np.min(lows, axis=0)
 
 
 # A rotated direction whose range is at most this many times the layer's
@@ -387,9 +375,9 @@ class GaussModel:
 
         The query is loaded into a column-major working array chunk by chunk
         (:func:`_loaded`).  Each layer maps its columns in place, then
-        rotates the array (:func:`_rotated`): in place, chunk by chunk, when
-        its rows make several chunks.  Columns and chunks are tasks on the
-        call's workers (see :func:`_workers`).
+        rotates the array in place, chunk by chunk (:func:`_rotated`).
+        Columns and chunks are tasks on the call's workers (see
+        :func:`_workers`).
 
         Returns
         -------
@@ -412,8 +400,7 @@ class GaussModel:
         columns."""
         n, d = x.shape
         logjac = np.zeros(n)
-        chunks = _rotation_chunks(n, d)
-        x = _loaded(x, chunks, map_tasks, finite=True)
+        x = _loaded(x, map_tasks, finite=True)
         for gaussianizers, rotation in zip(self.gaussianizers[:stop], self.rotation_entries[:stop]):
 
             def forward(j):
@@ -422,7 +409,7 @@ class GaussModel:
 
             for lj in map_tasks(forward, range(d)):
                 logjac += lj
-            x = _rotated(rotate, rotation, x, chunks, map_tasks)
+            _rotated(rotate, rotation, x, map_tasks)
         return x, logjac
 
     def inverse(self, z):
@@ -438,16 +425,14 @@ class GaussModel:
         x = self._check(z)
         del z
         with _workers(*x.shape) as map_tasks:
-            x = _loaded(x, _rotation_chunks(*x.shape), map_tasks, finite=True)
+            x = _loaded(x, map_tasks, finite=True)
             return self._inverse(x, self.n_layers, map_tasks)
 
     def _inverse(self, x, stop, map_tasks):
         """Layers ``stop - 1`` down to 0 of :meth:`inverse` on the
         column-major working array ``x``: :meth:`inverse`'s loaded argument,
-        or :meth:`sample`'s uniform draws.  Each rotates back
-        (:func:`_rotated`: in place, chunk by chunk, when the rows make
-        several chunks), then maps its columns in place."""
-        chunks = _rotation_chunks(*x.shape)
+        or :meth:`sample`'s uniform draws.  Each rotates it back in place,
+        chunk by chunk (:func:`_rotated`), then maps its columns in place."""
         for gaussianizers, rotation in zip(
             reversed(self.gaussianizers[:stop]), self.rotation_entries[:stop][::-1]
         ):
@@ -455,7 +440,7 @@ class GaussModel:
             def invert(j):
                 x[:, j] = gaussianizers[j].inverse(x[:, j])
 
-            x = _rotated(rotate_inverse, rotation, x, chunks, map_tasks)
+            _rotated(rotate_inverse, rotation, x, map_tasks)
             for _ in map_tasks(invert, range(x.shape[1])):
                 pass
         return x
@@ -683,10 +668,10 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     the PCA sums its Gram matrix over them.  Columns and chunks are tasks on
     the call's workers (see :func:`_workers`), so the saved model has the
     same bits whatever the worker count and whatever the input's memory
-    order.  When the rows make several chunks, the calling thread makes no
-    pass over the N x D data: per layer it adds up the tasks' results in
-    column or chunk order, runs the PCA's eigensolver, makes the binning's
-    (D, K) blocks and applies the stopping rule.
+    order.  The calling thread makes no pass over the N x D data: per layer
+    it adds up the tasks' results in column or chunk order, runs the PCA's
+    eigensolver, makes the binning's (D, K) blocks and applies the stopping
+    rule.
     """
     x = np.asarray(data, dtype=float)
     # Not held here, so an input no caller holds is freed after the load.
@@ -707,7 +692,6 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     patience = config.patience if d > 1 else 1
 
     h_floor = math.log2(clamp_eps)
-    chunks = _rotation_chunks(n, d)
     # A layer's D tables: (D, K) blocks of knot grids and CDF knots, by row.
     knots_x, knots_p = np.empty((2, d, bins + 3))
     # Each layer's bin counts, a column's row written by its binning task;
@@ -720,8 +704,17 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         # and then rotates it in place.  Column-major, so each column is
         # contiguous, and fresh, so the caller's array is only read, whatever
         # its layout.
-        z = _loaded(x, chunks, map_tasks)
+        z = _loaded(x, map_tasks)
         del x
+
+        def gaussianize_input(j):
+            col = z[:, j]
+            h_j = _named(f"column {j}", marginal_entropy, col, bins)
+            g = _named(f"column {j}", fit_gaussianizer, col, bins)
+            z[:, j] = column = g.forward(col)[0]
+            means[j] = column.mean()
+            knots_x[j], knots_p[j] = g.uniformizer.knots_x, g.uniformizer.knots_p
+            return h_j
 
         def gaussianize_in_place(j, seg, left, kx, kp):
             """Gaussianize column j through a table's rows ``kx`` and ``kp``
@@ -731,6 +724,11 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             probit(_cdf(col, seg, left, kx, kp, clamp_eps), out=col)
             means[j] = col.mean()
 
+        def gaussianize(j):
+            seg, left = _segment(knots_x[j], z[:, j])
+            gaussianize_in_place(j, seg, left, knots_x[j], knots_p[j])
+
+        h_input = np.fromiter(map_tasks(gaussianize_input, range(d)), float, d)
         # Per layer: its knot blocks, its rotation, its rank flag and delta-T.
         tables: list[tuple[np.ndarray, np.ndarray]] = []
         rotations: list[np.ndarray] = []
@@ -739,28 +737,12 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
         non_gauss: list[float] = []
         below = 0
         converged = False
-        # From the second layer on, the knot blocks hold the previous binning's
-        # tables, and ``fused`` says whether it Gaussianized z's columns.
-        fused = False
+        # The knot blocks hold the layer's tables, and ``fused`` says whether
+        # z already holds its Gaussianized input: the first layer's, or one
+        # the previous binning Gaussianized.
+        fused = True
         for layer in range(config.max_layers):
-            if layer == 0:
-
-                def gaussianize(j):
-                    col = z[:, j]
-                    h_j = _named(f"column {j}", marginal_entropy, col, bins)
-                    g = _named(f"column {j}", fit_gaussianizer, col, bins)
-                    z[:, j] = column = g.forward(col)[0]
-                    means[j] = column.mean()
-                    knots_x[j], knots_p[j] = g.uniformizer.knots_x, g.uniformizer.knots_p
-                    return h_j
-
-                h_input = np.fromiter(map_tasks(gaussianize, range(d)), float, d)
-            elif not fused:
-
-                def gaussianize(j):
-                    seg, left, _ = _segment(knots_x[j], z[:, j])
-                    gaussianize_in_place(j, seg, left, knots_x[j], knots_p[j])
-
+            if not fused:
                 for _ in map_tasks(gaussianize, range(d)):
                     pass
             if config.rotation_kind == "pca":
@@ -768,10 +750,8 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
             else:
                 rotation = random_haar_rotation(d, int(seed_rng.integers(2**63)))
                 rank_deficient = False
-            # In place when the rows make several chunks; one chunk is one
-            # fresh product, which replaces z.  The chunk tasks also take the
-            # rotated columns' ranges.
-            z, hi, lo = _rotated(rotate, rotation, z, chunks, map_tasks, ranges=True)
+            # The chunk tasks also take the rotated columns' ranges.
+            hi, lo = _rotated(rotate, rotation, z, map_tasks, ranges=True)
             # A rotation of exactly dependent columns can produce a direction
             # of zero range, or of rounding-noise range (e.g. duplicated
             # variables).  Its differential entropy is unboundedly negative;

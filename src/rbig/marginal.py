@@ -62,7 +62,7 @@ MIN_CLAMP_EPS = 1e-7
 def _checked_segment(knots: np.ndarray, v: np.ndarray, seg: np.ndarray):
     """Check guessed segments of 1-D ``v`` and binary-search the misses.
 
-    Returns ``(seg, knots[seg], knots[seg + 1])`` with ``seg`` equal to
+    Returns ``(seg, knots[seg])`` with ``seg`` equal to
     ``clip(searchsorted(knots, v, "right") - 1, 0, K - 2)`` for any strictly
     increasing ``knots`` and any guess in ``[0, K - 2]``.  A guess holds when
     its two knots bracket the value; only the misses are searched, so a bad
@@ -80,12 +80,11 @@ def _checked_segment(knots: np.ndarray, v: np.ndarray, seg: np.ndarray):
         found = np.clip(np.searchsorted(knots, v[miss], side="right") - 1, 0, last)
         seg[miss] = found
         lo[miss] = knots[found]
-        hi[miss] = knots[found + 1]
-    return seg, lo, hi
+    return seg, lo
 
 
 def _segment(kx: np.ndarray, x: np.ndarray):
-    """Knot segment of each data value of 1-D ``x``, and its two knots.
+    """Knot segment of each data value of 1-D ``x``, and its left knot.
 
     Fitted knots are equal-width from ``kx[1]`` to ``kx[-2]``, so a floor
     division guesses each segment, ``x / width + (1 - kx[1] / width)`` in
@@ -122,7 +121,7 @@ def _p_guess_table(kp: np.ndarray) -> np.ndarray:
 
 
 def _p_segment(kp: np.ndarray, p: np.ndarray, table: np.ndarray):
-    """Knot segment of each probability of 1-D ``p``, and its two knots.
+    """Knot segment of each probability of 1-D ``p``, and its left knot.
 
     CDF knots are not equal-width, so the guess comes from a table of equal
     cells over [0, 1], ``table`` (:func:`_p_guess_table` of ``kp``).  A
@@ -195,7 +194,7 @@ class MarginalUniformizer:
         record's per-segment table.  Out-of-support points get the slope of
         the nearest extension segment.
         """
-        seg, lo, _ = _segment(self.knots_x, x)
+        seg, lo = _segment(self.knots_x, x)
         return _cdf(x, seg, lo, self.knots_x, self.knots_p, self.clamp_eps), self._log_dpdx[seg]
 
     def log_slope(self, x: np.ndarray) -> np.ndarray:
@@ -216,7 +215,7 @@ class MarginalUniformizer:
             # Concurrent first calls each build the same table; either may
             # be kept.
             object.__setattr__(self, "_p_guess", _p_guess_table(self.knots_p))
-        seg, lo, _ = _p_segment(self.knots_p, p, self._p_guess)
+        seg, lo = _p_segment(self.knots_p, p, self._p_guess)
         x = p - lo
         x *= self._dxdp[seg]
         x += self.knots_x[seg]
@@ -337,7 +336,7 @@ def _bin_counts(x: np.ndarray, grid: np.ndarray):
     for ``x`` on a table whose knots are ``grid``.
     """
     bins = grid.size - 3
-    seg, lo, _ = _segment(grid, x)
+    seg, lo = _segment(grid, x)
     counts = np.bincount(seg, minlength=bins + 2)
     counts[bins] += counts[bins + 1]
     return counts[1:-1], seg, lo
@@ -445,18 +444,6 @@ def _entropies(counts: np.ndarray, grids: np.ndarray, n: int):
     return h, cross - h
 
 
-def _hist_entropy(x: np.ndarray, x_min: float, x_max: float, bins: int):
-    """Entropy and KL to N(0, 1), both in bits, of ``x`` binned once over its
-    range ``[x_min, x_max]``: :func:`_entropies` of the one row of its
-    :func:`_bin_counts` on the range's knot grid, which must have ``bins``
-    bins of positive width (``ValueError``)."""
-    grid = _knot_grid(x_min, x_max, bins)
-    _check_widths(grid, x_min, x_max)
-    counts = _bin_counts(x, grid)[0]
-    h, kl = _entropies(counts[None], grid[None], x.size)
-    return float(h[0]), float(kl[0])
-
-
 def default_bins(n: int) -> int:
     """Square-root histogram bin rule used whenever bins are unspecified."""
     return max(2, round(math.sqrt(n)))
@@ -469,9 +456,12 @@ def default_clamp_eps(n: int) -> float:
 
 
 def _sample_terms(x, bins: int | None):
-    """:func:`_hist_entropy`, the entropy and the KL, of a sample of at least
+    """Entropy and KL to N(0, 1), both in bits, of a sample of at least
     ``MIN_ENTROPY_SAMPLES`` finite values with a positive range, in ``bins``
-    bins (None for :func:`default_bins`, else an integer >= 1)."""
+    bins (None for :func:`default_bins`, else an integer >= 1): the sample
+    is binned once over its range, whose knot grid must have bins of
+    positive width (``ValueError``), and :func:`_entropies` gives both from
+    the one row of counts."""
     if bins is not None:
         bins = _integer("bins", bins, 1)
     xs = np.asarray(x, dtype=float).ravel()
@@ -483,7 +473,10 @@ def _sample_terms(x, bins: int | None):
         raise NonFiniteInput("sample contains NaN or infinite values")
     if x_max == x_min:
         raise DegenerateDimension("sample has zero range")
-    return _hist_entropy(xs, x_min, x_max, default_bins(xs.size) if bins is None else bins)
+    grid = _knot_grid(x_min, x_max, default_bins(xs.size) if bins is None else bins)
+    _check_widths(grid, x_min, x_max)
+    h, kl = _entropies(_bin_counts(xs, grid)[0][None], grid[None], xs.size)
+    return float(h[0]), float(kl[0])
 
 
 def marginal_entropy(x, bins: int | None = None) -> float:

@@ -1,5 +1,6 @@
 import base64
 import errno
+import functools
 import json
 import math
 import os
@@ -560,6 +561,11 @@ CARRIED_CASES = {
     "patience-1": (lambda: noisy_sine(10000, seed=7), FitConfig(patience=1, seed=2), True),
     # Stopped by max_layers: the last layer's binning Gaussianizes nothing.
     "max-layers": (lambda: skewed(5000, 50), FitConfig(max_layers=3, tol_delta_t=1e-9), False),
+    # A layer that could have been the last ends at or above tolerance, so
+    # the next layer searches its segments itself.
+    "resumed": (
+        lambda: noisy_sine(10000, seed=7), FitConfig(patience=2, tol_delta_t=0.02, seed=2), True
+    ),
 }
 
 
@@ -609,6 +615,19 @@ class TestCarriedHistogram:
         # once per column-layer, and never for a layer past the last.
         assert calls["forward"] == model.dim
         assert calls["kernel"] == model.n_layers * model.dim
+
+    @pytest.mark.parametrize("fitted", ["resumed"], indirect=True)
+    def test_a_layer_that_could_be_the_last_is_followed(self, fitted):
+        _, _, model, _, _ = fitted
+        tol, patience = model.config.tol_delta_t, model.config.patience
+        below = (model.delta_t < tol).tolist()
+        # Layer i follows patience - 1 layers below tolerance, is not below
+        # itself, and is not the last layer.
+        resumed = [
+            i for i in range(patience - 1, model.n_layers - 1)
+            if all(below[i - patience + 1:i]) and not below[i]
+        ]
+        assert resumed
 
     def test_each_table_checked_once_after_the_first_layer(self, fitted):
         # The first layer's D tables when fit_gaussianizer builds them, then
@@ -1420,16 +1439,34 @@ class TestColumnPool:
 # (columns, rows): each N spans 2 or more rotation chunks, the last one
 # longer than the others.
 CHUNKED_CASES = [(5, 100_001), (16, 12_301), (49, 12_301)]
+# (columns, rows) of one rotation chunk; 20,000 x 2 is the shape of a 1+1
+# mutual_information's joint rows.
+ONE_CHUNK_CASES = [(3, 500), (2, 20_000)]
 
 
-@pytest.fixture(scope="module", params=CHUNKED_CASES, ids=lambda c: f"{c[0]}x{c[1]}")
-def chunked_case(request):
-    d, n = request.param
+@functools.cache
+def rotation_case(d, n):
+    """A model fitted on d columns, and an n x d query for it."""
+    assert (len(_rotation_chunks(n, d)) >= 2) == ((d, n) in CHUNKED_CASES)
     model = fit(wide(3000, 60, d), replace(WIDE, seed=61))
     # Every other row far out of the training support: tails and clamps run.
     q = wide(n, 62, d)
     q[::2] *= 3.0
     return model, q
+
+
+def case_id(case):
+    return f"{case[0]}x{case[1]}"
+
+
+@pytest.fixture(scope="module", params=CHUNKED_CASES, ids=case_id)
+def chunked_case(request):
+    return rotation_case(*request.param)
+
+
+@pytest.fixture(scope="module", params=CHUNKED_CASES + ONE_CHUNK_CASES, ids=case_id)
+def query_case(request):
+    return rotation_case(*request.param)
 
 
 def whole_matrix_transform(model, x):
@@ -1446,9 +1483,10 @@ def whole_matrix_transform(model, x):
 
 
 class TestRotationChunks:
-    """A query rotates its rows in chunks cut the same way for every worker
-    count; a BLAS that gives a row other bits in a chunk than in the whole
-    product fails here."""
+    """A query rotates its rows in place, in chunks cut the same way for
+    every worker count, whether its rows make one chunk or several; a BLAS
+    that gives a row other bits in a chunk than in the whole product fails
+    here."""
 
     @pytest.mark.parametrize("n", [1, 4095, 8191, 8192, 12_301, 100_001])
     @pytest.mark.parametrize("d", [1, 2, 5, 15, 16, 49])
@@ -1465,16 +1503,15 @@ class TestRotationChunks:
             assert all(c.stop - c.start == size for c in chunks[:-1])
             assert size <= chunks[-1].stop - chunks[-1].start < 2 * size
 
-    def test_serial_call_matches_whole_matrix_rotations(self, chunked_case):
-        model, q = chunked_case
-        assert len(_rotation_chunks(*q.shape)) >= 2
+    def test_serial_call_matches_whole_matrix_rotations(self, query_case):
+        model, q = query_case
         z, logjac = model.transform(q)
         whole_z, whole_logjac = whole_matrix_transform(model, q)
         assert same_bits(z, whole_z) and same_bits(logjac, whole_logjac)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_workers_match_serial_call(self, chunked_case, monkeypatch, pools, workers):
-        model, q = chunked_case
+    def test_workers_match_serial_call(self, query_case, monkeypatch, pools, workers):
+        model, q = query_case
 
         def queries():
             z, logjac = model.transform(q)

@@ -160,8 +160,10 @@ class FitConfig:
     estimate carries a noise floor per dimension.  ``patience`` is the
     number of consecutive layers below ``tol_delta_t`` that stops a fit of 2
     or more columns, so that a rotation which leaves delta-T low by chance
-    for one layer is waited out.  A one-column fit stops at its first layer
-    below tolerance: its rotation is +-1, so there is nothing to wait out.
+    for one layer is waited out.  The model keeps the first layer of that
+    run and drops the ``patience - 1`` layers that waited it out.  A
+    one-column fit stops at its first layer below tolerance: its rotation is
+    +-1, so there is nothing to wait out.
     ``bins`` (None or >= 2), ``max_layers``, ``patience`` (>= 1) and
     ``seed`` (>= 0) follow the integer rule of :mod:`rbig.errors` and
     ``tol_delta_t`` (> 0) its number rule, so numpy scalars are stored as
@@ -474,15 +476,22 @@ class GaussModel:
         The last layer's inverse rotation keeps N(0, I) draws N(0, I) and its
         clamped normal CDF makes them iid U(0, 1), so it maps clamped uniform
         draws and the rest run as in :meth:`inverse`.  Column j takes draws
-        ``j * n`` to ``(j + 1) * n - 1`` of ``default_rng(seed).random``.
+        ``j * n`` to ``(j + 1) * n - 1`` of ``default_rng(seed).random``: its
+        task draws them into the column, from a generator of that seed
+        advanced past the columns before it, then clamps and maps them.
         ``n`` (>= 1) and ``seed`` (>= 0) follow the integer rule; rows are column-major.
         """
-        n = _integer("n", n, 1)
-        x = np.random.default_rng(_integer("seed", seed, 0)).random((self.dim, n)).T
+        n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
+        x = np.empty((n, self.dim), order="F")
         eps, last = self.clamp_eps, self.gaussianizers[-1]
 
         def invert(j):
-            x[:, j] = last[j].uniformizer.inverse(np.clip(x[:, j], eps, 1 - eps, out=x[:, j]))
+            col = x[:, j]
+            # default_rng's bit generator; each float64 draw takes one step.
+            rng = np.random.Generator(np.random.PCG64(seed))
+            rng.bit_generator.advance(j * n)
+            rng.random(out=col)
+            x[:, j] = last[j].uniformizer.inverse(np.clip(col, eps, 1 - eps, out=col))
 
         with _workers(n, self.dim) as map_tasks:
             for _ in map_tasks(invert, range(self.dim)):
@@ -616,7 +625,13 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     Layers are appended until the per-layer total-correlation reduction
     stays below ``config.tol_delta_t`` for ``config.patience`` consecutive
     layers, or ``config.max_layers`` is reached (which raises
-    :class:`NotConvergedWarning` and marks the model unconverged).  A
+    :class:`NotConvergedWarning` and marks the model unconverged).  A stop
+    on tolerance keeps the first layer of that run, whose delta-T the next
+    layer's marginal step would complete, and drops the ``patience - 1``
+    layers after it, which only confirmed the stop: they leave the model's
+    blocks, ``delta_t`` and ``non_gaussianity`` alike, and no query runs
+    them.  A stop on ``max_layers`` or on a degenerate direction keeps
+    every layer.  A
     one-column fit stops at its first layer below ``tol_delta_t``, whatever
     ``patience`` is: a 1 x 1 rotation is +-1, so the next layer would only
     refit this one's output.  Its layers' ``delta_t`` are kept, not zeroed:
@@ -826,16 +841,20 @@ def fit(data, config: FitConfig | None = None) -> GaussModel:
     # between them, they split or pin the freed heap (peak RSS +10 MB over
     # repeated 38,686 x 49 fits).
     del z
+    # A stop on tolerance keeps the first layer of its run below tolerance,
+    # which the next layer's marginal step would complete, and drops the
+    # patience - 1 layers that only waited the run out.
+    keep = len(deltas) - (patience - 1 if below >= patience else 0)
     return GaussModel(
-        x_min=[kx[:, 1] for kx, _ in tables],
-        x_max=[kx[:, -2] for kx, _ in tables],
-        knots_p=[kp for _, kp in tables],
-        rotation_entries=rotations,
-        rank_deficient=deficient,
-        delta_t=deltas,
+        x_min=[kx[:, 1] for kx, _ in tables[:keep]],
+        x_max=[kx[:, -2] for kx, _ in tables[:keep]],
+        knots_p=[kp for _, kp in tables[:keep]],
+        rotation_entries=rotations[:keep],
+        rank_deficient=deficient[:keep],
+        delta_t=deltas[:keep],
         clamp_eps=clamp_eps,
         marginal_entropies_input=h_input,
-        non_gaussianity=non_gauss,
+        non_gaussianity=non_gauss[:keep],
         config=config,
         converged=converged,
     )

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from rbig import (
-    DataCube, FitConfig, ITReport, PatchConfig, fit, load_csv, load_cube, load_model, save_csv,
-    save_cube,
+    DataCube, FitConfig, ITReport, NotConvergedWarning, PatchConfig, fit, load_csv, load_cube,
+    load_model, save_csv, save_cube,
 )
 from rbig.cli import build_parser, main
 
@@ -314,8 +314,11 @@ def item(index, value):
 
 
 # The test model: 500 x 2 rows, 3 layers, 22 bins, so knots_p is 3 x 2 x 25,
-# knots_p[0][1][0] is flat item 25 and knots_p[0][1][3] flat item 28.
+# knots_p[0][1][0] is flat item 25 and knots_p[0][1][3] flat item 28.  The
+# rows are independent, so a converged fit keeps one layer; stopped by
+# max_layers, the fit keeps all 3.
 KNOTS_P = ["knots_p"]
+THREE_LAYERS = FitConfig(max_layers=3, tol_delta_t=1e-9)
 
 
 class TestTransformSample:
@@ -478,7 +481,10 @@ class TestTransformSample:
         csv = tmp_path / "x.csv"
         save_csv(csv, data)
         model = tmp_path / "m.json"
-        model.write_text(json.dumps(edit(fit(data).to_dict())))
+        with pytest.warns(NotConvergedWarning):
+            fitted = fit(data, THREE_LAYERS)
+        assert fitted.n_layers == 3
+        model.write_text(json.dumps(edit(fitted.to_dict())))
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(model)
         code, _, err = run(

@@ -206,10 +206,22 @@ class TestFit:
     @pytest.mark.parametrize("patience", [3, 5])
     def test_two_column_fit_waits_for_patience(self, patience):
         data = np.random.default_rng(6).standard_normal((20000, 2))
-        model = fit(data, FitConfig(patience=patience))
+        config = FitConfig(patience=patience)
+        model = fit(data, config)
         assert model.converged
-        assert model.n_layers >= patience
-        assert np.all(model.delta_t_trace[-patience:] < model.config.tol_delta_t)
+        # The same layers run on, unconverged, past the stop: the fit
+        # computed patience layers below tolerance after the model's last
+        # one above it, and keeps the first of them.
+        computed = model.n_layers + patience - 1
+        with pytest.warns(NotConvergedWarning):
+            full = fit(data, replace(config, max_layers=computed, tol_delta_t=1e-9))
+        below = full.delta_t < config.tol_delta_t
+        assert below[-patience:].all()
+        assert model.n_layers == 1 or not below[-patience - 1]
+        for name in ("x_min", "x_max", "knots_p", "rotation_entries", "rank_deficient",
+                     "delta_t", "non_gaussianity"):
+            block = getattr(full, name)[:model.n_layers]
+            assert same_bits(getattr(model, name), block), name
 
     @pytest.mark.parametrize(
         "column, message",
@@ -420,6 +432,15 @@ class TestSample:
 ONE_LAYER = FitConfig(tol_delta_t=1e3, patience=1)
 
 
+def computed_layers(model):
+    """The layers the fit of ``model`` computed: a stop on tolerance of 2 or
+    more columns also computed the ``patience - 1`` layers it waited out,
+    which the model does not keep.  Not for a fit that stopped on a
+    degenerate direction, which keeps every layer it computed."""
+    waited = model.config.patience - 1 if model.converged and model.dim > 1 else 0
+    return model.n_layers + waited
+
+
 def counted(m, owner, name):
     """Replace ``owner.name`` with a wrapper for the context ``m``; return
     the list it appends one item to per call."""
@@ -612,9 +633,10 @@ class TestCarriedHistogram:
         assert model.converged is converged
         assert warned == ([] if converged else [NotConvergedWarning])
         # MarginalGaussianizer.forward for the first layer only; the forward kernel
-        # once per column-layer, and never for a layer past the last.
+        # once per column-layer computed, waited-out layers included, and
+        # never for a layer past the last.
         assert calls["forward"] == model.dim
-        assert calls["kernel"] == model.n_layers * model.dim
+        assert calls["kernel"] == computed_layers(model) * model.dim
 
     @pytest.mark.parametrize("fitted", ["resumed"], indirect=True)
     def test_a_layer_that_could_be_the_last_is_followed(self, fitted):
@@ -796,15 +818,20 @@ class TestSerialization:
         x = skewed(2000, 42)
         if deficient:
             x[:, 2] = x[:, 1]  # a duplicated column: a degenerate PCA spectrum
-        # Every layer is below tolerance, so the fit stops after n_layers.
+        # Stopped after n_layers, and keeping each: one layer far below
+        # tolerance converges; more stop on max_layers, since the first is
+        # far above a tolerance of 1e-9.
         config = FitConfig(
-            rotation_kind=kind, max_layers=n_layers, patience=n_layers, tol_delta_t=1e3, seed=43
+            rotation_kind=kind, max_layers=n_layers, patience=n_layers,
+            tol_delta_t=1e3 if n_layers == 1 else 1e-9, seed=43,
         )
-        if deficient:
-            with pytest.warns(rbig.RankDeficientWarning):
-                model = fit(x, config)
-        else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             model = fit(x, config)
+        assert [w.category for w in caught] == (
+            [rbig.RankDeficientWarning] * deficient + [NotConvergedWarning] * (n_layers > 1)
+        )
+        assert model.converged is (n_layers == 1)
         assert model.n_layers == n_layers
         assert model.rank_deficient.tolist() == [deficient] * n_layers
         first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -1050,6 +1077,82 @@ def same_bits(a, b):
 PCA_AND_HAAR = pytest.mark.parametrize("kind", ["pca", "random"])
 
 
+def waited_data():
+    """2,000 x 2 rows, a log-normal column correlated with a normal one,
+    whose delta-T is below 0.03 from layer 1 on (``TestWaitedOutLayers``
+    asserts this)."""
+    x = equicorrelated_gaussian(2000, 2, 0.6, 43)
+    x[:, 0] = np.exp(x[:, 0])
+    return x
+
+
+WAITED = FitConfig(tol_delta_t=0.03, seed=7)
+
+
+class TestWaitedOutLayers:
+    """A stop on tolerance keeps the first layer of the run below tolerance
+    and drops the patience - 1 layers that waited it out; a stop on
+    max_layers or on a degenerate direction keeps every layer."""
+
+    @PCA_AND_HAAR
+    @pytest.mark.parametrize("patience", [2, 3, 5])
+    def test_same_blocks_as_patience_1(self, both, kind, patience):
+        x = waited_data()
+        config = replace(WAITED, rotation_kind=kind)
+        # Run on, unconverged: delta-T falls below tolerance at layer 1 and
+        # never recovers, so every layer a patience of 5 waits out is below.
+        with pytest.warns(NotConvergedWarning):
+            full = fit(x, replace(config, max_layers=6, patience=6, tol_delta_t=1e-9))
+        assert (full.delta_t < config.tol_delta_t).tolist() == [False] + [True] * 5
+
+        def saved(p):
+            doc = fit(x, replace(config, patience=p)).to_dict()
+            del doc["config"]
+            return doc
+
+        serial, pooled = both(lambda: (saved(1), saved(patience)))
+        assert serial == pooled
+        first, waited = serial
+        assert first["n_layers"] == 2 and first["converged"]
+        assert waited == first
+
+    @pytest.mark.parametrize(
+        "make, config",
+        [
+            (lambda: noisy_sine(10000, seed=7), FitConfig(seed=2)),
+            (lambda: noisy_sine(10000, seed=7), FitConfig(patience=2, tol_delta_t=0.02, seed=2)),
+            (waited_data, replace(WAITED, patience=5)),
+            (waited_data, replace(WAITED, rotation_kind="random", patience=3)),
+        ],
+        ids=["sine", "resumed", "waited-5", "waited-random-3"],
+    )
+    def test_tolerance_stop_ends_on_first_layer_of_its_run(self, make, config):
+        model = fit(make(), config)
+        assert model.converged
+        below = model.delta_t < config.tol_delta_t
+        assert below[-1]
+        assert model.n_layers == 1 or not below[-2]
+        assert model.delta_t.size == model.non_gaussianity.size == model.n_layers
+
+    def test_max_layers_stop_keeps_every_layer(self):
+        # Layers 1 and 2 are below tolerance, one short of patience 3.
+        with pytest.warns(NotConvergedWarning):
+            model = fit(waited_data(), replace(WAITED, max_layers=3))
+        assert not model.converged
+        assert model.n_layers == 3
+        assert (model.delta_t < WAITED.tol_delta_t).tolist() == [False, True, True]
+
+    def test_degenerate_direction_stop_keeps_every_layer(self):
+        # Two equal columns: the first rotation leaves a direction of
+        # rounding-noise range, which stops the fit at once.
+        a = skewed(3000, 48)[:, :1]
+        with pytest.warns(rbig.RankDeficientWarning):
+            model = fit(np.hstack([a, a]), FitConfig(patience=3))
+        assert model.converged
+        assert model.n_layers == 1
+        assert model.delta_t[0] >= model.config.tol_delta_t
+
+
 class TestColumnPool:
     """The worker pool, running column tasks and a query's rotation chunks."""
 
@@ -1184,7 +1287,7 @@ class TestColumnPool:
     @pytest.mark.parametrize("d", [1, 3])
     def test_fit_bins_each_column_once_per_layer(self, both, monkeypatch, d):
         # Twice for the input (its entropies and the first tables), then
-        # once per column-layer.  A one-column fit never pools.
+        # once per column-layer computed.  A one-column fit never pools.
         passes = []
         bin_counts = marginal._bin_counts
 
@@ -1198,17 +1301,17 @@ class TestColumnPool:
         def counted_fit():
             passes.clear()
             model = fit(x)
-            return model.n_layers, len(passes)
+            return model.n_layers, computed_layers(model), len(passes)
 
         runs = [counted_fit()] if d == 1 else both(counted_fit)
-        for n_layers, n_passes in runs:
+        for n_layers, computed, n_passes in runs:
             assert n_layers >= 2
-            assert n_passes == 2 * d + n_layers * d
+            assert n_passes == 2 * d + computed * d
 
     def test_fit_builds_grids_and_entropies_once_per_layer(self, both, monkeypatch):
         # The input's D columns each make two knot grids (their entropy and
-        # their first table) and one entropy call; after that, each layer's
-        # binning makes one (D, K) block of grids and one block of
+        # their first table) and one entropy call; after that, each computed
+        # layer's binning makes one (D, K) block of grids and one block of
         # entropies, however many columns it bins.
         calls = {"_knot_grid": 0, "_entropies": 0}
 
@@ -1233,11 +1336,11 @@ class TestColumnPool:
             calls["_knot_grid"] = 0
             GaussModel.from_dict(model.to_dict())
             made["_knot_grid"] -= calls["_knot_grid"]
-            return model.n_layers, made
+            return model.n_layers, computed_layers(model), made
 
-        for n_layers, made in both(counted_fit):
+        for n_layers, computed, made in both(counted_fit):
             assert n_layers >= 2
-            assert made == {"_knot_grid": 2 * d + n_layers, "_entropies": d + n_layers}
+            assert made == {"_knot_grid": 2 * d + computed, "_entropies": d + computed}
 
     def test_nonfinite_query_raises_before_any_layer(self, both, monkeypatch):
         # The load's chunk tasks check the query: a NaN in the last row

@@ -18,7 +18,6 @@ import os
 import reprlib
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -65,9 +64,10 @@ MODEL_VERSION = 5
 # Rows from which a call's tasks run on worker threads: a layer's columns, or
 # its row chunks.  The column kernels' passes over long columns (the segment
 # lookup, ndtri, ndtr) and the matrix products release the GIL; np.bincount
-# and calls on short arrays hold it, and each pooled call pays a hand-off.
-# Per column-layer of a 49-column fit on a 2-CPU x86_64 host, the workers
-# lost at 10,000 rows and won from 20,000 (README, "Worker threads").
+# and calls on short arrays hold it, and each helper thread costs a start
+# per call and a wake per map_tasks call.  On a 2-CPU x86_64 host, a
+# 49-column fit broke even at 10,000 rows and won from 20,000, and a 1+1
+# mutual_information was even at 20,000 (README, "Worker threads").
 _POOL_MIN_ROWS = 2**15
 
 
@@ -126,27 +126,200 @@ def _workers(n_rows: int, n_cols: int):
     """Yield ``map_tasks(fn, items)``, which yields ``fn(item)`` for each
     item in order.
 
-    The calls run on workers of this block's own, one per usable CPU up to
-    ``n_cols``, when there are 2 or more columns of at least
-    ``_POOL_MIN_ROWS`` rows and 2 or more CPUs, else one by one on the
-    calling thread.  A task (one of a layer's columns, or one of its row
-    chunks for the rotation or the PCA Gram matrix) must touch only its own
-    data.  Results come back in order whatever order the calls finish in, so
-    every sum the caller takes over them is the serial sum.  A failing call
-    raises its exception when its result is reached, so the first failing
-    task's error is the one raised, as in the serial order.  Leaving the
-    block cancels calls not yet started and waits for running ones, so no
-    worker outlives it.
+    The calls run on the calling thread and helper threads of this block's
+    own (:class:`_Pool`), one thread per usable CPU up to ``n_cols``, when
+    there are 2 or more columns of at least ``_POOL_MIN_ROWS`` rows and 2 or
+    more CPUs, else one by one on the calling thread.  A task (one of a
+    layer's columns, or one of its row chunks for the rotation or the PCA
+    Gram matrix) must touch only its own data.  Results come back in order
+    whatever order the calls finish in, so every sum the caller takes over
+    them is the serial sum.  A failing call raises its exception when its
+    result is reached, so the first failing task's error is the one raised,
+    as in the serial order; no later task starts once a failure is
+    recorded, nor once the caller stops reading.  No helper outlives the
+    block.
     """
     workers = min(_cpu_count(), n_cols)
     if workers < 2 or n_rows < _POOL_MIN_ROWS:
         yield map
         return
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="rbig-workers")
+    pool = _Pool()
     try:
+        pool.start(workers - 1)
         yield pool.map
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.close()
+
+
+# An item's result before it is in; also what an exception that the running
+# thread does not catch leaves in its place.
+_PENDING = object()
+# What the calling thread waits for when it waits for every running item.
+_DRAIN = -1
+
+
+class _Failure:
+    """The exception an item raised, kept in its result's place."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error):
+        self.error = error
+
+
+class _Job:
+    """The items of one pooled ``map_tasks`` call and their results.  Its
+    fields change under its pool's lock, and its condition is on that
+    lock."""
+
+    def __init__(self, fn, items, lock):
+        self.fn = fn
+        self.items = list(items)
+        self.results = [_PENDING] * len(self.items)
+        # The shared counter: every thread takes the next item to start
+        # from it.  No item from ``stop`` on starts: a failure lowers it to
+        # the failing item, and an early close to 0.
+        self.next = 0
+        self.stop = len(self.items)
+        self.running = 0
+        # The item the calling thread sleeps on (or _DRAIN), else None.
+        self.waiting = None
+        self.ready = threading.Condition(lock)
+
+    def take(self):
+        """The next item to run, counted as running; None when no item is
+        left to start."""
+        k = self.next
+        if k >= self.stop:
+            return None
+        self.next = k + 1
+        self.running += 1
+        return k
+
+    def record(self, k, result):
+        """Record item ``k``'s result: a value, a :class:`_Failure`, or
+        _PENDING for an exception that stops the job at once.  Wakes the
+        calling thread only when it sleeps on this."""
+        self.running -= 1
+        if result is _PENDING:
+            self.stop = 0
+        else:
+            self.results[k] = result
+            if type(result) is _Failure:
+                self.stop = min(self.stop, k)
+        if self.waiting == k or (self.waiting == _DRAIN and not self.running):
+            self.ready.notify()
+
+
+class _Pool:
+    """The helper threads of one :func:`_workers` block.
+
+    :meth:`map` runs one call's items on the calling thread and the helpers
+    alike: each thread takes the next item from the job's one counter.  The
+    calling thread yields each result as soon as it and every earlier one
+    are in, between items of its own, and sleeps only when no item is left
+    to start and the result it needs is still running on a helper.  A helper
+    sleeps between jobs, and is woken by the next job or by :meth:`close`.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        # The helpers sleep here while no item of the current job is left.
+        self._work = threading.Condition(self._lock)
+        self._job = None
+        self._closed = False
+        self._threads = []
+
+    def start(self, helpers):
+        for i in range(helpers):
+            thread = threading.Thread(target=self._help, name=f"rbig-workers_{i}")
+            thread.start()
+            self._threads.append(thread)
+
+    def close(self):
+        """Stop the helpers once their running items finish, and join them."""
+        with self._lock:
+            self._closed = True
+            self._work.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+    def _take(self):
+        return None if self._job is None else self._job.take()
+
+    def _help(self):
+        while True:
+            with self._lock:
+                while not self._closed and (k := self._take()) is None:
+                    self._work.wait()
+                if self._closed:
+                    return
+                job = self._job
+            # Any exception is kept, and raised on the calling thread.
+            self._run(job, k, BaseException)
+            # Not held while asleep: the job's task may hold the call's
+            # arrays, such as the argument inverse loads.
+            del job
+
+    def _run(self, job, k, caught):
+        """Run item ``k`` of ``job`` and record its result, or the exception
+        of class ``caught`` it raised; any other exception propagates, and
+        stops the job."""
+        result = _PENDING
+        try:
+            result = job.fn(job.items[k])
+        except caught as error:
+            result = _Failure(error)
+        finally:
+            with self._lock:
+                job.record(k, result)
+            # A kept error's traceback holds this frame: break the cycle.
+            job = result = None
+
+    def map(self, fn, items):
+        """The block's ``map_tasks``: yield ``fn(item)`` for each item in
+        order (see :func:`_workers`)."""
+        job = _Job(fn, items, self._lock)
+        with self._lock:
+            self._job = job
+            # The calling thread takes an item itself.
+            if len(job.items) > 1:
+                self._work.notify(len(job.items) - 1)
+        try:
+            for i in range(len(job.items)):
+                self._settle(job, i)
+                result, job.results[i] = job.results[i], None
+                if type(result) is _Failure:
+                    try:
+                        raise result.error
+                    finally:
+                        # Its traceback holds this frame: break the cycle.
+                        result = None
+                yield result
+        finally:
+            with self._lock:
+                job.stop = 0
+                job.waiting = _DRAIN
+                job.ready.wait_for(lambda: not job.running)
+                job.waiting = None
+                if self._job is job:
+                    self._job = None
+
+    def _settle(self, job, i):
+        """Run items on the calling thread until item ``i``'s result is in;
+        an exception other than an :class:`Exception` propagates at once."""
+        while True:
+            with self._lock:
+                if job.results[i] is not _PENDING:
+                    return
+                k = job.take()
+                if k is None:
+                    # Item i runs on a helper, which wakes this thread.
+                    job.waiting = i
+                    job.ready.wait_for(lambda: job.results[i] is not _PENDING)
+                    job.waiting = None
+                    return
+            self._run(job, k, Exception)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import base64
+import contextlib
 import errno
 import functools
+import gc
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -994,30 +996,53 @@ def wide(n, seed, d):
 # Two layers, each far below tolerance: converged, with no warning.
 WIDE = FitConfig(tol_delta_t=1e3, patience=2, max_layers=2)
 
-# The name prefix of every worker thread the library starts.
+# The name prefix of every helper thread the library starts.
 WORKER_PREFIX = "rbig-workers"
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker pools the library makes during the test, in order; each
-    counts the tasks submitted to it, columns or rotation chunks."""
+    """The pools the library makes during the test, in order.  Each records
+    ``threads``, the name of the thread that ran each of its items (columns
+    or rotation chunks), the calling thread's included, and ``tasks``, their
+    count.  Item 0 of each call of 2 or more items waits until item 1 has
+    started on another thread, so every pooled call runs items on 2 or more
+    threads, however the host schedules them."""
     made = []
 
-    class RecordedPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            # worker_threads() finds the threads by this prefix alone.
-            assert kwargs.get("thread_name_prefix") == WORKER_PREFIX
-            super().__init__(*args, **kwargs)
-            self.tasks = 0
+    class RecordedJob(flow._Job):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.second = threading.Event()
+
+    class RecordedPool(flow._Pool):
+        def __init__(self):
+            super().__init__()
+            self.threads = []
             made.append(self)
 
-        def submit(self, *args, **kwargs):
-            self.tasks += 1
-            return super().submit(*args, **kwargs)
+        @property
+        def tasks(self):
+            return len(self.threads)
 
-    monkeypatch.setattr(flow, "ThreadPoolExecutor", RecordedPool)
+        def _run(self, job, k, caught):
+            self.threads.append(threading.current_thread().name)
+            if k == 1:
+                job.second.set()
+            elif k == 0 and len(job.items) > 1:
+                # Not asserted here, where a raise would leave the item
+                # running: the tests count the threads.
+                job.second.wait(30)
+            return super()._run(job, k, caught)
+
+    monkeypatch.setattr(flow, "_Job", RecordedJob)
+    monkeypatch.setattr(flow, "_Pool", RecordedPool)
     return made
+
+
+def ran_on_threads(pool):
+    """How many threads ran the pool's items, the calling thread included."""
+    return len(set(pool.threads))
 
 
 def force_workers(m, workers=4):
@@ -1053,8 +1078,12 @@ def both(monkeypatch, pools):
                 pooled = fn()
             finally:
                 sys.setswitchinterval(interval)
-        assert any(pool.tasks for pool in pools), "no task ran on workers"
-        assert not worker_threads(), "a worker outlived its call"
+        assert any(ran_on_threads(pool) >= 2 for pool in pools), "no call ran items on 2 threads"
+        # worker_threads() finds the helpers by their name prefix alone.
+        caller = threading.current_thread().name
+        names = {name for pool in pools for name in pool.threads} - {caller}
+        assert all(name.startswith(WORKER_PREFIX) for name in names)
+        assert not worker_threads(), "a helper outlived its call"
         return serial, pooled
 
     return run
@@ -1230,7 +1259,7 @@ class TestColumnPool:
         assert same_bits(serial[1], pooled[1])
 
     def test_rotation_chunks_finishing_out_of_order_keep_serial_bits(
-        self, both, monkeypatch
+        self, both, pools, monkeypatch
     ):
         model = fit(wide(3000, 37, 49), replace(WIDE, seed=38))
         # 3 chunks at 49 columns.
@@ -1242,17 +1271,17 @@ class TestColumnPool:
         lock = threading.Lock()
 
         def first_chunk_last(rotation, z):
-            # On workers, the chunk holding row 0 of the working array waits
-            # for the layer's 2 others.
+            # In the pooled run, the chunk holding row 0 of the working array
+            # waits for the layer's 2 others, which other threads run.
             first = z.ctypes.data == z.base.ctypes.data
-            on_worker = threading.current_thread().name.startswith(WORKER_PREFIX)
-            if first and on_worker:
+            pooled = bool(pools)
+            if first and pooled:
                 assert others_done.wait(30), "the other chunks did not finish"
                 others_done.clear()
             rotated = rotate_rows(rotation, z)
             with lock:
                 finished.append(first)
-                if on_worker and not first:
+                if pooled and not first:
                     others.append(z)
                     if len(others) % 2 == 0:
                         others_done.set()
@@ -1260,7 +1289,7 @@ class TestColumnPool:
 
         monkeypatch.setattr(flow, "rotate", first_chunk_last)
         serial, pooled = both(lambda: model.transform(q))
-        # Serially the chunks finish in row order, on workers the first last.
+        # Serially the chunks finish in row order, pooled the first last.
         layers = model.n_layers
         assert finished == [True, False, False] * layers + [False, False, True] * layers
         assert same_bits(serial[0], pooled[0]) and same_bits(serial[1], pooled[1])
@@ -1427,11 +1456,9 @@ class TestColumnPool:
     ):
         monkeypatch.setattr(flow, "_cpu_count", lambda: 4)
         started = []
-        on_workers = []
 
         def task(j):
             started.append(j)
-            on_workers.append(threading.current_thread().name.startswith(WORKER_PREFIX))
             # Task 3 fails first in time; task 1 fails first in order.
             time.sleep(0.05 if j == 1 else 0.002)
             if j in (1, 3):
@@ -1441,8 +1468,9 @@ class TestColumnPool:
         with pytest.raises(ValueError, match="^task 1$"):
             with flow._workers(flow._POOL_MIN_ROWS, 1000) as map_tasks:
                 list(map_tasks(task, range(1000)))
-        assert len(pools) == 1 and all(on_workers)
-        assert len(started) < 1000
+        # The calling thread and its helpers ran the tasks.
+        assert len(pools) == 1 and ran_on_threads(pools[0]) >= 2
+        assert sorted(started) == list(range(len(started))) and len(started) < 1000
         # Running tasks were waited for: none is left to start or finish.
         assert not worker_threads()
 
@@ -1539,6 +1567,185 @@ class TestColumnPool:
         assert result.returncode == 0
 
 
+@contextlib.contextmanager
+def logged_workers(workers, log):
+    """``flow._workers``'s ``map_tasks`` on ``workers`` threads, the calling
+    one included (1 is the serial ``map``).  A pooled call appends
+    ``("start", k)`` as item k leaves the shared counter and ``("failed", k)``
+    or ``("done", k)`` as its result is recorded, both under the pool's lock,
+    so ``log`` is in the order the scheduler saw them."""
+
+    class LoggedJob(flow._Job):
+        def take(self):
+            k = super().take()
+            if k is not None:
+                log.append(("start", k))
+            return k
+
+        def record(self, k, result):
+            super().record(k, result)
+            log.append(("failed" if type(result) is flow._Failure else "done", k))
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as m:
+        force_workers(m, workers)
+        m.setattr(flow, "_Job", LoggedJob)
+        sys.setswitchinterval(1e-5)
+        try:
+            with flow._workers(flow._POOL_MIN_ROWS, 4) as map_tasks:
+                yield map_tasks
+        finally:
+            sys.setswitchinterval(interval)
+
+
+PAUSES = st.sampled_from([0.0, 0.0002, 0.001, 0.003])
+
+
+class TestTaskOrder:
+    """``map_tasks`` on 1 to 4 threads, with random item durations and
+    random failing items, against the serial ``map``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workers=st.integers(1, 4),
+        items=st.lists(st.tuples(PAUSES, st.sampled_from([False] * 7 + [True])), max_size=24),
+    )
+    def test_values_and_first_failure_of_serial_map(self, workers, items):
+        def task(k):
+            pause, fails = items[k]
+            time.sleep(pause)
+            if fails:
+                raise ValueError(f"item {k}")
+            return k * k
+
+        failing = [k for k, (_, fails) in enumerate(items) if fails]
+        log = []
+        with logged_workers(workers, log) as map_tasks:
+            if failing:
+                with pytest.raises(ValueError, match=f"^item {failing[0]}$"):
+                    list(map_tasks(task, range(len(items))))
+            else:
+                assert list(map_tasks(task, range(len(items)))) == list(
+                    map(task, range(len(items)))
+                )
+        assert not worker_threads()
+        # No item after a failing one starts once that failure is recorded,
+        # and every item that started was recorded before the block ended.
+        for at, (event, k) in enumerate(log):
+            if event == "failed":
+                assert not [j for e, j in log[at + 1:] if e == "start" and j > k]
+        started = [k for event, k in log if event == "start"]
+        assert sorted(started) == list(range(len(started)))
+        assert sorted(k for event, k in log if event != "start") == sorted(started)
+
+    @settings(max_examples=40, deadline=None)
+    @given(workers=st.integers(1, 4), pauses=st.lists(PAUSES, min_size=1, max_size=24), data=st.data())
+    def test_consumer_that_stops_early_leaves_no_helper(self, workers, pauses, data):
+        stop_at = data.draw(st.integers(0, len(pauses) - 1))
+
+        def task(k):
+            time.sleep(pauses[k])
+            return k != stop_at
+
+        log = []
+        with logged_workers(workers, log) as map_tasks:
+            # _loaded's pattern: all() stops reading at the first False.
+            assert not all(map_tasks(task, range(len(pauses))))
+            # Closing the call waited for its running items.
+            seen = list(log)
+            started = [k for event, k in seen if event == "start"]
+            assert sorted(k for event, k in seen if event != "start") == sorted(started)
+            # (The serial map logs nothing.)
+            assert stop_at in started or workers == 1
+        # No item started after the close, and no helper is left.
+        assert log == seen
+        assert not worker_threads()
+
+    @pytest.mark.parametrize("fails", [0, 30], ids=["first", "later"])
+    def test_failure_leaves_no_reference_cycle(self, fails):
+        # A kept error's traceback holds the frames it passed through; none
+        # of them may hold the error back, or the call's data would wait for
+        # the garbage collector.
+        class Data:
+            pass
+
+        def failed_call():
+            data = Data()
+
+            def task(k):
+                if k == fails:
+                    raise ValueError(f"item {k}")
+                return data
+
+            with pytest.raises(ValueError):
+                with logged_workers(3, []) as map_tasks:
+                    list(map_tasks(task, range(50)))
+            return weakref.ref(data)
+
+        gc.disable()
+        try:
+            assert failed_call()() is None
+        finally:
+            gc.enable()
+
+    def test_helpers_hold_no_finished_call(self):
+        # A sleeping helper holds nothing of the last call, so what only its
+        # tasks used, such as the argument inverse loads, is freed before
+        # the block ends.
+        class Data:
+            pass
+
+        data = Data()
+        freed = weakref.ref(data)
+        second = threading.Event()
+
+        def task(k, data=data):
+            # Item 0 waits until item 1 has started on a helper.
+            if k == 1:
+                second.set()
+            elif k == 0:
+                assert second.wait(30), "no helper started an item"
+            return k
+
+        with logged_workers(2, []) as map_tasks:
+            assert list(map_tasks(task, range(4))) == list(range(4))
+            del task, data
+            deadline = time.monotonic() + 10
+            while freed() is not None and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert freed() is None
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_on_calling_thread_propagates_at_once(self, workers, interrupt):
+        # The calling thread's first item returns once a helper holds an
+        # item; its second raises the interrupt while that earlier item is
+        # still running.  Kept as that item's result, it would wait for the
+        # helpers' earlier items, whose ValueError would be raised first.
+        caller = threading.current_thread()
+        helper_started = threading.Event()
+        on_caller = []
+        started = []
+
+        def task(k):
+            started.append(k)
+            if threading.current_thread() is not caller:
+                helper_started.set()
+                time.sleep(0.1)
+                raise ValueError(f"item {k}")
+            on_caller.append(k)
+            if len(on_caller) == 1:
+                assert helper_started.wait(30), "no helper started an item"
+                return k
+            raise interrupt()
+
+        with pytest.raises(interrupt):
+            with logged_workers(workers, []) as map_tasks:
+                list(map_tasks(task, range(40)))
+        assert len(on_caller) == 2 and len(started) < 40
+        assert not worker_threads()
+
+
 # (columns, rows): each N spans 2 or more rotation chunks, the last one
 # longer than the others.
 CHUNKED_CASES = [(5, 100_001), (16, 12_301), (49, 12_301)]
@@ -1626,8 +1833,10 @@ class TestRotationChunks:
         with monkeypatch.context() as m:
             force_workers(m, workers)
             pooled = queries()
-        # transform, log_density, inverse and sample: one pool each.
-        assert [pool.tasks >= 2 for pool in pools] == [True] * 4 * (workers > 1)
+        # transform, log_density, inverse and sample: one pool each, whose
+        # items ran on 2 or more threads.
+        assert [ran_on_threads(pool) >= 2 for pool in pools] == [True] * 4 * (workers > 1)
+        assert not worker_threads()
         for a, b in zip(serial, pooled):
             assert same_bits(a, b)
 
@@ -1658,7 +1867,9 @@ class TestRotationChunks:
         with monkeypatch.context() as m:
             force_workers(m, workers)
             pooled = pca_and_fit()
-        # The PCA's pool, then the fit's.
-        assert [pool.tasks >= 2 for pool in pools] == [True] * 2 * (workers > 1)
+        # The PCA's pool, then the fit's, each running items on 2 or more
+        # threads.
+        assert [ran_on_threads(pool) >= 2 for pool in pools] == [True] * 2 * (workers > 1)
+        assert not worker_threads()
         assert same_bits(serial[0], pooled[0])
         assert serial[1:] == pooled[1:]

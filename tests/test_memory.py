@@ -35,8 +35,9 @@ N, D = 2**15, 32
 MATRIX = N * D * 8
 COLUMN = N * 8
 # Column-sized temporaries per worker: the serial path measured 8 for fit
-# and 9 for transform, and 2 workers up to 21 in all under CPU contention,
-# which leaves results the pool finishes ahead of the calling thread.
+# and 9 for transform, and 2 workers (the calling thread and one helper) up
+# to 15 in all for transform.  The rest are the results a helper finishes
+# ahead of their turn while the calling thread runs a task of its own.
 COLUMN_TEMPORARIES = 14
 WORKERS = min(flow._cpu_count(), D)
 # Two working arrays plus each worker's column temporaries.  Before each
@@ -94,6 +95,12 @@ class TestWorkingMemory:
         assert peak <= QUERY_BOUND, in_matrices(peak, QUERY_BOUND)
 
     def test_transform(self, model, data):
+        # The guard against a scheduler that collects a call's results
+        # before it yields them: that holds all D log-Jacobian columns at
+        # once.  On 2 CPUs, a scheduler that yields each result once it and
+        # every earlier one are in read 1.35-1.47 matrices, and one that
+        # collected them first read 2.20-2.23, against QUERY_BOUND's 1.875.
+        # A thread pool with one future per task read 1.33-1.44.
         peak = traced_peak(lambda: model.transform(data))
         assert peak <= QUERY_BOUND, in_matrices(peak, QUERY_BOUND)
 
